@@ -157,51 +157,49 @@ class ComponentReport:
     elapsed: float
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
+def _merge(comp: np.ndarray, pt: np.ndarray) -> np.ndarray:
+    """Labelling of the union of ``comp``'s components with one more factor.
 
-    def find(self, u: int) -> int:
-        parent = self.parent
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
+    ``comp`` labels every vertex with the smallest vertex of its component,
+    so ``comp[comp] == comp``.  Each round hooks the larger root of every edge
+    ``u < pt[u]`` onto the smaller one, drops the edges whose ends now share
+    a root, and jumps pointers until every label is a root again.  Roots only
+    ever point lower, so the result keeps the minimum-vertex labelling.
+    """
+    lo = np.flatnonzero(np.arange(pt.size, dtype=np.uint32) < pt)
+    a, b = comp[lo], comp.take(pt[lo])
+    comp = comp.copy()
+    while True:
+        keep = a != b
+        a, b = a[keep], b[keep]
+        if not a.size:
+            return comp
+        np.minimum.at(comp, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = comp.take(comp)
+            if np.array_equal(jumped, comp):
+                break
+            comp = jumped
+        a, b = comp.take(a), comp.take(b)
 
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        self.count -= 1
 
-
-def _union_find(fac: Factorisation, dirs: Sequence[int]) -> _DisjointSet:
+def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
+    """Minimum-vertex component label of every vertex in the dirs' union."""
     if fac.mode != "explicit":
         fac = fac.materialize()
-    n = 1 << fac.d
-    ds = _DisjointSet(n)
+    comp = np.arange(1 << fac.d, dtype=np.uint32)
     for x in dirs:
-        pt = fac.table(x).tolist()
-        for u in range(n):
-            v = pt[u]
-            if u < v:
-                ds.union(u, v)
-    return ds
+        comp = _merge(comp, fac.table(x))
+    return comp
 
 
 def union_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:
-    """Components of the union of the chosen factors, via union-find."""
+    """Components of the union of the chosen factors, from their vertex labels."""
     dirs = _dirs(fac.ctx, spec)
     t0 = time.perf_counter()
-    ds = _union_find(fac, dirs)
-    sizes = sorted(ds.size[r] for r in range(1 << fac.d) if ds.find(r) == r)
-    return ComponentReport(ds.count, tuple(sizes), time.perf_counter() - t0)
+    sizes = np.bincount(_labels(fac, dirs))
+    sizes = np.sort(sizes[sizes > 0])
+    return ComponentReport(len(sizes), tuple(sizes.tolist()), time.perf_counter() - t0)
 
 
 def bfs_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:
@@ -232,11 +230,12 @@ def bfs_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:
     return ComponentReport(len(sizes), tuple(sorted(sizes)), time.perf_counter() - t0)
 
 
-def _uf_labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
-    ds = _union_find(fac, dirs)
-    return np.fromiter(
-        (ds.find(u) for u in range(1 << fac.d)), dtype=np.uint32, count=1 << fac.d
-    )
+def _one_component_per_key(keys: np.ndarray, labels: np.ndarray) -> dict[int, bool]:
+    """For each key value: do all vertices with that key share one label?"""
+    pairs = keys.astype(np.uint64) << np.uint64(32) | labels.astype(np.uint64)
+    key_of_pair = (np.unique(pairs) >> np.uint64(32)).astype(np.uint32)
+    uniq_keys, per_key = np.unique(key_of_pair, return_counts=True)
+    return {int(k): bool(c == 1) for k, c in zip(uniq_keys, per_key)}
 
 
 def small_cube_connectivity(fac: Factorisation, spec: DirSubset) -> dict[int, bool]:
@@ -245,15 +244,10 @@ def small_cube_connectivity(fac: Factorisation, spec: DirSubset) -> dict[int, bo
     Components are taken in the whole union graph, not within the small cube.
     """
     dirs = _dirs(fac.ctx, spec)
-    labels = _uf_labels(fac, dirs)
     n = 1 << fac.d
     mask = direction_mask(fac.ctx.space, dirs)
     ids = np.arange(n, dtype=np.uint32) & np.uint32(~mask & (n - 1))
-    pairs = ids.astype(np.uint64) << np.uint64(32) | labels.astype(np.uint64)
-    uniq = np.unique(pairs)
-    cube_of_pair = (uniq >> np.uint64(32)).astype(np.uint32)
-    uniq_ids, per_cube = np.unique(cube_of_pair, return_counts=True)
-    return {int(i): bool(c == 1) for i, c in zip(uniq_ids, per_cube)}
+    return _one_component_per_key(ids, _labels(fac, dirs))
 
 
 # -- direction-subset algebra ---------------------------------------------------
@@ -313,34 +307,26 @@ def tf_label(tfc: TfContext, u: int) -> TfLabel:
     return TfLabel(bits, psi)
 
 
+def _signature_bits(tfc: TfContext) -> np.ndarray:
+    """Parity signature bits of every vertex, as in ``tf_label``."""
+    idx = np.arange(1 << tfc.ctx.d, dtype=np.uint32)
+    bits = np.zeros_like(idx)
+    for j, m in enumerate(tfc.masks):
+        bits |= (_popcount32(idx & np.uint32(m)) & np.uint32(1)) << np.uint32(j)
+    return bits
+
+
 def tf_class_sizes(tfc: TfContext) -> dict[int, int]:
     """Sizes of the realised signature classes over all 2^d vertices."""
-    n = 1 << tfc.ctx.d
-    idx = np.arange(n, dtype=np.uint32)
-    bits = np.zeros(n, dtype=np.uint32)
-    for j, m in enumerate(tfc.masks):
-        parity = _popcount32(idx & np.uint32(m)) & np.uint32(1)
-        bits |= parity << np.uint32(j)
-    uniq, counts = np.unique(bits, return_counts=True)
+    uniq, counts = np.unique(_signature_bits(tfc), return_counts=True)
     return {int(b): int(c) for b, c in zip(uniq, counts)}
 
 
 def tf_connectivity(fac: Factorisation, spec: DirSubset) -> dict[int, bool]:
     """Per signature class: do the class's vertices share one component?"""
     dirs = _dirs(fac.ctx, spec)
-    tfc = tf_context(fac.ctx, dirs)
-    labels = _uf_labels(fac, dirs)
-    n = 1 << fac.d
-    idx = np.arange(n, dtype=np.uint32)
-    bits = np.zeros(n, dtype=np.uint32)
-    for j, m in enumerate(tfc.masks):
-        parity = _popcount32(idx & np.uint32(m)) & np.uint32(1)
-        bits |= parity << np.uint32(j)
-    pairs = bits.astype(np.uint64) << np.uint64(32) | labels.astype(np.uint64)
-    uniq = np.unique(pairs)
-    class_of_pair = (uniq >> np.uint64(32)).astype(np.uint32)
-    uniq_classes, per_class = np.unique(class_of_pair, return_counts=True)
-    return {int(b): bool(c == 1) for b, c in zip(uniq_classes, per_class)}
+    bits = _signature_bits(tf_context(fac.ctx, dirs))
+    return _one_component_per_key(bits, _labels(fac, dirs))
 
 
 def code_intersections(ctx: CodeContext, spec: DirSubset) -> dict[int, int]:
@@ -454,8 +440,7 @@ def r_scan(
     for r in range(1, fac.d + 1):
         t0 = time.perf_counter()
         ok = all(
-            _union_find(fac, subset).count == 1
-            for subset in combinations(dirs, r)
+            not _labels(fac, subset).any() for subset in combinations(dirs, r)
         )
         timings[r] = time.perf_counter() - t0
         if ok:
@@ -472,30 +457,9 @@ def r_of(fac: Factorisation, *, max_d: int = R_OF_MAX_D) -> int:
     return r_scan(fac, max_d=max_d)[0]
 
 
-# -- fast engine for sweeps -------------------------------------------------------
-#
-# Minimum-label propagation with pointer jumping.  Used for Monte-Carlo
-# sweeps only; the test-suite cross-checks it against union_components.
-
-
-def _relax_to_fixpoint(comp: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
-    while True:
-        prev = comp.copy()
-        for pt in tables:
-            np.minimum(comp, comp[pt], out=comp)
-        comp = comp[comp]
-        comp = comp[comp]
-        if np.array_equal(comp, prev):
-            return comp
-
-
 def is_connected(fac: Factorisation, spec: DirSubset) -> bool:
-    dirs = _dirs(fac.ctx, spec)
-    if fac.mode != "explicit":
-        fac = fac.materialize()
-    comp = np.arange(1 << fac.d, dtype=np.uint32)
-    comp = _relax_to_fixpoint(comp, [fac.table(x) for x in dirs])
-    return bool((comp == 0).all())
+    """True when the union of the chosen factors is connected."""
+    return not _labels(fac, _dirs(fac.ctx, spec)).any()
 
 
 def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
@@ -506,10 +470,8 @@ def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
     if len(dirs) != len(tuple(order)) or len(dirs) != fac.d:
         raise ValueError("order must be a permutation of the direction set")
     comp = np.arange(1 << fac.d, dtype=np.uint32)
-    active: list[np.ndarray] = []
     for r, x in enumerate(order, 1):
-        active.append(fac.table(x))
-        comp = _relax_to_fixpoint(comp, active)
+        comp = _merge(comp, fac.table(x))
         if not comp.any():
             return r
     raise AssertionError("full factor union must be connected")

@@ -551,18 +551,33 @@ def _random_perfect_matching(
                     q.append(w)
         return reachable
 
-    def augment(u: int) -> bool:
+    def frame(u: int) -> list:
         order = dirs_of(u)
         rng.shuffle(order)
-        for i in order:
-            v = u ^ (1 << i)
-            w = pair[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and augment(w)):
-                pair[u] = v
-                pair[v] = u
-                return True
-        dist[u] = INF
-        return False
+        return [u, order, 0]
+
+    def augment(root: int) -> None:
+        # Depth-first search along the BFS layers.  An explicit stack of
+        # [vertex, shuffled directions, next position] frames replaces
+        # recursion, since augmenting paths outgrow the recursion limit.
+        stack = [frame(root)]
+        while stack:
+            top = stack[-1]
+            u, order, pos = top
+            if pos == len(order):
+                dist[u] = INF
+                stack.pop()
+                continue
+            top[2] += 1
+            w = pair[u ^ (1 << order[pos])]
+            if w == -1:
+                for u, order, pos in reversed(stack):
+                    v = u ^ (1 << order[pos - 1])
+                    pair[u] = v
+                    pair[v] = u
+                return
+            if dist[w] == dist[u] + 1:
+                stack.append(frame(w))
 
     while bfs():
         frees = [u for u in left if pair[u] == -1]

@@ -16,7 +16,6 @@ __all__ = [
     "Decomposition",
     "span_basis",
     "decompose",
-    "coset_label",
 ]
 
 
@@ -191,8 +190,3 @@ def decompose(subspace: Subspace) -> Decomposition:
         rows.append((vec, w, c, cc))
     rows.sort(key=lambda row: row[0] & -row[0])
     return Decomposition(k, subspace, complement, tuple(rows))
-
-
-def coset_label(dec: Decomposition, x: int) -> int:
-    """Module-level alias for ``dec.coset_label(x)``."""
-    return dec.coset_label(x)

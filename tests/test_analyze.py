@@ -165,7 +165,7 @@ def test_directional_unions_large_dims():
             assert all(s == 1 << r for s in rep.sizes)
 
 
-def test_bfs_oracle_matches_union_find():
+def test_bfs_oracle_matches_union_components():
     cases = []
     fac5 = directional(build_context(5))
     cases += [(fac5, sub) for sub in ([1], [1, 2], [2, 4, 7], [1, 2, 3, 4, 7])]
@@ -314,6 +314,19 @@ def test_tf_connectivity_directional():
     assert tf_connectivity(FAC7, CTX7.space.directions) == {0: True}
 
 
+def test_tf_connectivity_matches_bfs():
+    fac = build_explicit(build_context(10), SCALED, RandomTape(13))
+    assert touched_edge_count(fac) > 0
+    for dirs in ((1, 2, 3), (1, 3, 4, 5), (2, 3, 5, 7, 8, 14), (1, 5, 8, 11, 13, 14)):
+        got = tf_connectivity(fac, dirs)
+        tfc = tf_context(fac.ctx, dirs)
+        label = _bfs_labels(fac, dirs)
+        expect = {}
+        for u in range(1 << 10):
+            expect.setdefault(tf_label(tfc, u).bits, set()).add(label[u])
+        assert got == {b: len(s) == 1 for b, s in expect.items()}
+
+
 # -- code meets small cubes ---------------------------------------------------------
 
 
@@ -443,21 +456,24 @@ def test_r_of_definition_spot_check():
     )
 
 
-# -- fast connectivity engine ----------------------------------------------------------
+# -- connectivity and prefixes -----------------------------------------------------
 
 
-def test_is_connected_matches_union_find():
+def test_is_connected_matches_bfs():
     rng = random.Random(3)
+    swap = build_explicit(build_context(10), SCALED, RandomTape(13))
+    assert touched_edge_count(swap) > 0
     facs = [
         directional(build_context(5)),
         random_greedy_factorisation(build_context(5), RandomTape(4)),
         random_greedy_factorisation(build_context(4), RandomTape(5)),
         _crafted_square(CTX7, 0, 3, 6),
+        swap,
     ]
     for fac in facs:
         for _ in range(8):
             dirs = rng.sample(fac.directions, rng.randint(1, fac.d))
-            assert is_connected(fac, dirs) == (union_components(fac, dirs).count == 1)
+            assert is_connected(fac, dirs) == (bfs_components(fac, dirs).count == 1)
 
 
 def test_min_connecting_prefix_directional():
@@ -466,14 +482,16 @@ def test_min_connecting_prefix_directional():
 
 
 def test_min_connecting_prefix_is_minimal():
-    fac = random_greedy_factorisation(build_context(4), RandomTape(3))
+    swap = build_explicit(build_context(10), SCALED, RandomTape(13))
+    assert touched_edge_count(swap) > 0
     rng = random.Random(4)
-    for _ in range(5):
-        order = rng.sample(fac.directions, 4)
-        p = min_connecting_prefix(fac, order)
-        assert is_connected(fac, order[:p])
-        if p > 1:
-            assert not is_connected(fac, order[: p - 1])
+    for fac in (random_greedy_factorisation(build_context(4), RandomTape(3)), swap):
+        for _ in range(5):
+            order = rng.sample(fac.directions, fac.d)
+            p = min_connecting_prefix(fac, order)
+            assert bfs_components(fac, order[:p]).count == 1
+            if p > 1:
+                assert bfs_components(fac, order[: p - 1]).count > 1
 
 
 def test_min_connecting_prefix_needs_permutation():

@@ -322,7 +322,8 @@ def test_materialize_round_trip():
 
 
 def test_greedy_is_a_valid_factorisation():
-    for d, seed in ((3, 1), (4, 7), (7, 3)):
+    # at d = 14 augmenting paths run deeper than Python's default recursion limit
+    for d, seed in ((3, 1), (4, 7), (7, 3), (14, 1)):
         fac = random_greedy_factorisation(build_context(d), RandomTape(seed))
         assert validate(fac).ok
         assert set(fac.directions) == set(build_context(d).space.directions)
