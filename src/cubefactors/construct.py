@@ -27,15 +27,24 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import blake2b
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import code as code_mod
 from .code import CodeContext, codewords_near
-from .cube import Edge, check_explicit, direction_mask, vertex_text, parse_vertex
+from .cube import (
+    CubeSpace,
+    Edge,
+    _text_rows,
+    check_explicit,
+    direction_mask,
+    vertex_text,
+)
 
 __all__ = [
     "ConstructionParams",
@@ -631,22 +640,94 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         "seed": fac.seed,
         "params": fac.params.as_dict(ctx.d) if fac.params is not None else None,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
         if fac.mode != "explicit":
             return
+        # Row i holds the label of direction position i, NUL-padded to a
+        # common width; the padding is dropped once the rows are flattened.
+        names = [str(x).encode() for x in ctx.space.directions]
+        width = max(map(len, names))
+        labels = np.frombuffer(b"".join(n.ljust(width, b"\0") for n in names), np.uint8)
+        labels = labels.reshape(ctx.d, width)
         idx = np.arange(1 << ctx.d, dtype=np.uint32)
         for x in ctx.space.directions:
             pt = fac.table(x)
             los = np.nonzero(idx < pt)[0]
-            diffs = idx[los] ^ pt[los]
-            edges = []
-            for lo, diff in zip(los.tolist(), diffs.tolist()):
-                direction = ctx.space.directions[int(diff).bit_length() - 1]
-                edges.append([vertex_text(ctx.space, int(lo)), direction])
-            fh.write(
-                json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n"
-            )
+            # frexp's exponent of a positive int is its bit_length.
+            pos = np.frexp((los ^ pt[los]).astype(np.float64))[1] - 1
+            rows = _text_rows(ctx.d, [b'["', los, b'",', labels[pos], b"],"]).ravel()
+            body = rows[rows != 0][:-1].tobytes()
+            fh.write(b'{"factor":%d,"edges":[%s]}\n' % (x, body))
+
+
+@contextmanager
+def _at_line(n: int) -> Iterator[None]:
+    """Report any decoding error raised inside as a parse error at line n."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"parse error at line {n}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"parse error at line {n}: {exc}") from None
+
+
+def _json_object(line: str) -> dict:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("expected an object")
+    return obj
+
+
+def _read_edges(space: CubeSpace, t: np.ndarray, x: int, edges: list) -> None:
+    """Set both ends of every [lo_text, direction] pair in partner table t.
+
+    The whole line is decoded at once; it is refused if two of its edges
+    share a vertex, while an edge listed twice is harmless.
+    """
+    if not isinstance(edges, list):
+        raise ValueError("edges must be a list")
+    n, d = len(edges), space.d
+    if n == 0:
+        return
+    try:
+        pairs = set(map(len, edges)) == {2}
+    except TypeError:
+        pairs = False
+    if not pairs:
+        raise ValueError("every edge must be a [vertex text, direction] pair")
+    texts = list(map(itemgetter(0), edges))
+    labels = list(map(itemgetter(1), edges))
+    try:
+        digits = np.frombuffer("".join(texts).encode(), np.uint8)
+        # digits | 1 is "1" exactly for the digits "0" and "1".
+        valid = set(map(len, texts)) == {d} and not ((digits | 1) != ord("1")).any()
+    except TypeError:
+        valid = False
+    if not valid:
+        bad = next(
+            s for s in texts if not isinstance(s, str) or len(s) != d or s.strip("01")
+        )
+        raise ValueError(f"expected a {d}-digit binary string, got {bad!r}")
+    digits = digits.reshape(n, d)
+    lo = np.zeros(n, np.uint32)
+    for j in range(d):
+        lo <<= 1
+        lo |= digits[:, j] & 1
+    try:
+        pos = np.fromiter(map(space.index.__getitem__, labels), np.uint32, count=n)
+    except KeyError as exc:
+        raise ValueError(f"direction {exc} not in X") from None
+    hi = lo ^ (np.uint32(1) << pos)
+    t[lo] = hi
+    t[hi] = lo
+    clash = np.flatnonzero((t[lo] != hi) | (t[hi] != lo))
+    if clash.size:
+        k = clash[0]
+        v = lo[k] if t[lo[k]] != hi[k] else hi[k]
+        raise ValueError(
+            f"factor {x} lists two edges at vertex {vertex_text(space, int(v))}"
+        )
 
 
 def load_factorisation(path: str) -> Factorisation:
@@ -655,34 +736,23 @@ def load_factorisation(path: str) -> Factorisation:
     if not lines:
         raise ValueError("parse error at line 1: empty file")
 
-    def parse_line(i: int) -> dict:
-        try:
-            obj = json.loads(lines[i])
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"parse error at line {i + 1}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"parse error at line {i + 1}: expected an object")
-        return obj
-
-    header = parse_line(0)
-    try:
+    with _at_line(1):
+        header = _json_object(lines[0])
         d = header["d"]
         dirs = tuple(header["X"])
         kind = header["kind"]
         mode = header["mode"]
         seed = header["seed"]
         raw_params = header["params"]
-    except KeyError as exc:
-        raise ValueError(f"parse error at line 1: missing key {exc}") from None
-    ctx = code_mod.build_context(d)
-    if ctx.space.directions != dirs:
-        raise ValueError("parse error at line 1: direction set does not match d")
-    params = ConstructionParams.from_dict(raw_params) if raw_params else None
-    tape = RandomTape(seed) if seed is not None else None
+        ctx = code_mod.build_context(d)
+        if ctx.space.directions != dirs:
+            raise ValueError("direction set does not match d")
+        params = ConstructionParams.from_dict(raw_params) if raw_params else None
+        tape = RandomTape(seed) if seed is not None else None
+        if mode == "implicit" and (params is None or tape is None):
+            raise ValueError("implicit stub needs params and seed")
 
     if mode == "implicit":
-        if params is None or tape is None:
-            raise ValueError("parse error at line 1: implicit stub needs params and seed")
         return implicit_factorisation(ctx, params, tape)
 
     check_explicit(d)
@@ -691,20 +761,12 @@ def load_factorisation(path: str) -> Factorisation:
     for i in range(1, len(lines)):
         if not lines[i]:
             continue
-        obj = parse_line(i)
-        try:
+        with _at_line(i + 1):
+            obj = _json_object(lines[i])
             x = obj["factor"]
-            edges = obj["edges"]
-        except KeyError as exc:
-            raise ValueError(f"parse error at line {i + 1}: missing key {exc}") from None
-        if x not in ctx.space.index:
-            raise ValueError(f"parse error at line {i + 1}: unknown factor {x}")
-        t = tables[x]
-        for lo_text, direction in edges:
-            lo = parse_vertex(ctx.space, lo_text)
-            hi = lo ^ ctx.space.bit_of(direction)
-            t[lo] = hi
-            t[hi] = lo
+            if x not in tables:
+                raise ValueError(f"unknown factor {x}")
+            _read_edges(ctx.space, tables[x], x, obj["edges"])
     for t in tables.values():
         t.flags.writeable = False
     return Factorisation(ctx, kind, "explicit", tables, params=params, tape=tape)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "CubeSpace",
@@ -142,6 +144,30 @@ def vertex_text(space: CubeSpace, u: int) -> str:
     if u < 0 or u >> space.d:
         raise ValueError(f"vertex {u} does not fit in d={space.d} bits")
     return format(u, f"0{space.d}b")
+
+
+def _text_rows(d: int, parts: Sequence[Union[bytes, np.ndarray]]) -> np.ndarray:
+    """ASCII rows, one per entry of the vertex arrays among ``parts``.
+
+    A bytes part repeats on every row, a 1-D vertex array becomes the d
+    digits of ``vertex_text`` and a 2-D uint8 array is copied as it is; the
+    parts are laid side by side in order.  Bulk writers format whole factors
+    with this instead of calling ``vertex_text`` per edge.
+    """
+    n = next(len(p) for p in parts if not isinstance(p, bytes))
+    cols = []
+    for p in parts:
+        if isinstance(p, bytes):
+            cols.append(np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p))))
+        elif p.ndim == 1:
+            digits = np.empty((n, d), np.uint8)
+            for j in range(d):
+                digits[:, j] = (p >> (d - 1 - j)) & 1
+            digits += ord("0")
+            cols.append(digits)
+        else:
+            cols.append(p)
+    return np.concatenate(cols, axis=1)
 
 
 def parse_vertex(space: CubeSpace, text: str) -> int:

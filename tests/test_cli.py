@@ -6,8 +6,16 @@ import pytest
 from cubefactors import cli
 from cubefactors.analyze import union_components
 from cubefactors.code import build_context, code_size
-from cubefactors.construct import load_factorisation
-from cubefactors.cube import parse_vertex
+from cubefactors.construct import (
+    ConstructionParams,
+    RandomTape,
+    build_explicit,
+    load_factorisation,
+    touched_edge_count,
+)
+from cubefactors.cube import parse_vertex, vertex_text
+
+SCALED = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=6)
 
 
 def run(capsys, *argv):
@@ -33,7 +41,7 @@ def test_construct_writes_summary_and_file(tmp_path, capsys):
     assert rep["operation"] == "construct"
     assert rep["d"] == 7 and rep["seed"] == 3 and rep["mode"] == "explicit"
     assert {"gprime", "g", "h", "active_squares", "touched_edges"} <= set(rep)
-    assert "construct" in rep["timings"]
+    assert set(rep["timings"]) == {"construct", "save"}
     fac = load_factorisation(str(path))
     assert fac.d == 7
 
@@ -54,6 +62,7 @@ def test_construct_pg_zero_summary(capsys):
     assert rep["gprime"] == 0
     assert rep["g"] == 0
     assert rep["h"] == code_size(build_context(7))
+    assert set(rep["timings"]) == {"construct"}
 
 
 def test_construct_small_d_is_a_usage_error(capsys):
@@ -90,10 +99,13 @@ def test_verify_accepts_good_file(tmp_path, capsys):
     path = tmp_path / "fac.jsonl"
     assert cli.main(["construct", "--d", "7", "--out", str(path)]) == 0
     capsys.readouterr()
-    rc, rep = run_json(capsys, "verify", "--in", str(path))
+    out = tmp_path / "report.json"
+    rc, rep = run_json(capsys, "verify", "--in", str(path), "--out", str(out))
     assert rc == 0
     assert rep["ok"] is True
     assert "violation" not in rep
+    assert set(rep["timings"]) == {"load", "validate"}
+    assert "timings" not in json.loads(out.read_text())
 
 
 def test_verify_flags_corrupted_file(tmp_path, capsys):
@@ -119,6 +131,59 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "parse error at line 1" in err
+
+
+def _set_first_edge(value):
+    def mutate(obj):
+        obj["edges"][0] = value(obj["edges"][0])
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set_first_edge(lambda e: 5), "pair"),
+        (_set_first_edge(lambda e: [5, e[1]]), "binary string, got 5"),
+        (_set_first_edge(lambda e: [e[0], 99]), "direction 99 not in X"),
+        (_set_first_edge(lambda e: [e[0], e[1], 1]), "pair"),
+        (_set_first_edge(lambda e: ["000000", e[1]]), "binary string"),
+        (_set_first_edge(lambda e: ["0000002", e[1]]), "binary string"),
+        (lambda obj: obj.update(edges=7), "edges must be a list"),
+        (lambda obj: obj.update(factor=[1]), "unhashable"),
+        (lambda obj: obj.pop("edges"), "missing key 'edges'"),
+    ],
+    ids=["int-edge", "int-text", "unknown-direction", "triple", "short-text",
+         "bad-digit", "edges-int", "factor-list", "no-edges"],
+)
+def test_verify_reports_malformed_factor_lines(tmp_path, capsys, mutate, message):
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", "--d", "7", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    mutate(obj)
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="parse error at line 2: "):
+        load_factorisation(str(path))
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error at line 2: " in err and message in err
+
+
+def test_verify_rejects_edges_sharing_a_vertex(tmp_path, capsys):
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", "--d", "7", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    # lo = 0000000 across direction 2 meets the listed edge 0000000-0000001
+    obj["edges"].append(["0000000", 2])
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error at line 2: factor 1 lists two edges at vertex 000000" in err
 
 
 def test_verify_requires_infile(capsys):
@@ -325,6 +390,44 @@ def test_export_dot_format(tmp_path, capsys):
     assert lines[-1] == "}"
     assert len(lines) == 10
     assert all('--' in ln and 'label=' in ln for ln in lines[1:-1])
+
+
+SWAP_FLAGS = ["--kind", "construction", "--d", "10", "--seed", "13",
+              "--pg", "0.05", "--rg", "6", "--rh", "4", "--cube-dim", "6"]
+
+
+def _expected_export(fac, dirs, fmt):
+    space = fac.ctx.space
+    lines = ["graph factors {"] if fmt == "dot" else []
+    for x in dirs:
+        pt = fac.table(x)
+        for u in range(1 << fac.d):
+            v = int(pt[u])
+            if u < v:
+                a, b = vertex_text(space, u), vertex_text(space, v)
+                if fmt == "dot":
+                    lines.append(f'  "{a}" -- "{b}" [label="{x}"];')
+                else:
+                    lines.append(f"{a} {b} {x}")
+    if fmt == "dot":
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "dot"])
+def test_export_swapping_d10_matches_vertex_text(tmp_path, fmt):
+    fac = build_explicit(build_context(10), SCALED, RandomTape(13))
+    assert touched_edge_count(fac) > 0
+    for dirs in (fac.directions, (1, 2, 11)):
+        path = tmp_path / f"{fmt}.txt"
+        argv = ["export", *SWAP_FLAGS, "--format", fmt, "--out", str(path)]
+        argv += ["--factors", ",".join(map(str, dirs))]
+        assert cli.main(argv) == 0
+        got = path.read_text().splitlines(keepends=True)
+        want = _expected_export(fac, dirs, fmt).splitlines(keepends=True)
+        # line by line: pytest's diff of two long strings takes minutes
+        assert len(got) == len(want)
+        assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
 
 
 def test_export_dot_guard(capsys):

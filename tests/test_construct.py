@@ -23,7 +23,7 @@ from cubefactors.construct import (
     save_factorisation,
     touched_edge_count,
 )
-from cubefactors.cube import edge_at, hamming_distance
+from cubefactors.cube import edge_at, hamming_distance, vertex_text
 from cubefactors.analyze import union_components, validate
 
 CTX7 = build_context(7)
@@ -403,3 +403,102 @@ def test_load_missing_edges_fail_validation(tmp_path):
     rep = validate(loaded)
     assert not rep.ok
     assert rep.message == "factor has a fixed point"
+
+
+def _per_edge_save(fac, path):
+    """The per-edge writer that save_factorisation replaced, kept as an oracle."""
+    ctx = fac.ctx
+    header = {
+        "type": "factorisation",
+        "version": 1,
+        "d": ctx.d,
+        "k": ctx.k,
+        "X": list(ctx.space.directions),
+        "kind": fac.kind,
+        "mode": fac.mode,
+        "seed": fac.seed,
+        "params": fac.params.as_dict(ctx.d) if fac.params is not None else None,
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        if fac.mode != "explicit":
+            return
+        idx = np.arange(1 << ctx.d, dtype=np.uint32)
+        for x in ctx.space.directions:
+            pt = fac.table(x)
+            los = np.nonzero(idx < pt)[0]
+            diffs = idx[los] ^ pt[los]
+            edges = []
+            for lo, diff in zip(los.tolist(), diffs.tolist()):
+                direction = ctx.space.directions[int(diff).bit_length() - 1]
+                edges.append([vertex_text(ctx.space, int(lo)), direction])
+            fh.write(
+                json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n"
+            )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: directional(CTX7),
+        lambda: build_explicit(CTX10, SCALED, RandomTape(13)),
+        lambda: random_greedy_factorisation(CTX10, RandomTape(5)),
+        lambda: implicit_factorisation(CTX10, SCALED, RandomTape(13)),
+    ],
+    ids=["directional-d7", "swapping-d10", "greedy-d10", "implicit-stub"],
+)
+def test_save_matches_per_edge_writer(tmp_path, make):
+    fac = make()
+    ours, ref = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
+    save_factorisation(fac, str(ours))
+    _per_edge_save(fac, str(ref))
+    assert ours.read_bytes() == ref.read_bytes()
+    if fac.mode == "explicit":
+        loaded = load_factorisation(str(ours))
+        for x in fac.directions:
+            assert (loaded.table(x) == fac.table(x)).all()
+
+
+def test_swapping_file_has_two_digit_labels(tmp_path):
+    # the oracle comparison above covers padded label columns only if the
+    # file mixes one- and two-digit labels and moves edges between factors
+    fac = build_explicit(CTX10, SCALED, RandomTape(13))
+    assert touched_edge_count(fac) > 0
+    path = tmp_path / "fac.jsonl"
+    save_factorisation(fac, str(path))
+    labels = {e[1] for ln in path.read_text().splitlines()[1:] for e in json.loads(ln)["edges"]}
+    assert min(labels) < 10 <= max(labels)
+
+
+def _write_factor_line(tmp_path, edges, factor=1):
+    fac = directional(CTX7)
+    path = tmp_path / "fac.jsonl"
+    save_factorisation(fac, str(path))
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        if json.loads(lines[i])["factor"] == factor:
+            lines[i] = json.dumps({"factor": factor, "edges": edges})
+            break
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_load_rejects_edges_sharing_a_vertex(tmp_path):
+    # (a,b), (b,c), (a,d) with a = 0, b = 1, c = 3, d = 4; loading edge by
+    # edge would let later writes win and keep {a-d, b-c}
+    sp = CTX7.space
+    x1, x2, x3 = sp.directions[:3]
+    a, b = vertex_text(sp, 0), vertex_text(sp, 1)
+    path = _write_factor_line(tmp_path, [[a, x1], [b, x2], [a, x3]], factor=x1)
+    with pytest.raises(ValueError, match=r"parse error at line 2: factor 1 .* vertex 000000[01]"):
+        load_factorisation(str(path))
+
+
+def test_load_accepts_an_edge_listed_twice(tmp_path):
+    sp = CTX7.space
+    x = sp.directions[0]
+    edges = [[vertex_text(sp, u), x] for u in range(0, 1 << 7, 2)]
+    path = _write_factor_line(tmp_path, edges + edges[:3], factor=x)
+    loaded = load_factorisation(str(path))
+    assert validate(loaded).ok
+    assert (loaded.table(x) == directional(CTX7).table(x)).all()
