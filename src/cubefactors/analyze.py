@@ -20,7 +20,7 @@ import numpy as np
 from . import gf2
 from .code import CodeContext, code_size, enumerate_code, in_code, phi_table
 from .construct import Factorisation
-from .cube import Edge, direction_mask, edge_at
+from .cube import Edge, direction_mask, edge_at, popcount32
 
 __all__ = [
     "SubsetSpec",
@@ -73,14 +73,6 @@ def _dirs(ctx: CodeContext, spec: DirSubset) -> tuple[int, ...]:
     return dirs
 
 
-def _popcount32(arr: np.ndarray) -> np.ndarray:
-    v = arr.astype(np.uint32)
-    v = v - ((v >> 1) & np.uint32(0x55555555))
-    v = (v & np.uint32(0x33333333)) + ((v >> 2) & np.uint32(0x33333333))
-    v = (v + (v >> 4)) & np.uint32(0x0F0F0F0F)
-    return (v * np.uint32(0x01010101)) >> 24
-
-
 # -- validity -----------------------------------------------------------------
 
 
@@ -107,7 +99,7 @@ def validate(fac: Factorisation) -> ValidationReport:
             structural_ok = False
             break
         sel = idx < pt
-        slots = idx[sel].astype(np.int64) * d + _popcount32(diff[sel] - 1)
+        slots = idx[sel].astype(np.int64) * d + popcount32(diff[sel] - 1)
         counts += np.bincount(slots, minlength=n * d).astype(np.uint8)
     if structural_ok:
         clear = ((idx[:, None] >> np.arange(d)[None, :]) & 1) == 0
@@ -312,7 +304,7 @@ def _signature_bits(tfc: TfContext) -> np.ndarray:
     idx = np.arange(1 << tfc.ctx.d, dtype=np.uint32)
     bits = np.zeros_like(idx)
     for j, m in enumerate(tfc.masks):
-        bits |= (_popcount32(idx & np.uint32(m)) & np.uint32(1)) << np.uint32(j)
+        bits |= (popcount32(idx & np.uint32(m)) & np.uint32(1)) << np.uint32(j)
     return bits
 
 

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cube import CubeSpace, check_explicit, make_space
+from .cube import CubeSpace, check_explicit, make_space, popcount32
 
 __all__ = [
     "CodeContext",
@@ -54,10 +54,25 @@ class CodeContext:
         return tuple(i for i in range(self.d) if i not in pivots)
 
     @cached_property
-    def _codewords(self) -> Optional[tuple[int, ...]]:
-        if 1 << (self.d - self.k) > _MATERIALIZE_LIMIT:
-            return None
-        return tuple(sorted(enumerate_code(self)))
+    def _codeword_array(self) -> np.ndarray:
+        """All codewords as a sorted read-only uint32 array.
+
+        Same words as ``enumerate_code``, built in numpy and without its
+        explicit-mode cap: it holds the 2^(d-k) codewords, never 2^d vertices.
+        """
+        dirs = self.space.directions
+        m = np.arange(1 << len(self._free_positions), dtype=np.uint32)
+        words = np.zeros_like(m)
+        syn = np.zeros_like(m)
+        for t, pos in enumerate(self._free_positions):
+            bit = (m >> np.uint32(t)) & np.uint32(1)
+            words |= bit << np.uint32(pos)
+            syn ^= bit * np.uint32(dirs[pos])
+        for j, pos in enumerate(self._pivot_positions):
+            words |= ((syn >> np.uint32(j)) & np.uint32(1)) << np.uint32(pos)
+        words.sort()
+        words.flags.writeable = False
+        return words
 
     @cached_property
     def _phi_array(self) -> np.ndarray:
@@ -174,11 +189,18 @@ def codewords_in_ball(
 
 
 def codewords_near(ctx: CodeContext, u: int, radius: int) -> list[int]:
-    """Same set as ``codewords_in_ball``; filters a cached code list when cheap."""
-    cached = ctx._codewords
-    if cached is not None and len(cached) <= _ball_cost(ctx.d, radius):
-        return [w for w in cached if (w ^ u).bit_count() <= radius]
-    return list(codewords_in_ball(ctx, u, radius))
+    """Same set as ``codewords_in_ball``, in increasing order.
+
+    While the code is materialised (up to 2^20 codewords) this is one
+    vectorised popcount filter over the cached array, at any radius; past
+    that it falls back to the recursive ball enumeration.
+    """
+    if code_size(ctx) > _MATERIALIZE_LIMIT:
+        return sorted(codewords_in_ball(ctx, u, radius))
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    words = ctx._codeword_array
+    return words[popcount32(words ^ np.uint32(u)) <= radius].tolist()
 
 
 def phi_table(ctx: CodeContext) -> np.ndarray:

@@ -29,9 +29,10 @@ import json
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from hashlib import blake2b
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .cube import (
     _text_rows,
     check_explicit,
     direction_mask,
+    popcount32,
     vertex_text,
 )
 
@@ -68,6 +70,7 @@ _WORD_MAX = 1 << 64
 _TAG_GPRIME, _TAG_PQ, _TAG_R6, _TAG_DERIVE = 0, 1, 2, 3
 
 MIN_CONSTRUCTION_D = 7
+_BLOCK_ENTRIES = 1 << 20
 
 
 class OverlapError(RuntimeError):
@@ -219,25 +222,42 @@ def _check_construction_dims(ctx: CodeContext, params: ConstructionParams) -> No
         raise ValueError("cube_dim must not exceed d")
 
 
+def _near_any(words: np.ndarray, centres: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Mask of the words at Hamming distance lo..hi from at least one centre.
+
+    Centres are compared in doubling blocks against the words still
+    unmatched, capped at about _BLOCK_ENTRIES distances: a dense centre set
+    settles most words within its first few centres, as a short-circuiting
+    scan would, and memory stays bounded at any |C|.
+    """
+    near = np.zeros(len(words), dtype=bool)
+    todo = np.arange(len(words))
+    start, step = 0, 4
+    while start < len(centres) and todo.size:
+        stop = start + max(1, min(step, _BLOCK_ENTRIES // todo.size))
+        dist = popcount32(words[todo, None] ^ centres[None, start:stop])
+        hit = ((dist >= lo) & (dist <= hi)).any(axis=1)
+        near[todo[hit]] = True
+        todo = todo[~hit]
+        start, step = stop, 2 * step
+    return near
+
+
 def sample_plan(ctx: CodeContext, params: ConstructionParams, tape: RandomTape) -> SwapPlan:
-    """Draw all swap sites for an explicit build (enumerates the code once)."""
+    """Draw all swap sites for an explicit build (one pass over the code array)."""
     check_explicit(ctx.d)
     _check_construction_dims(ctx, params)
-    cw = ctx._codewords
-    if cw is None:
-        cw = tuple(sorted(code_mod.enumerate_code(ctx)))
+    cw = ctx._codeword_array
+    words = cw.tolist()
     thr = params.coin_threshold(ctx.d)
 
-    gprime = tuple(u for u in cw if tape.coin(u, thr))
-    g = tuple(
-        v
-        for v in gprime
-        if all((v ^ w).bit_count() > params.rg for w in gprime if w != v)
-    )
-    h = tuple(
-        u for u in cw if all((u ^ w).bit_count() > params.rh for w in gprime)
-    )
-    pq = {u: _draw_pq(ctx, tape, u) for u in cw}
+    coins = np.fromiter((tape.coin(u, thr) for u in words), bool, count=len(words))
+    gp = cw[coins]
+    # Distinct codewords differ, so distance >= 1 leaves out only v itself.
+    gprime = tuple(gp.tolist())
+    g = tuple(gp[~_near_any(gp, gp, 1, params.rg)].tolist())
+    h = tuple(cw[~_near_any(cw, gp, 0, params.rh)].tolist())
+    pq = {u: _draw_pq(ctx, tape, u) for u in words}
     r6 = {v: _draw_r6(ctx, tape, v, params.cube_dim) for v in g}
 
     active = []
@@ -283,8 +303,14 @@ class Factorisation:
         self.tape = tape
         self.plan = plan
         self._tables = tables
-        self._sites: dict[int, "_Site"] = {}
-        self._pqs: dict[int, tuple[int, int]] = {}
+        # Implicit mode's per-codeword draws and swap-rule facts.  None of
+        # them refers back to self, so a factorisation is freed as soon as
+        # it is dropped, tables and all.
+        self._coin = coin = _Memo(lambda w: tape.coin(w, params.coin_threshold(ctx.d)))
+        self._pq = pq = _Memo(lambda w: _draw_pq(ctx, tape, w))
+        self._r6 = _Memo(lambda v: _draw_r6(ctx, tape, v, params.cube_dim))
+        self._in_g = _Memo(partial(_isolated, ctx, params, coin))
+        self._active = _Memo(partial(_square_survives, ctx, params, coin, pq))
 
     @property
     def d(self) -> int:
@@ -333,85 +359,69 @@ class Factorisation:
         return build_explicit(self.ctx, self.params, self.tape)
 
     # -- implicit machinery -------------------------------------------------
-
-    def _pq(self, w: int) -> tuple[int, int]:
-        got = self._pqs.get(w)
-        if got is None:
-            got = self._pqs[w] = _draw_pq(self.ctx, self.tape, w)
-        return got
-
-    def _site(self, w: int) -> "_Site":
-        got = self._sites.get(w)
-        if got is None:
-            got = self._sites[w] = _resolve_site(self, w)
-        return got
+    #
+    # Every per-codeword draw and swap-rule fact is a pure function of (seed,
+    # codeword), so each is computed at most once per factorisation.  A query
+    # tests the cheap geometry of a nearby site (its directions) before the
+    # site's membership, which needs a whole ball of coins.
 
     def _implicit_partner(self, u: int, x: int) -> int:
         ctx = self.ctx
-        params = self.params
-        bit_x = ctx.space.bit_of(x)
+        bit_of = ctx.space.bit_of
         claims: list[int] = []
 
         for w in codewords_near(ctx, u, 2):
-            st = self._site(w)
-            if not st.active_square:
-                continue
-            p, q = st.pq
+            p, q = self._pq[w]
             if x != p and x != q:
                 continue
-            region = ctx.space.bit_of(p) | ctx.space.bit_of(q)
-            if (u ^ w) & ~region:
+            if (u ^ w) & ~(bit_of(p) | bit_of(q)):
                 continue
-            other = q if x == p else p
-            claims.append(u ^ ctx.space.bit_of(other))
+            if self._active[w]:
+                claims.append(u ^ bit_of(q if x == p else p))
 
-        for v in codewords_near(ctx, u, params.cube_dim):
-            st = self._site(v)
-            if not st.in_g:
+        for v in codewords_near(ctx, u, self.params.cube_dim):
+            if not self._coin[v]:
                 continue
-            r = st.r6
-            if x not in r:
+            r = self._r6[v]
+            if x not in r or (u ^ v) & ~direction_mask(ctx.space, r):
                 continue
-            if (u ^ v) & ~direction_mask(ctx.space, r):
-                continue
-            j = r.index(x)
-            claims.append(u ^ ctx.space.bit_of(r[j - 1]))
+            if self._in_g[v]:
+                claims.append(u ^ bit_of(r[r.index(x) - 1]))
 
         if len(claims) > 1:
             raise OverlapError("overlapping swap regions at queried edge")
-        return claims[0] if claims else u ^ bit_x
+        return claims[0] if claims else u ^ bit_of(x)
 
 
-@dataclass
-class _Site:
-    in_gprime: bool
-    in_g: bool
-    in_h: bool
-    pq: tuple[int, int]
-    r6: Optional[tuple[int, ...]]
-    active_square: bool
-
-
-def _resolve_site(fac: Factorisation, w: int) -> _Site:
-    ctx, params, tape = fac.ctx, fac.params, fac.tape
-    thr = params.coin_threshold(ctx.d)
-    gp = tape.coin(w, thr)
-    pqw = fac._pq(w)
-    in_g = gp and all(
-        not tape.coin(w2, thr)
-        for w2 in codewords_near(ctx, w, params.rg)
-        if w2 != w
+def _isolated(ctx: CodeContext, params: ConstructionParams, coin: "_Memo", v: int) -> bool:
+    """v is in G: a G' point with no other G' point within distance rg."""
+    return coin[v] and not any(
+        coin[w] for w in codewords_near(ctx, v, params.rg) if w != v
     )
-    in_h = not any(
-        tape.coin(w2, thr) for w2 in codewords_near(ctx, w, params.rh)
-    )
-    r6 = _draw_r6(ctx, tape, w, params.cube_dim) if in_g else None
-    active = in_h
-    if active and params.conflict_check:
-        w2 = _conflict_partner(ctx, w, *pqw)
-        if w2 is not None and _squares_conflict(ctx, w, w2, *fac._pq(w2)):
-            active = False
-    return _Site(gp, in_g, in_h, pqw, r6, active)
+
+
+def _square_survives(
+    ctx: CodeContext, params: ConstructionParams, coin: "_Memo", pq: "_Memo", w: int
+) -> bool:
+    """w's square is swapped: w is in H and no conflicting square vetoes it."""
+    if any(coin[w2] for w2 in codewords_near(ctx, w, params.rh)):
+        return False
+    if not params.conflict_check:
+        return True
+    w2 = _conflict_partner(ctx, w, *pq[w])
+    return w2 is None or not _squares_conflict(ctx, w, w2, *pq[w2])
+
+
+class _Memo(dict):
+    """Per-codeword cache: a missing key is computed once, then stored."""
+
+    def __init__(self, compute: Callable[[int], Any]):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, w: int) -> Any:
+        got = self[w] = self._compute(w)
+        return got
 
 
 def directional(ctx: CodeContext) -> Factorisation:

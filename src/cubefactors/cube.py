@@ -23,6 +23,7 @@ __all__ = [
     "basis_vertex",
     "flip",
     "hamming_distance",
+    "popcount32",
     "direction_mask",
     "small_cube_id",
     "ball",
@@ -100,6 +101,19 @@ def flip(space: CubeSpace, u: int, x: int) -> int:
 
 def hamming_distance(u: int, v: int) -> int:
     return (u ^ v).bit_count()
+
+
+def popcount32(arr: np.ndarray) -> np.ndarray:
+    """Number of set bits of every entry, as uint32 (entries must fit in 32 bits)."""
+    # SWAR bit count on a fresh copy, so the steps below may work in place.
+    v = np.array(arr, dtype=np.uint32)
+    v -= (v >> 1) & np.uint32(0x55555555)
+    v = (v & np.uint32(0x33333333)) + ((v >> 2) & np.uint32(0x33333333))
+    v += v >> 4
+    v &= np.uint32(0x0F0F0F0F)
+    v *= np.uint32(0x01010101)
+    v >>= 24
+    return v
 
 
 def direction_mask(space: CubeSpace, dirs: Iterable[int]) -> int:

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,3 +162,54 @@ def test_phi_table_matches_scalar_phi():
         for u in range(0, 1 << d, 7):
             assert int(table[u]) == phi(ctx, u)
         assert not table.flags.writeable
+
+
+def test_code_array_matches_enumeration():
+    for d in range(3, 17):
+        ctx = build_context(d)
+        arr = ctx._codeword_array
+        assert arr.dtype == np.uint32
+        assert not arr.flags.writeable
+        assert arr.tolist() == sorted(enumerate_code(ctx))
+
+
+def test_code_array_lifts_the_explicit_cap():
+    ctx = build_context(23)
+    with pytest.raises(ValueError, match="explicit-mode cap"):
+        next(enumerate_code(ctx))
+    arr = ctx._codeword_array
+    assert len(arr) == code_size(ctx) == 1 << 18
+    assert (np.diff(arr.astype(np.int64)) > 0).all()
+    rng = random.Random(23)
+    assert all(in_code(ctx, int(w)) for w in rng.sample(arr.tolist(), 200))
+
+
+@pytest.mark.parametrize("d", [14, 16, 18])
+def test_codewords_near_matches_brute_force(d):
+    # These radii used to take the recursive path; the filter must agree.
+    ctx = build_context(d)
+    words = np.array(list(enumerate_code(ctx)), dtype=np.int64)
+    rng = random.Random(d)
+    points = [rng.randrange(1 << d) for _ in range(3)] + [int(words[rng.randrange(len(words))])]
+    for u in points:
+        dist = np.array([(int(w) ^ u).bit_count() for w in words])
+        for radius in (0, 2, 4, 6, 10, 14):
+            expected = sorted(words[dist <= radius].tolist())
+            assert codewords_near(ctx, u, radius) == expected
+
+
+def test_codewords_near_without_an_array():
+    ctx = build_context(26)
+    rng = random.Random(26)
+    for _ in range(5):
+        u = rng.randrange(1 << 26)
+        for radius in range(4):
+            expected = sorted(codewords_in_ball(ctx, u, radius))
+            assert codewords_near(ctx, u, radius) == expected
+            assert all(in_code(ctx, w) for w in expected)
+    assert "_codeword_array" not in vars(ctx)
+
+
+def test_codewords_near_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="radius"):
+        codewords_near(CTX7, 0, -1)

@@ -1,10 +1,13 @@
 import filecmp
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from cubefactors.code import build_context, code_size, enumerate_code
+from cubefactors.code import adjacent_codeword, build_context, code_size, enumerate_code
+import cubefactors.construct as construct_mod
 from cubefactors.construct import (
     ConstructionParams,
     OverlapError,
@@ -160,6 +163,31 @@ def test_plan_membership_invariants():
             assert len(r) == 6 and len(set(r)) == 6
 
 
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize(
+    "d, params",
+    [(10, SCALED), (12, ConstructionParams()), (12, ConstructionParams(pg=0.1, rg=3, rh=0))],
+)
+def test_plan_filters_match_brute_force(monkeypatch, block, d, params):
+    if block is not None:
+        monkeypatch.setattr(construct_mod, "_BLOCK_ENTRIES", block)
+    ctx = build_context(d)
+    cw = sorted(enumerate_code(ctx))
+    for seed in (0, 13):
+        plan = sample_plan(ctx, params, RandomTape(seed))
+        thr = params.coin_threshold(d)
+        gprime = [u for u in cw if RandomTape(seed).coin(u, thr)]
+        assert plan.gprime == tuple(gprime)
+        assert plan.g == tuple(
+            v
+            for v in gprime
+            if all(hamming_distance(v, w) > params.rg for w in gprime if w != v)
+        )
+        assert plan.h == tuple(
+            u for u in cw if all(hamming_distance(u, w) > params.rh for w in gprime)
+        )
+
+
 def test_conflict_partner_geometry():
     assert _conflict_partner(CTX7, 0, 1, 2) == 0b0000111
     ctx4 = build_context(4)
@@ -300,6 +328,78 @@ def test_implicit_matches_explicit_spot_checks():
     for u in rng.integers(0, 1 << 10, size=300).tolist():
         for x in CTX10.space.directions:
             assert imp.partner(int(u), x) == int(exp.table(x)[u])
+
+
+SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
+
+
+@pytest.mark.parametrize("d, seed", [(14, 6), (16, 2)])
+def test_implicit_matches_explicit_past_d10(d, seed):
+    ctx = build_context(d)
+    exp = build_explicit(ctx, SWAPPING, RandomTape(seed))
+    imp = implicit_factorisation(ctx, SWAPPING, RandomTape(seed))
+    assert touched_edge_count(exp) > 0
+    assert exp.plan.g and exp.plan.active_squares
+    rng = np.random.default_rng(d)
+    slots = set()
+    # every slot of the cube swaps, some the square swaps moved, some uniform
+    for v in exp.plan.g:
+        mask = 0
+        for x in exp.plan.r6[v]:
+            mask |= ctx.space.bit_of(x)
+        sub = mask
+        while True:
+            slots.update((v ^ sub, x) for x in exp.plan.r6[v])
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+    for i, x in enumerate(ctx.space.directions):
+        moved = np.flatnonzero(exp.table(x) != (np.arange(1 << d) ^ (1 << i)))
+        slots.update((int(u), x) for u in rng.choice(moved, size=min(20, moved.size)))
+    slots.update(
+        (int(u), int(rng.choice(ctx.space.directions)))
+        for u in rng.integers(0, 1 << d, size=200)
+    )
+    moved = 0
+    for u, x in sorted(slots):
+        v = imp.partner(u, x)
+        assert v == int(exp.table(x)[u])
+        moved += v != u ^ ctx.space.bit_of(x)
+    assert moved > 300
+
+
+def test_implicit_queries_past_the_explicit_cap():
+    ctx = build_context(23)
+    with pytest.raises(ValueError, match="explicit-mode cap"):
+        build_explicit(ctx, SWAPPING, RandomTape(3))
+    imp = implicit_factorisation(ctx, SWAPPING, RandomTape(3))
+    rng = np.random.default_rng(23)
+    moved = 0
+    for u in rng.integers(0, 1 << 23, size=12).tolist():
+        # the codeword next to u (if any) and one of its square directions
+        w, _ = adjacent_codeword(ctx, u) or (u, None)
+        for x in (imp._pq[w][0], int(rng.choice(ctx.space.directions))):
+            v = imp.partner(w, x)
+            assert hamming_distance(v, w) == 1
+            assert imp.partner(v, x) == w
+            moved += v != w ^ ctx.space.bit_of(x)
+    assert moved > 0
+
+
+def test_factorisation_is_freed_without_the_cycle_collector():
+    # The implicit caches must not point back at the factorisation, or every
+    # dropped explicit twin would keep its tables until a collection runs.
+    imp = implicit_factorisation(CTX10, SCALED, RandomTape(13))
+    for u in range(0, 1 << 10, 5):
+        imp.partner(u, 1)
+    facs = [imp, build_explicit(CTX10, SCALED, RandomTape(13))]
+    refs = [weakref.ref(f) for f in facs]
+    gc.disable()
+    try:
+        del facs, imp
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_implicit_overlap_raises_at_query_time():
