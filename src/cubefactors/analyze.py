@@ -85,58 +85,38 @@ class ValidationReport:
 
 
 def validate(fac: Factorisation) -> ValidationReport:
-    """Check that the factors are fixed-point-free matchings partitioning all edges."""
+    """Check that the factors are fixed-point-free matchings partitioning all edges.
+
+    One pass over the rows of the partner array.  A row is a perfect matching
+    of the cube exactly when every difference ``pt[u] ^ u`` is a single bit
+    and ``pt`` is an involution; the d rows then partition the edges exactly
+    when no vertex sees the same bit twice.  The first faulty vertex of the
+    first faulty row is reported, its faults checked in the order below.
+    """
     if fac.mode != "explicit":
         fac = fac.materialize()
-    d, n = fac.d, 1 << fac.d
-    idx = np.arange(n, dtype=np.uint32)
-    structural_ok = True
-    counts = np.zeros(n * d, dtype=np.uint8)
-    for i, x in enumerate(fac.directions):
-        pt = fac.table(x)
+    partners = fac.partners
+    idx = np.arange(1 << fac.d, dtype=np.uint32)
+    seen = np.zeros_like(idx)
+    for i, pt in enumerate(partners):
         diff = pt ^ idx
-        if (diff == 0).any() or (pt[pt] != idx).any() or (diff & (diff - 1)).any():
-            structural_ok = False
-            break
-        sel = idx < pt
-        slots = idx[sel].astype(np.int64) * d + popcount32(diff[sel] - 1)
-        counts += np.bincount(slots, minlength=n * d).astype(np.uint8)
-    if structural_ok:
-        clear = ((idx[:, None] >> np.arange(d)[None, :]) & 1) == 0
-        grid = counts.reshape(n, d)
-        if (grid[clear] == 1).all() and (grid[~clear] == 0).all():
-            return ValidationReport(True)
-    return _locate_violation(fac)
-
-
-def _locate_violation(fac: Factorisation) -> ValidationReport:
-    d, n = fac.d, 1 << fac.d
-    owner: dict[tuple[int, int], int] = {}
-    for x in fac.directions:
-        pt = fac.table(x)
-        for u in range(n):
-            v = int(pt[u])
-            if v == u:
-                return ValidationReport(False, u, x, "factor has a fixed point")
-            if int(pt[v]) != u:
-                return ValidationReport(False, u, x, "factor is not an involution")
-            diff = u ^ v
-            if diff & (diff - 1):
-                return ValidationReport(False, u, x, "partner is not a neighbour")
-            if u < v:
-                key = (u, diff.bit_length() - 1)
-                if key in owner:
-                    return ValidationReport(
-                        False, u, x, f"edge already assigned to factor {owner[key]}"
-                    )
-                owner[key] = x
-    for u in range(n):
-        for i in range(d):
-            if not u >> i & 1 and (u, i) not in owner:
-                return ValidationReport(
-                    False, u, fac.directions[i], "edge assigned to no factor"
-                )
-    return ValidationReport(False, None, None, "inconsistent vectorised check")
+        faults = (
+            (diff == 0, "factor has a fixed point"),
+            (pt[pt] != idx, "factor is not an involution"),
+            (diff & (diff - np.uint32(1)) != 0, "partner is not a neighbour"),
+            (seen & diff != 0, None),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in faults])
+        if bad.any():
+            u = int(bad.argmax())
+            message = next(msg for mask, msg in faults if mask[u])
+            if message is None:
+                # The edge sits in the first earlier row with the same partner.
+                first = int((partners[:i, u] == pt[u]).argmax())
+                message = f"edge already assigned to factor {fac.directions[first]}"
+            return ValidationReport(False, u, fac.directions[i], message)
+        seen |= diff
+    return ValidationReport(True)
 
 
 # -- connectivity -------------------------------------------------------------

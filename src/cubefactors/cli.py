@@ -28,6 +28,7 @@ from .construct import (
     Factorisation,
     OverlapError,
     RandomTape,
+    apply_explicit,
     build_explicit,
     directional,
     implicit_factorisation,
@@ -44,6 +45,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DOT_MAX_D = 10
+# Derived seeds one experiment index may draw before the sweep gives up.
+EXPERIMENT_DRAWS = 10
 
 ANALYZE_OPS = (
     "components",
@@ -167,12 +170,6 @@ def cmd_construct(ns: argparse.Namespace) -> int:
     mode = ns.mode or "explicit"
     ctx = build_context(d)
     params = _params_from(ns)
-    t0 = time.perf_counter()
-    if mode == "explicit":
-        fac = build_explicit(ctx, params, RandomTape(seed))
-    else:
-        fac = implicit_factorisation(ctx, params, RandomTape(seed))
-    elapsed = time.perf_counter() - t0
     summary: dict = {
         "operation": "construct",
         "d": d,
@@ -180,11 +177,18 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         "mode": mode,
         "params": params.as_dict(d),
     }
-    if fac.plan is not None:
-        summary.update(plan_summary(fac.plan))
-    elif d <= explicit_cap():
-        summary.update(plan_summary(sample_plan(ctx, params, RandomTape(seed))))
-    timings = {"construct": elapsed}
+    t0 = time.perf_counter()
+    if mode == "explicit":
+        plan = sample_plan(ctx, params, RandomTape(seed))
+        t1 = time.perf_counter()
+        fac = apply_explicit(ctx, plan)
+        timings = {"sample_plan": t1 - t0, "apply": time.perf_counter() - t1}
+        summary.update(plan_summary(plan))
+    else:
+        fac = implicit_factorisation(ctx, params, RandomTape(seed))
+        timings = {"construct": time.perf_counter() - t0}
+        if d <= explicit_cap():
+            summary.update(plan_summary(sample_plan(ctx, params, RandomTape(seed))))
     if ns.out:
         t0 = time.perf_counter()
         save_factorisation(fac, ns.out)
@@ -308,10 +312,37 @@ def cmd_rmin(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _experiment_fac(
+    ctx, kind: str, params: ConstructionParams, master: RandomTape, i: int, refused: list
+) -> tuple[Factorisation, int]:
+    """Factorisation of seed index i, drawing a new derived seed on each refusal.
+
+    The first draw is ``fac:{i}`` and the k-th retry ``fac:{i}:{k}``; every
+    refused seed is appended to ``refused``.
+    """
+    for k in range(EXPERIMENT_DRAWS):
+        fac_seed = master.derive_seed(f"fac:{i}" if k == 0 else f"fac:{i}:{k}")
+        if kind == "directional":
+            return directional(ctx), fac_seed
+        if kind == "greedy":
+            return random_greedy_factorisation(ctx, RandomTape(fac_seed)), fac_seed
+        try:
+            return build_explicit(ctx, params, RandomTape(fac_seed)), fac_seed
+        except OverlapError:
+            refused.append({"index": i, "seed": fac_seed})
+    mine = [entry["seed"] for entry in refused if entry["index"] == i]
+    raise OverlapError(
+        f"seed index {i}: all {EXPERIMENT_DRAWS} derived seeds were refused "
+        f"for overlapping swap regions: {mine}"
+    )
+
+
 def cmd_experiment(ns: argparse.Namespace) -> int:
     d = _require_d(ns)
     seed = _seed(ns)
     kind = getattr(ns, "kind", None) or "construction"
+    if kind not in ("construction", "greedy", "directional"):
+        raise UsageError(f"unknown kind: {kind}")
     n_seeds = 5 if ns.seeds is None else int(ns.seeds)
     samples = 200 if ns.samples is None else int(ns.samples)
     if n_seeds < 1 or samples < 1:
@@ -321,16 +352,9 @@ def cmd_experiment(ns: argparse.Namespace) -> int:
     master = RandomTape(seed)
     t0 = time.perf_counter()
     per_seed = []
+    refused: list[dict] = []
     for i in range(n_seeds):
-        fac_seed = master.derive_seed(f"fac:{i}")
-        if kind == "construction":
-            fac = build_explicit(ctx, params, RandomTape(fac_seed))
-        elif kind == "greedy":
-            fac = random_greedy_factorisation(ctx, RandomTape(fac_seed))
-        elif kind == "directional":
-            fac = directional(ctx)
-        else:
-            raise UsageError(f"unknown kind: {kind}")
+        fac, fac_seed = _experiment_fac(ctx, kind, params, master, i, refused)
         rng = random.Random(master.derive_seed(f"chains:{i}"))
         profile = an.connectivity_profile(fac, samples, rng)
         fractions = [
@@ -350,7 +374,7 @@ def cmd_experiment(ns: argparse.Namespace) -> int:
         "seeds": n_seeds,
         "samples": samples,
         "params": params.as_dict(d) if kind == "construction" else None,
-        "results": {"per_seed": per_seed, "aggregate": aggregate},
+        "results": {"per_seed": per_seed, "aggregate": aggregate, "refused": refused},
     }
     _emit(ns, report, {"experiment": elapsed})
     return EXIT_OK

@@ -2,8 +2,8 @@
 
 The starting point is the directional factorisation: factor x holds exactly
 the direction-x edges.  It is then perturbed by two kinds of local swaps,
-driven by a keyed deterministic tape so that explicit tables and implicit
-(query-time) evaluation agree bit for bit:
+driven by a keyed deterministic tape so that the explicit partner array and
+implicit (query-time) evaluation agree bit for bit:
 
 * every codeword is independently marked G' with probability pg; codewords
   with another G' point within distance rg are dropped (both of a close pair),
@@ -274,10 +274,13 @@ def sample_plan(ctx: CodeContext, params: ConstructionParams, tape: RandomTape) 
 class Factorisation:
     """Assignment of every cube edge to one of d factors, labelled by X.
 
-    Explicit mode stores one partner table per factor (numpy uint32); factor
-    x matches vertex u to ``partner(u, x)``.  Implicit mode stores only the
-    context, parameters and tape, and answers partner queries by replaying
-    the swap rules for the few codewords near the query.
+    Explicit mode holds one read-only (d, 2^d) uint32 partner array.  Row i
+    is the factor labelled ``directions[i]``: it matches vertex u to
+    ``partners[i, u]``, and ``table(directions[i])`` is a view of it.  The
+    factorisation is valid exactly when the d partners of every vertex are
+    its d distinct neighbours (see ``analyze.validate``).  Implicit mode
+    holds only the context, parameters and tape, and answers partner queries
+    by replaying the swap rules for the few codewords near the query.
     """
 
     def __init__(
@@ -285,15 +288,19 @@ class Factorisation:
         ctx: CodeContext,
         kind: str,
         mode: str,
-        tables: Optional[dict[int, np.ndarray]] = None,
+        partners: Optional[np.ndarray] = None,
         params: Optional[ConstructionParams] = None,
         tape: Optional[RandomTape] = None,
         plan: Optional[SwapPlan] = None,
     ):
         if mode not in ("explicit", "implicit"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "explicit" and tables is None:
-            raise ValueError("explicit mode needs partner tables")
+        if mode == "explicit":
+            if partners is None:
+                raise ValueError("explicit mode needs a partner array")
+            if partners.shape != (ctx.d, 1 << ctx.d) or partners.dtype != np.uint32:
+                raise ValueError("partner array must be uint32 of shape (d, 2^d)")
+            partners.flags.writeable = False
         if mode == "implicit" and (params is None or tape is None):
             raise ValueError("implicit mode needs params and a tape")
         self.ctx = ctx
@@ -302,10 +309,10 @@ class Factorisation:
         self.params = params
         self.tape = tape
         self.plan = plan
-        self._tables = tables
+        self._partners = partners
         # Implicit mode's per-codeword draws and swap-rule facts.  None of
         # them refers back to self, so a factorisation is freed as soon as
-        # it is dropped, tables and all.
+        # it is dropped, partner array and all.
         self._coin = coin = _Memo(lambda w: tape.coin(w, params.coin_threshold(ctx.d)))
         self._pq = pq = _Memo(lambda w: _draw_pq(ctx, tape, w))
         self._r6 = _Memo(lambda v: _draw_r6(ctx, tape, v, params.cube_dim))
@@ -324,13 +331,22 @@ class Factorisation:
     def seed(self) -> Optional[int]:
         return self.tape.seed if self.tape is not None else None
 
+    @property
+    def partners(self) -> np.ndarray:
+        """The (d, 2^d) partner array, one row per direction position."""
+        if self._partners is None:
+            raise ValueError(
+                "no partner array in implicit mode; call materialize() first"
+            )
+        return self._partners
+
     def table(self, x: int) -> np.ndarray:
-        if self._tables is None:
-            raise ValueError("no tables in implicit mode; call materialize() first")
-        try:
-            return self._tables[x]
-        except KeyError:
-            raise ValueError(f"direction {x} not in X") from None
+        """Factor x's row of the partner array."""
+        partners = self.partners
+        i = self.ctx.space.index.get(x)
+        if i is None:
+            raise ValueError(f"direction {x} not in X")
+        return partners[i]
 
     def partner(self, u: int, x: int) -> int:
         """The vertex matched to u by factor x."""
@@ -424,32 +440,29 @@ class _Memo(dict):
         return got
 
 
+def _directional_partners(d: int) -> np.ndarray:
+    """Partner array of the directional factorisation: row i flips bit i."""
+    idx = np.arange(1 << d, dtype=np.uint32)
+    return idx ^ (np.uint32(1) << np.arange(d, dtype=np.uint32))[:, None]
+
+
 def directional(ctx: CodeContext) -> Factorisation:
     """The baseline factorisation: factor x holds exactly the direction-x edges."""
     check_explicit(ctx.d)
-    idx = np.arange(1 << ctx.d, dtype=np.uint32)
-    tables = {}
-    for i, x in enumerate(ctx.space.directions):
-        t = idx ^ np.uint32(1 << i)
-        t.flags.writeable = False
-        tables[x] = t
-    return Factorisation(ctx, "directional", "explicit", tables)
+    return Factorisation(ctx, "directional", "explicit", _directional_partners(ctx.d))
 
 
 def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
-    """Apply a swap plan to the directional tables, rejecting any overlap."""
+    """Apply a swap plan to the directional partners, rejecting any overlap."""
     check_explicit(ctx.d)
     d = ctx.d
     space = ctx.space
-    idx = np.arange(1 << d, dtype=np.uint32)
-    tables = {
-        x: idx ^ np.uint32(1 << i) for i, x in enumerate(space.directions)
-    }
-
+    partners = _directional_partners(d)
     claims: dict[int, int] = {}
-    writes: list[tuple[int, int, int]] = []
 
-    def claim(vertex: int, dir_pos: int, site: int) -> None:
+    # Each slot is written as soon as its site claims it; an OverlapError
+    # discards the half-written array with the rest of the call.
+    def claim(vertex: int, dir_pos: int, site: int, partner: int) -> None:
         key = vertex * d + dir_pos
         owner = claims.setdefault(key, site)
         if owner != site:
@@ -457,6 +470,7 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
                 f"overlapping swap regions: factor slot (vertex={vertex}, "
                 f"direction index {dir_pos}) written twice"
             )
+        partners[dir_pos, vertex] = partner
 
     site = 0
     for u in plan.active_squares:
@@ -464,10 +478,8 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
         bp, bq = space.bit_of(p), space.bit_of(q)
         ip, iq = space.index[p], space.index[q]
         for w in (u, u ^ bp, u ^ bq, u ^ bp ^ bq):
-            claim(w, ip, site)
-            claim(w, iq, site)
-            writes.append((p, w, w ^ bq))
-            writes.append((q, w, w ^ bp))
+            claim(w, ip, site, w ^ bq)
+            claim(w, iq, site, w ^ bp)
         site += 1
 
     for v in plan.g:
@@ -483,17 +495,12 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
                 w ^= bits[low.bit_length() - 1]
                 s ^= low
             for j in range(m):
-                claim(w, positions[j], site)
-                writes.append((r[j], w, w ^ bits[j - 1]))
+                claim(w, positions[j], site, w ^ bits[j - 1])
         site += 1
 
-    for x, w, partner in writes:
-        tables[x][w] = partner
-    for t in tables.values():
-        t.flags.writeable = False
     tape = RandomTape(plan.seed)
     return Factorisation(
-        ctx, "construction", "explicit", tables, params=plan.params, tape=tape, plan=plan
+        ctx, "construction", "explicit", partners, params=plan.params, tape=tape, plan=plan
     )
 
 
@@ -506,7 +513,7 @@ def build_explicit(
 def implicit_factorisation(
     ctx: CodeContext, params: ConstructionParams, tape: RandomTape
 ) -> Factorisation:
-    """Query-time factorisation; no whole-cube tables are ever built."""
+    """Query-time factorisation; no whole-cube partner array is ever built."""
     _check_construction_dims(ctx, params)
     return Factorisation(ctx, "construction", "implicit", params=params, tape=tape)
 
@@ -524,18 +531,16 @@ def random_greedy_factorisation(ctx: CodeContext, tape: RandomTape) -> Factorisa
     rng = random.Random(tape.derive_seed("greedy"))
     used = [0] * n
     left = [u for u in range(n) if u.bit_count() % 2 == 0]
-    tables: dict[int, np.ndarray] = {}
-    for label in ctx.space.directions:
+    partners = np.empty((d, n), dtype=np.uint32)
+    for row in partners:
         pair = _random_perfect_matching(d, n, left, used, rng)
         for u in left:
             v = pair[u]
             i = (u ^ v).bit_length() - 1
             used[u] |= 1 << i
             used[v] |= 1 << i
-        arr = np.array(pair, dtype=np.uint32)
-        arr.flags.writeable = False
-        tables[label] = arr
-    return Factorisation(ctx, "greedy", "explicit", tables, tape=tape)
+        row[:] = pair
+    return Factorisation(ctx, "greedy", "explicit", partners, tape=tape)
 
 
 def _random_perfect_matching(
@@ -613,11 +618,7 @@ def touched_edge_count(fac: Factorisation) -> int:
     """Edges whose factor differs from their direction (explicit mode)."""
     if fac.mode != "explicit":
         fac = fac.materialize()
-    idx = np.arange(1 << fac.d, dtype=np.uint32)
-    total = 0
-    for i, x in enumerate(fac.directions):
-        total += int((fac.table(x) != (idx ^ np.uint32(1 << i))).sum())
-    return total // 2
+    return int(np.count_nonzero(fac.partners != _directional_partners(fac.d))) // 2
 
 
 def plan_summary(plan: SwapPlan) -> dict:
@@ -690,7 +691,7 @@ def _json_object(line: str) -> dict:
 
 
 def _read_edges(space: CubeSpace, t: np.ndarray, x: int, edges: list) -> None:
-    """Set both ends of every [lo_text, direction] pair in partner table t.
+    """Set both ends of every [lo_text, direction] pair in factor x's row t.
 
     The whole line is decoded at once; it is refused if two of its edges
     share a vertex, while an edge listed twice is harmless.
@@ -766,17 +767,18 @@ def load_factorisation(path: str) -> Factorisation:
         return implicit_factorisation(ctx, params, tape)
 
     check_explicit(d)
-    idx = np.arange(1 << d, dtype=np.uint32)
-    tables = {x: idx.copy() for x in dirs}
+    # Every vertex starts as its own partner, so an edge no line lists
+    # shows up as a fixed point.
+    partners = np.empty((d, 1 << d), dtype=np.uint32)
+    partners[:] = np.arange(1 << d, dtype=np.uint32)
     for i in range(1, len(lines)):
         if not lines[i]:
             continue
         with _at_line(i + 1):
             obj = _json_object(lines[i])
             x = obj["factor"]
-            if x not in tables:
+            row = ctx.space.index.get(x)
+            if row is None:
                 raise ValueError(f"unknown factor {x}")
-            _read_edges(ctx.space, tables[x], x, obj["edges"])
-    for t in tables.values():
-        t.flags.writeable = False
-    return Factorisation(ctx, kind, "explicit", tables, params=params, tape=tape)
+            _read_edges(ctx.space, partners[row], x, obj["edges"])
+    return Factorisation(ctx, kind, "explicit", partners, params=params, tape=tape)

@@ -19,6 +19,7 @@ from cubefactors.construct import (
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
     SubsetSpec,
+    ValidationReport,
     bfs_components,
     code_intersection,
     code_intersections,
@@ -86,7 +87,7 @@ def test_validate_detects_fixed_point():
     ctx = build_context(3)
     tables = _tables_copy(directional(ctx))
     tables[3] = np.arange(8, dtype=np.uint32)
-    rep = validate(Factorisation(ctx, "crafted", "explicit", tables))
+    rep = validate(Factorisation(ctx, "crafted", "explicit", np.stack(list(tables.values()))))
     assert not rep.ok
     assert (rep.vertex, rep.factor) == (0, 3)
     assert rep.message == "factor has a fixed point"
@@ -96,7 +97,7 @@ def test_validate_detects_broken_involution():
     ctx = build_context(3)
     tables = _tables_copy(directional(ctx))
     tables[1][1] = 2
-    rep = validate(Factorisation(ctx, "crafted", "explicit", tables))
+    rep = validate(Factorisation(ctx, "crafted", "explicit", np.stack(list(tables.values()))))
     assert not rep.ok
     assert (rep.vertex, rep.factor) == (0, 1)
     assert rep.message == "factor is not an involution"
@@ -106,7 +107,7 @@ def test_validate_detects_non_neighbour_partner():
     ctx = build_context(3)
     tables = _tables_copy(directional(ctx))
     tables[1] = np.arange(8, dtype=np.uint32) ^ np.uint32(3)
-    rep = validate(Factorisation(ctx, "crafted", "explicit", tables))
+    rep = validate(Factorisation(ctx, "crafted", "explicit", np.stack(list(tables.values()))))
     assert not rep.ok
     assert (rep.vertex, rep.factor) == (0, 1)
     assert rep.message == "partner is not a neighbour"
@@ -116,10 +117,119 @@ def test_validate_detects_double_assignment():
     ctx = build_context(3)
     tables = _tables_copy(directional(ctx))
     tables[2] = tables[1].copy()
-    rep = validate(Factorisation(ctx, "crafted", "explicit", tables))
+    rep = validate(Factorisation(ctx, "crafted", "explicit", np.stack(list(tables.values()))))
     assert not rep.ok
     assert (rep.vertex, rep.factor) == (0, 2)
     assert rep.message == "edge already assigned to factor 1"
+
+
+def _locate_violation(fac):
+    """The per-slot scan that validate replaced, kept as an oracle."""
+    d, n = fac.d, 1 << fac.d
+    owner = {}
+    for x in fac.directions:
+        pt = fac.table(x)
+        for u in range(n):
+            v = int(pt[u])
+            if v == u:
+                return ValidationReport(False, u, x, "factor has a fixed point")
+            if int(pt[v]) != u:
+                return ValidationReport(False, u, x, "factor is not an involution")
+            diff = u ^ v
+            if diff & (diff - 1):
+                return ValidationReport(False, u, x, "partner is not a neighbour")
+            if u < v:
+                key = (u, diff.bit_length() - 1)
+                if key in owner:
+                    return ValidationReport(
+                        False, u, x, f"edge already assigned to factor {owner[key]}"
+                    )
+                owner[key] = x
+    for u in range(n):
+        for i in range(d):
+            if not u >> i & 1 and (u, i) not in owner:
+                return ValidationReport(
+                    False, u, fac.directions[i], "edge assigned to no factor"
+                )
+    return ValidationReport(True)
+
+
+def _overwrite_slot(p, rng):
+    p[rng.randrange(len(p)), rng.randrange(p.shape[1])] = rng.randrange(p.shape[1])
+
+
+def _fixed_point(p, rng):
+    u = rng.randrange(p.shape[1])
+    p[rng.randrange(len(p)), u] = u
+
+
+def _move_edge(p, rng):
+    # Edge u-v leaves row a, whose ends there become fixed points, and joins
+    # row b, which pairs the two ends it displaced with each other.
+    a, b = rng.sample(range(len(p)), 2)
+    u = rng.randrange(p.shape[1])
+    v = int(p[a, u])
+    ub, vb = int(p[b, u]), int(p[b, v])
+    p[a, u], p[a, v] = u, v
+    p[b, ub], p[b, vb] = vb, ub
+    p[b, u], p[b, v] = v, u
+
+
+def _half_square_switch(p, rng):
+    # Rows a and b alternate around a square; a takes b's two edges of it and
+    # keeps matching onto neighbours, so those edges sit in both rows.
+    d = len(p)
+    while True:
+        u, a = rng.randrange(p.shape[1]), rng.randrange(d)
+        ei = int(p[a, u]) ^ u
+        ej = 1 << rng.randrange(d)
+        b = int(np.flatnonzero(p[:, u] == u ^ ej)[0])
+        if ei != ej and p[a, u ^ ej] == u ^ ei ^ ej and p[b, u ^ ei] == u ^ ei ^ ej:
+            break
+    for w in (u, u ^ ei):
+        p[a, w], p[a, w ^ ej] = w ^ ej, w
+
+
+def _duplicate_row(p, rng):
+    a, b = rng.sample(range(len(p)), 2)
+    p[b] = p[a]
+
+
+def _random_writes(p, rng):
+    for _ in range(rng.randrange(2, 6)):
+        _overwrite_slot(p, rng)
+
+
+@pytest.mark.parametrize("d", [7, 10])
+def test_validate_matches_per_slot_oracle(d):
+    ctx = build_context(d)
+    sources = [
+        directional(ctx),
+        random_greedy_factorisation(ctx, RandomTape(d)),
+        build_explicit(ctx, SCALED, RandomTape(13)),
+    ]
+    assert touched_edge_count(sources[2]) > 0
+    corruptions = [
+        _overwrite_slot, _fixed_point, _move_edge, _half_square_switch,
+        _duplicate_row, _random_writes,
+    ]
+    rng = random.Random(d)
+    messages = set()
+    for fac in sources:
+        for corrupt in corruptions:
+            for _ in range(4):
+                p = fac.partners.copy()
+                corrupt(p, rng)
+                crafted = Factorisation(ctx, "crafted", "explicit", p)
+                rep = validate(crafted)
+                assert rep == _locate_violation(crafted), corrupt.__name__
+                messages.add(rep.message.split(" factor ")[0])
+    assert messages >= {
+        "factor has a fixed point",
+        "factor is not an involution",
+        "partner is not a neighbour",
+        "edge already assigned to",
+    }
 
 
 def test_subset_spec_validation():

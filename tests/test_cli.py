@@ -8,6 +8,7 @@ from cubefactors.analyze import union_components
 from cubefactors.code import build_context, code_size
 from cubefactors.construct import (
     ConstructionParams,
+    OverlapError,
     RandomTape,
     build_explicit,
     load_factorisation,
@@ -41,7 +42,7 @@ def test_construct_writes_summary_and_file(tmp_path, capsys):
     assert rep["operation"] == "construct"
     assert rep["d"] == 7 and rep["seed"] == 3 and rep["mode"] == "explicit"
     assert {"gprime", "g", "h", "active_squares", "touched_edges"} <= set(rep)
-    assert set(rep["timings"]) == {"construct", "save"}
+    assert set(rep["timings"]) == {"sample_plan", "apply", "save"}
     fac = load_factorisation(str(path))
     assert fac.d == 7
 
@@ -62,7 +63,7 @@ def test_construct_pg_zero_summary(capsys):
     assert rep["gprime"] == 0
     assert rep["g"] == 0
     assert rep["h"] == code_size(build_context(7))
-    assert set(rep["timings"]) == {"construct"}
+    assert set(rep["timings"]) == {"sample_plan", "apply"}
 
 
 def test_construct_small_d_is_a_usage_error(capsys):
@@ -90,6 +91,13 @@ def test_construct_implicit_stub(tmp_path, capsys):
     assert rc == 0 and rep["mode"] == "implicit"
     assert len(path.read_text().splitlines()) == 1
     assert load_factorisation(str(path)).mode == "implicit"
+
+
+def test_construct_implicit_keeps_one_construct_timing(capsys):
+    rc, rep = run_json(capsys, "construct", "--d", "8", "--mode", "implicit")
+    assert rc == 0
+    assert set(rep["timings"]) == {"construct"}
+    assert {"gprime", "g", "h", "active_squares", "touched_edges"} <= set(rep)
 
 
 # -- verify ------------------------------------------------------------------------
@@ -346,6 +354,49 @@ def test_experiment_fractions_are_monotone(tmp_path, capsys):
     assert cli.main(args) == 0
     capsys.readouterr()
     assert filecmp.cmp(str(path), str(p2), shallow=False)
+
+
+SWAPPING_SWEEP = ["experiment", "--d", "10", "--seeds", "20", "--pg", "0.005",
+                  "--rg", "6", "--rh", "3", "--cube-dim", "4", "--samples", "20"]
+
+
+def test_experiment_replaces_refused_seeds(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    rc, rep = run_json(capsys, *SWAPPING_SWEEP, "--out", str(path))
+    assert rc == 0
+    results = rep["results"]
+    assert [e["index"] for e in results["per_seed"]] == list(range(20))
+    refused = results["refused"]
+    assert refused
+    master = RandomTape(0)
+    for entry in results["per_seed"]:
+        i = entry["index"]
+        draws = [master.derive_seed(f"fac:{i}")]
+        draws += [
+            master.derive_seed(f"fac:{i}:{k}") for k in range(1, cli.EXPERIMENT_DRAWS)
+        ]
+        mine = [e["seed"] for e in refused if e["index"] == i]
+        # Refused draws come first, in order; the next draw is the one kept.
+        assert draws[: len(mine) + 1] == mine + [entry["seed"]]
+    for e in refused:
+        with pytest.raises(OverlapError):
+            build_explicit(build_context(10), ConstructionParams(
+                pg=0.005, rg=6, rh=3, cube_dim=4), RandomTape(e["seed"]))
+    assert json.loads(path.read_text())["results"]["refused"] == refused
+
+
+def test_experiment_gives_up_after_every_draw_is_refused(monkeypatch, capsys):
+    def refuse(ctx, params, tape):
+        raise OverlapError("overlapping swap regions")
+
+    monkeypatch.setattr(cli, "build_explicit", refuse)
+    rc = cli.main(["experiment", "--d", "7", "--seeds", "2", "--samples", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    master = RandomTape(0)
+    assert "seed index 0" in err
+    assert str(master.derive_seed("fac:0")) in err
+    assert str(master.derive_seed(f"fac:0:{cli.EXPERIMENT_DRAWS - 1}")) in err
 
 
 def test_experiment_validates_counts(capsys):

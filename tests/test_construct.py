@@ -109,6 +109,46 @@ def test_partner_argument_validation():
         fac.partner(0, 9)
 
 
+def test_partner_array_rows_are_tables_and_implicit_has_none():
+    fac = build_explicit(CTX10, SCALED, RandomTape(13))
+    assert fac.partners.shape == (10, 1 << 10) and fac.partners.dtype == np.uint32
+    for i, x in enumerate(CTX10.space.directions):
+        assert fac.table(x).base is fac.partners
+        assert (fac.table(x) == fac.partners[i]).all()
+    imp = implicit_factorisation(CTX10, SCALED, RandomTape(13))
+    with pytest.raises(ValueError, match="implicit mode"):
+        imp.partners
+    with pytest.raises(ValueError, match="implicit mode"):
+        imp.table(1)
+
+
+def _saved_and_loaded(fac, tmp_path):
+    path = tmp_path / "fac.jsonl"
+    save_factorisation(fac, str(path))
+    return load_factorisation(str(path))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: directional(CTX10),
+        lambda tmp: build_explicit(CTX10, SCALED, RandomTape(13)),
+        lambda tmp: random_greedy_factorisation(CTX7, RandomTape(5)),
+        lambda tmp: _saved_and_loaded(build_explicit(CTX10, SCALED, RandomTape(13)), tmp),
+    ],
+    ids=["directional", "build_explicit", "greedy", "load_factorisation"],
+)
+def test_partner_array_is_read_only(tmp_path, make):
+    fac = make(tmp_path)
+    assert not fac.partners.flags.writeable
+    with pytest.raises(ValueError):
+        fac.partners[0, 0] = 1
+    for x in fac.directions:
+        with pytest.raises(ValueError):
+            fac.table(x)[0] = 1
+    assert validate(fac).ok
+
+
 def test_factor_of_directional():
     fac = directional(CTX7)
     e = edge_at(CTX7.space, 0b0010, 2)
