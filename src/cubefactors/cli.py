@@ -37,6 +37,7 @@ from .construct import (
     random_greedy_factorisation,
     sample_plan,
     save_factorisation,
+    touched_edge_count,
 )
 from .cube import _text_rows, explicit_cap, vertex_text
 
@@ -149,6 +150,15 @@ def _subset(ns: argparse.Namespace, fac: Factorisation) -> tuple[int, ...]:
     return fac.directions
 
 
+def _built(fac: Factorisation) -> dict:
+    """How far fac is from the directional baseline; unknown (None) for an
+    implicit factorisation past the explicit cap."""
+    if fac.mode != "explicit" and fac.d > explicit_cap():
+        return {"touched_edges": None, "baseline_only": None}
+    touched = touched_edge_count(fac)
+    return {"touched_edges": touched, "baseline_only": touched == 0}
+
+
 def _emit(ns: argparse.Namespace, report: dict, timings: dict[str, float]) -> None:
     """Write the timing-free report to --out, echo it with timings to stdout."""
     out = getattr(ns, "out", None)
@@ -188,7 +198,12 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         fac = implicit_factorisation(ctx, params, RandomTape(seed))
         timings = {"construct": time.perf_counter() - t0}
         if d <= explicit_cap():
-            summary.update(plan_summary(sample_plan(ctx, params, RandomTape(seed))))
+            t0 = time.perf_counter()
+            plan = sample_plan(ctx, params, RandomTape(seed))
+            timings["sample_plan"] = time.perf_counter() - t0
+            summary.update(plan_summary(plan))
+    if "touched_edges" in summary:
+        summary["baseline_only"] = summary["touched_edges"] == 0
     if ns.out:
         t0 = time.perf_counter()
         save_factorisation(fac, ns.out)
@@ -228,6 +243,9 @@ def _pairs(counter: Counter) -> list[list[int]]:
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     fac = _fac_from_args(ns)
+    if fac.mode != "explicit" and fac.d <= explicit_cap():
+        # Built once for both the analysis and the touched-edge count.
+        fac = fac.materialize()
     dirs = _subset(ns, fac)
     op = ns.op or "components"
     ctx = fac.ctx
@@ -292,6 +310,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "seed": fac.seed,
         "params": None if fac.params is None else fac.params.as_dict(fac.d),
         "factors": list(dirs),
+        **_built(fac),
         "results": results,
     }
     _emit(ns, report, {op: elapsed})
@@ -306,6 +325,7 @@ def cmd_rmin(ns: argparse.Namespace) -> int:
         "d": fac.d,
         "kind": fac.kind,
         "seed": fac.seed,
+        **_built(fac),
         "r": r,
     }
     _emit(ns, report, {f"r={k}": v for k, v in per_r.items()})
@@ -360,7 +380,9 @@ def cmd_experiment(ns: argparse.Namespace) -> int:
         fractions = [
             sum(1 for v in profile if v <= r) / samples for r in range(1, d + 1)
         ]
-        per_seed.append({"index": i, "seed": fac_seed, "fractions": fractions})
+        per_seed.append(
+            {"index": i, "seed": fac_seed, **_built(fac), "fractions": fractions}
+        )
     aggregate = [
         sum(entry["fractions"][j] for entry in per_seed) / n_seeds
         for j in range(d)

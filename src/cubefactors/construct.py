@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from hashlib import blake2b
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -618,17 +618,25 @@ def touched_edge_count(fac: Factorisation) -> int:
     """Edges whose factor differs from their direction (explicit mode)."""
     if fac.mode != "explicit":
         fac = fac.materialize()
-    return int(np.count_nonzero(fac.partners != _directional_partners(fac.d))) // 2
+    # Row by row, so no second (d, 2^d) array is built.
+    idx = np.arange(1 << fac.d, dtype=np.uint32)
+    moved = sum(
+        np.count_nonzero(row != idx ^ np.uint32(1 << i)) for i, row in enumerate(fac.partners)
+    )
+    return int(moved) // 2
 
 
 def plan_summary(plan: SwapPlan) -> dict:
     cd = plan.params.cube_dim
+    # A cube swap moves each of its cd * 2^(cd-1) edges to the next factor
+    # of its cycle; with cd = 1 that is the edge's own factor.
+    per_cube = cd * (1 << (cd - 1)) if cd > 1 else 0
     return {
         "gprime": len(plan.gprime),
         "g": len(plan.g),
         "h": len(plan.h),
         "active_squares": len(plan.active_squares),
-        "touched_edges": 4 * len(plan.active_squares) + cd * (1 << (cd - 1)) * len(plan.g),
+        "touched_edges": 4 * len(plan.active_squares) + per_cube * len(plan.g),
     }
 
 
@@ -636,6 +644,71 @@ def plan_summary(plan: SwapPlan) -> dict:
 #
 # JSON lines.  Line 1 is a header; explicit factorisations follow with one
 # line per factor listing canonical edges as [lo_text, direction].
+
+
+class _FactorLines:
+    """The writer's layout of a factor line, with its encoder and decoder.
+
+    A line is ``{"factor":x,"edges":[...]}`` with no spaces, and each entry
+    is ``["<the d digits of lo>",<label of the edge's axis>]``.  ``decode``
+    reads such a line straight from its bytes and accepts it only if
+    ``encode`` gives back exactly those bytes; every other line is left to
+    the json path, which alone reports parse errors.
+    """
+
+    def __init__(self, space: CubeSpace):
+        self.d = space.d
+        # Row i holds the label of direction position i, NUL-padded to a
+        # common width; the padding is dropped once the rows are flattened.
+        names = [str(x).encode() for x in space.directions]
+        width = max(map(len, names))
+        labels = np.frombuffer(b"".join(n.ljust(width, b"\0") for n in names), np.uint8)
+        self.labels = labels.reshape(space.d, width)
+        # Direction position of each label read as a decimal number; a
+        # number that is no label maps to 0, which encode then contradicts.
+        self.position = np.zeros(10**width, np.uint32)
+        self.position[list(space.directions)] = np.arange(space.d)
+        self.factor_of = {b'{"factor":%d' % x: x for x in space.directions}
+
+    def encode(self, x: int, lo: np.ndarray, pos: np.ndarray) -> bytes:
+        """Factor x's line listing the edges (lo, direction position pos)."""
+        rows = _text_rows(self.d, [b'["', lo, b'",', self.labels[pos], b"],"]).ravel()
+        return b'{"factor":%d,"edges":[%s]}' % (x, rows[rows != 0][:-1].tobytes())
+
+    def decode(self, line: bytes) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
+        """(x, lo, pos) of a line that ``encode`` would write, else None."""
+        head, _, rest = line.partition(b',"edges":[')
+        x = self.factor_of.get(head)
+        if x is None:
+            return None
+        d, width = self.labels.shape
+        # Zero padding keeps every gather below in range, however the
+        # entries are cut; only what encode reproduces is kept.
+        size = len(rest) - 2
+        body = np.frombuffer(rest[:size] + bytes(d + width + 4), np.uint8)
+        starts = np.flatnonzero(body == ord("["))
+        lo = _shift_or((body[starts + j] for j in range(2, d + 2)), starts.size)
+        # An entry's label runs from after its '",' to its closing ']'.
+        first = starts + d + 4
+        length = np.append(starts, size + 1)[1:] - 2 - first
+        value = np.zeros(starts.size, np.int64)
+        for j in range(width):
+            digit = (body[first + j] - np.uint8(ord("0"))) % 10
+            value = np.where(j < length, 10 * value + digit, value)
+        pos = self.position[value]
+        if self.encode(x, lo, pos) != line:
+            return None
+        return x, lo, pos
+
+
+def _shift_or(columns: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """The n numbers whose binary digits, most significant first, are the
+    low bits of the successive columns (ASCII "0" and "1" give 0 and 1)."""
+    out = np.zeros(n, np.uint32)
+    for col in columns:
+        out <<= 1
+        out |= col & 1
+    return out
 
 
 def save_factorisation(fac: Factorisation, path: str) -> None:
@@ -655,21 +728,14 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
         if fac.mode != "explicit":
             return
-        # Row i holds the label of direction position i, NUL-padded to a
-        # common width; the padding is dropped once the rows are flattened.
-        names = [str(x).encode() for x in ctx.space.directions]
-        width = max(map(len, names))
-        labels = np.frombuffer(b"".join(n.ljust(width, b"\0") for n in names), np.uint8)
-        labels = labels.reshape(ctx.d, width)
+        lines = _FactorLines(ctx.space)
         idx = np.arange(1 << ctx.d, dtype=np.uint32)
         for x in ctx.space.directions:
             pt = fac.table(x)
             los = np.nonzero(idx < pt)[0]
             # frexp's exponent of a positive int is its bit_length.
             pos = np.frexp((los ^ pt[los]).astype(np.float64))[1] - 1
-            rows = _text_rows(ctx.d, [b'["', los, b'",', labels[pos], b"],"]).ravel()
-            body = rows[rows != 0][:-1].tobytes()
-            fh.write(b'{"factor":%d,"edges":[%s]}\n' % (x, body))
+            fh.write(lines.encode(x, los, pos) + b"\n")
 
 
 @contextmanager
@@ -683,24 +749,20 @@ def _at_line(n: int) -> Iterator[None]:
         raise ValueError(f"parse error at line {n}: {exc}") from None
 
 
-def _json_object(line: str) -> dict:
-    obj = json.loads(line)
+def _json_object(line: bytes) -> dict:
+    obj = json.loads(line.decode("utf-8"))
     if not isinstance(obj, dict):
         raise ValueError("expected an object")
     return obj
 
 
-def _read_edges(space: CubeSpace, t: np.ndarray, x: int, edges: list) -> None:
-    """Set both ends of every [lo_text, direction] pair in factor x's row t.
-
-    The whole line is decoded at once; it is refused if two of its edges
-    share a vertex, while an edge listed twice is harmless.
-    """
+def _read_edges(space: CubeSpace, edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, direction position) of every [lo_text, direction] pair, in bulk."""
     if not isinstance(edges, list):
         raise ValueError("edges must be a list")
     n, d = len(edges), space.d
     if n == 0:
-        return
+        return np.zeros(0, np.uint32), np.zeros(0, np.uint32)
     try:
         pairs = set(map(len, edges)) == {2}
     except TypeError:
@@ -720,15 +782,20 @@ def _read_edges(space: CubeSpace, t: np.ndarray, x: int, edges: list) -> None:
             s for s in texts if not isinstance(s, str) or len(s) != d or s.strip("01")
         )
         raise ValueError(f"expected a {d}-digit binary string, got {bad!r}")
-    digits = digits.reshape(n, d)
-    lo = np.zeros(n, np.uint32)
-    for j in range(d):
-        lo <<= 1
-        lo |= digits[:, j] & 1
+    lo = _shift_or(digits.reshape(n, d).T, n)
     try:
         pos = np.fromiter(map(space.index.__getitem__, labels), np.uint32, count=n)
     except KeyError as exc:
         raise ValueError(f"direction {exc} not in X") from None
+    return lo, pos
+
+
+def _set_edges(space: CubeSpace, t: np.ndarray, x: int, lo: np.ndarray, pos: np.ndarray) -> None:
+    """Set both ends of every edge (lo, direction position pos) in factor x's row t.
+
+    A line is refused if two of its edges share a vertex, while an edge
+    listed twice is harmless.
+    """
     hi = lo ^ (np.uint32(1) << pos)
     t[lo] = hi
     t[hi] = lo
@@ -742,9 +809,11 @@ def _read_edges(space: CubeSpace, t: np.ndarray, x: int, edges: list) -> None:
 
 
 def load_factorisation(path: str) -> Factorisation:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    # Lines end at b"\n" only: str.splitlines would also split inside a
+    # JSON string at U+2028 and shift every later line number.
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    if lines == [b""]:
         raise ValueError("parse error at line 1: empty file")
 
     with _at_line(1):
@@ -767,18 +836,25 @@ def load_factorisation(path: str) -> Factorisation:
         return implicit_factorisation(ctx, params, tape)
 
     check_explicit(d)
+    space = ctx.space
+    factor_lines = _FactorLines(space)
     # Every vertex starts as its own partner, so an edge no line lists
     # shows up as a fixed point.
     partners = np.empty((d, 1 << d), dtype=np.uint32)
     partners[:] = np.arange(1 << d, dtype=np.uint32)
-    for i in range(1, len(lines)):
-        if not lines[i]:
+    for n, line in enumerate(lines[1:], start=2):
+        # A blank line, also one ended by "\r\n", is skipped.
+        if not line.rstrip(b"\r"):
             continue
-        with _at_line(i + 1):
-            obj = _json_object(lines[i])
-            x = obj["factor"]
-            row = ctx.space.index.get(x)
-            if row is None:
-                raise ValueError(f"unknown factor {x}")
-            _read_edges(ctx.space, partners[row], x, obj["edges"])
+        decoded = factor_lines.decode(line)
+        with _at_line(n):
+            if decoded is None:
+                obj = _json_object(line)
+                x = obj["factor"]
+                if space.index.get(x) is None:
+                    raise ValueError(f"unknown factor {x}")
+                lo, pos = _read_edges(space, obj["edges"])
+            else:
+                x, lo, pos = decoded
+            _set_edges(space, partners[space.index[x]], x, lo, pos)
     return Factorisation(ctx, kind, "explicit", partners, params=params, tape=tape)

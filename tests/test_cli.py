@@ -93,11 +93,69 @@ def test_construct_implicit_stub(tmp_path, capsys):
     assert load_factorisation(str(path)).mode == "implicit"
 
 
-def test_construct_implicit_keeps_one_construct_timing(capsys):
+def test_construct_implicit_keeps_one_construct_timing(monkeypatch, capsys):
+    rc, rep = run_json(capsys, "construct", "--d", "8", "--mode", "implicit")
+    assert rc == 0
+    # the plan drawn only for the report's counts is timed as sample_plan
+    assert set(rep["timings"]) == {"construct", "sample_plan"}
+    assert {"gprime", "g", "h", "active_squares", "touched_edges"} <= set(rep)
+    assert rep["baseline_only"] is (rep["touched_edges"] == 0)
+    # past the explicit cap no plan is drawn, so there are no counts
+    monkeypatch.setenv("CUBEFACTORS_MAX_EXPLICIT_D", "7")
     rc, rep = run_json(capsys, "construct", "--d", "8", "--mode", "implicit")
     assert rc == 0
     assert set(rep["timings"]) == {"construct"}
-    assert {"gprime", "g", "h", "active_squares", "touched_edges"} <= set(rep)
+    assert not {"touched_edges", "baseline_only"} & set(rep)
+
+
+SWAPPING = ["--pg", "0.005", "--rg", "6", "--rh", "3", "--cube-dim", "4"]
+
+
+@pytest.mark.parametrize(
+    "swap, params",
+    [([], ConstructionParams()),
+     (SWAPPING, ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4))],
+    ids=["zero-swap", "swapping"],
+)
+def test_reports_say_what_was_built(tmp_path, monkeypatch, capsys, swap, params):
+    touched = touched_edge_count(build_explicit(build_context(10), params, RandomTape(1)))
+    assert (touched > 0) == bool(swap)
+    built = {"touched_edges": touched, "baseline_only": touched == 0}
+
+    rc, rep = run_json(capsys, "construct", "--d", "10", "--seed", "1", *swap)
+    assert rc == 0
+    assert (rep["touched_edges"], rep["baseline_only"]) == (touched, touched == 0)
+    source = ["--d", "10", "--kind", "construction", "--seed", "1", *swap]
+    for argv in (["analyze", *source, "--op", "components"], ["rmin", *source]):
+        out = tmp_path / "report.json"
+        rc, rep = run_json(capsys, *argv, "--out", str(out))
+        assert rc == 0
+        stored = json.loads(out.read_text())
+        assert {k: rep[k] for k in built} == {k: stored[k] for k in built} == built
+
+    out = tmp_path / "exp.json"
+    rc, rep = run_json(
+        capsys, "experiment", "--d", "10", "--seeds", "2", "--samples", "5", *swap,
+        "--out", str(out),
+    )
+    assert rc == 0
+    for entry in json.loads(out.read_text())["results"]["per_seed"]:
+        fac = build_explicit(build_context(10), params, RandomTape(entry["seed"]))
+        n = touched_edge_count(fac)
+        assert (entry["touched_edges"], entry["baseline_only"]) == (n, n == 0)
+        assert (n > 0) == bool(swap)
+
+    # an implicit file is counted through its explicit twin, up to the cap
+    stub = tmp_path / "stub.jsonl"
+    assert cli.main(["construct", "--d", "10", "--seed", "1", "--mode", "implicit",
+                     *swap, "--out", str(stub)]) == 0
+    capsys.readouterr()
+    rc, rep = run_json(capsys, "analyze", "--in", str(stub), "--op", "components")
+    assert rc == 0 and {k: rep[k] for k in built} == built
+    monkeypatch.setenv("CUBEFACTORS_MAX_EXPLICIT_D", "9")
+    rc, rep = run_json(capsys, "analyze", "--in", str(stub), "--op", "decomposition")
+    assert rc == 0
+    assert rep["touched_edges"] is None and rep["baseline_only"] is None
 
 
 # -- verify ------------------------------------------------------------------------
@@ -356,8 +414,7 @@ def test_experiment_fractions_are_monotone(tmp_path, capsys):
     assert filecmp.cmp(str(path), str(p2), shallow=False)
 
 
-SWAPPING_SWEEP = ["experiment", "--d", "10", "--seeds", "20", "--pg", "0.005",
-                  "--rg", "6", "--rh", "3", "--cube-dim", "4", "--samples", "20"]
+SWAPPING_SWEEP = ["experiment", "--d", "10", "--seeds", "20", *SWAPPING, "--samples", "20"]
 
 
 def test_experiment_replaces_refused_seeds(tmp_path, capsys):

@@ -318,10 +318,13 @@ def test_construction_dim_guard():
 
 
 def test_construction_validates_and_counts_touched():
-    for seed in (0, 13, 49):
-        fac = build_explicit(CTX10, SCALED, RandomTape(seed))
+    # with cube_dim 1 a cube swap's cycle is one factor long and moves nothing
+    one_cycle = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=1)
+    for params, seed in ((SCALED, 0), (SCALED, 13), (SCALED, 49), (one_cycle, 4)):
+        fac = build_explicit(CTX10, params, RandomTape(seed))
         assert validate(fac).ok
         summary = plan_summary(fac.plan)
+        assert summary["g"] > 0 or params is SCALED
         assert touched_edge_count(fac) == summary["touched_edges"]
 
 
@@ -642,3 +645,171 @@ def test_load_accepts_an_edge_listed_twice(tmp_path):
     loaded = load_factorisation(str(path))
     assert validate(loaded).ok
     assert (loaded.table(x) == directional(CTX7).table(x)).all()
+
+
+# -- loader: writer layout decoded from bytes, everything else through json ------
+
+
+def _writer_lines(fac, tmp_path):
+    path = tmp_path / "writer.jsonl"
+    save_factorisation(fac, str(path))
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+def _write_lines(tmp_path, lines, end=b"\n"):
+    path = tmp_path / "variant.jsonl"
+    path.write_bytes(b"".join(line + end for line in lines))
+    return str(path)
+
+
+def _relayout(line, **dumps):
+    obj = json.loads(line)
+    if dumps.pop("reverse", False):
+        obj["edges"].reverse()
+    return json.dumps(obj, **dumps).encode()
+
+
+def _swapping_d10():
+    return build_explicit(CTX10, SCALED, RandomTape(13))
+
+
+def _greedy_d10():
+    return random_greedy_factorisation(CTX10, RandomTape(5))
+
+
+INPUTS_D10 = pytest.mark.parametrize(
+    "make", [_swapping_d10, _greedy_d10], ids=["swapping", "greedy"]
+)
+
+
+@INPUTS_D10
+def test_other_json_layouts_load_the_same_partners(tmp_path, make):
+    fac = make()
+    lines = _writer_lines(fac, tmp_path)
+    factor_lines = construct_mod._FactorLines(CTX10.space)
+    # (lines, line end, whether the byte decoder takes the factor lines)
+    variants = {
+        "writer": (lines, b"\n", True),
+        "default-separators": ([lines[0]] + [_relayout(x) for x in lines[1:]], b"\n", False),
+        "sorted-keys": (
+            [lines[0]] + [_relayout(x, sort_keys=True) for x in lines[1:]], b"\n", False
+        ),
+        # the writer's layout in another edge order is still the writer's layout
+        "reversed-edges": ([lines[0]] + [
+            _relayout(x, reverse=True, separators=(",", ":")) for x in lines[1:]
+        ], b"\n", True),
+        "crlf": (lines, b"\r\n", False),
+    }
+    for name, (body, end, by_bytes) in variants.items():
+        decoded = [factor_lines.decode(x + end[:-1]) is not None for x in body[1:]]
+        assert decoded == [by_bytes] * len(decoded), name
+        loaded = load_factorisation(_write_lines(tmp_path, body, end))
+        assert np.array_equal(loaded.partners, fac.partners), name
+
+
+def _first_entry(line):
+    """(start, label start, end) of the first ["lo",label] entry of a writer line."""
+    start = line.index(b'["')
+    return start, line.index(b'",', start) + 2, line.index(b"]", start)
+
+
+def _with_label(label):
+    def corrupt(line):
+        start, at, end = _first_entry(line)
+        return line[:at] + label + line[end:]
+    return corrupt
+
+
+def _digit_two(line):
+    start = line.index(b'["') + 2 + 4
+    return line[:start] + b"2" + line[start + 1:]
+
+
+def _truncated(keep):
+    def corrupt(line):
+        start, at, end = _first_entry(line)
+        return line[: start + keep] + line[end + 1:]
+    return corrupt
+
+
+def _second_edge_at_lo(line):
+    start, at, end = _first_entry(line)
+    other = b"1" if line[at:end] != b"1" else b"2"
+    return line[:at] + other + b"]," + line[start:]
+
+
+def _duplicated(line):
+    start, at, end = _first_entry(line)
+    return line[: end + 1] + b"," + line[start:]
+
+
+def _decoded_by_json_only(monkeypatch, path):
+    with monkeypatch.context() as m:
+        m.setattr(construct_mod._FactorLines, "decode", lambda self, line: None)
+        return _load_or_error(path)
+
+
+def _load_or_error(path):
+    try:
+        return load_factorisation(path).partners
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _digit_two,
+        _with_label(b"99"),
+        _with_label(b"123"),
+        _with_label(b"012"),
+        _with_label(b""),
+        lambda line: line.replace(b'["00', b'["', 1),
+        _truncated(2 + 5),
+        _truncated(2 + 10 + 2),
+        _second_edge_at_lo,
+        _duplicated,
+        lambda line: line.replace(b'{"factor":', b'{"factor":0', 1),
+        lambda line: b'{"factor":99' + line[line.index(b","):],
+        lambda line: line[: line.index(b"[") + 1] + b"]}",
+        lambda line: line[:-1],
+        lambda line: line + b" ",
+    ],
+    ids=["digit-2", "label-99", "label-123", "label-012", "no-label", "short-text",
+         "cut-in-text", "cut-after-text", "two-edges-at-lo", "duplicated-edge", "factor-leading-zero",
+         "unknown-factor", "no-edges", "cut-suffix", "trailing-space"],
+)
+@INPUTS_D10
+def test_corrupted_writer_lines_match_the_json_path(tmp_path, monkeypatch, make, corrupt):
+    lines = _writer_lines(make(), tmp_path)
+    lines[1] = corrupt(lines[1])
+    path = _write_lines(tmp_path, lines)
+    ours, oracle = _load_or_error(path), _decoded_by_json_only(monkeypatch, path)
+    if isinstance(oracle, str):
+        assert ours == oracle and oracle.startswith("parse error at line 2: ")
+    else:
+        assert np.array_equal(ours, oracle)
+
+
+def test_lines_end_at_newline_only(tmp_path):
+    # U+2028 and U+0085 may stand unescaped in a JSON string, and
+    # str.splitlines would break the line there.
+    fac = directional(build_context(6))
+    lines = _writer_lines(fac, tmp_path)
+    obj = json.loads(lines[1])
+    obj["note"] = "a\u2028b\u0085c"
+    lines[1] = json.dumps(obj, ensure_ascii=False).encode()
+    path = _write_lines(tmp_path, lines)
+    assert np.array_equal(load_factorisation(path).partners, fac.partners)
+    broken = lines[:3] + [lines[3][:-1]] + lines[4:]
+    with pytest.raises(ValueError, match="parse error at line 4: "):
+        load_factorisation(_write_lines(tmp_path, broken))
+    # a form feed or \x1c..\x1e is no line break either; unescaped in a
+    # string it is an invalid control character on the line it sits on
+    for char in b"\x0c\x1c\x1e":
+        noted = lines[2][:-1] + b',"note":"a%c"}' % char
+        with pytest.raises(ValueError, match="parse error at line 3: Invalid control"):
+            load_factorisation(_write_lines(tmp_path, lines[:2] + [noted] + lines[3:]))
+    # bytes that are not UTF-8 are an error on their own line, too
+    with pytest.raises(ValueError, match="parse error at line 3: 'utf-8' codec"):
+        load_factorisation(_write_lines(tmp_path, lines[:2] + [lines[2] + b"\xff"] + lines[3:]))
