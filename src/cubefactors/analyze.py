@@ -4,16 +4,27 @@ Exact identities (component counts of directional unions, code sizes, parity
 signatures of small cubes) are asserted by the test-suite; quantities that
 are only known asymptotically (connectivity of random unions, disturbed path
 counts) are reported as statistics and never asserted here.
+
+Every connectivity question goes through one component engine.  It folds the
+chosen factors in one matching at a time (``_prefix_labels``): the first
+matching labels each vertex with the smaller end of its edge, and each further
+one is merged by hooking and pointer jumping (Shiloach and Vishkin, 1982) over
+the component roots alone (``_merge``).  Every vertex ends labelled with the
+smallest vertex of its component, and the fold stops at the first connected
+prefix.  The last labelling of each factorisation is kept (``_labels``), so the
+analyses of one subset label it once, and an implicit factorisation is
+materialised once.
 """
 
 from __future__ import annotations
 
 import random
 import time
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -129,40 +140,93 @@ class ComponentReport:
     elapsed: float
 
 
-def _merge(comp: np.ndarray, pt: np.ndarray) -> np.ndarray:
-    """Labelling of the union of ``comp``'s components with one more factor.
+def _merge(
+    comp: np.ndarray, roots: np.ndarray, pt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and roots of the union of ``comp``'s components with one more matching.
 
     ``comp`` labels every vertex with the smallest vertex of its component,
-    so ``comp[comp] == comp``.  Each round hooks the larger root of every edge
-    ``u < pt[u]`` onto the smaller one, drops the edges whose ends now share
-    a root, and jumps pointers until every label is a root again.  Roots only
-    ever point lower, so the result keeps the minimum-vertex labelling.
+    so ``comp[comp] == comp``, and ``roots`` lists those smallest vertices.
+    Each edge between two components is kept once, from its end with the
+    larger label.  Each round hooks the larger root of every such edge onto
+    the smaller one, then jumps the pointers of ``roots`` alone, each pass
+    over the roots still moving, until every one points at a root of the
+    union so far.  The other vertices still point at their old root, so one
+    gather at the end relabels them.  Roots only ever point lower, so the
+    result keeps the minimum-vertex labelling.
     """
-    lo = np.flatnonzero(np.arange(pt.size, dtype=np.uint32) < pt)
-    a, b = comp[lo], comp.take(pt[lo])
+    m = comp.take(pt)
+    hi = comp > m
+    a, b = comp[hi], m[hi]
     comp = comp.copy()
-    while True:
-        keep = a != b
-        a, b = a[keep], b[keep]
-        if not a.size:
-            return comp
-        np.minimum.at(comp, np.maximum(a, b), np.minimum(a, b))
+    while a.size:
+        np.minimum.at(comp, a, b)
+        moved, up = roots, comp.take(roots)
         while True:
-            jumped = comp.take(comp)
-            if np.array_equal(jumped, comp):
+            jumped = comp.take(up)
+            more = jumped != up
+            if not more.any():
                 break
-            comp = jumped
+            moved, up = moved[more], jumped[more]
+            comp[moved] = up
         a, b = comp.take(a), comp.take(b)
+        keep = a != b
+        a, b = np.maximum(a[keep], b[keep]), np.minimum(a[keep], b[keep])
+    comp = comp.take(comp)
+    return comp, roots[comp.take(roots) == roots]
 
 
-def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
-    """Minimum-vertex component label of every vertex in the dirs' union."""
-    if fac.mode != "explicit":
-        fac = fac.materialize()
-    comp = np.arange(1 << fac.d, dtype=np.uint32)
-    for x in dirs:
-        comp = _merge(comp, fac.table(x))
-    return comp
+def _prefix_labels(
+    tables: Iterable[np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Labels and roots of the union of each nonempty prefix of the matchings.
+
+    The first matching labels each vertex with the smaller end of its edge.
+    The walk ends after the first connected prefix, a single root, since
+    every longer prefix is connected too.
+    """
+    rest = iter(tables)
+    pt = next(rest)
+    idx = np.arange(pt.size, dtype=np.uint32)
+    comp = np.minimum(idx, pt)
+    roots = np.flatnonzero(comp == idx)
+    while True:
+        yield comp, roots
+        pt = next(rest, None)
+        if pt is None or roots.size == 1:
+            return
+        comp, roots = _merge(comp, roots, pt)
+
+
+def _union(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and roots of the union of the matchings."""
+    return deque(_prefix_labels(tables), maxlen=1)[0]
+
+
+# The last labelling of each factorisation, with its partner array, so that
+# the analyses of one subset share one labelling and an implicit
+# factorisation is materialised once.  Keys are weak, and no entry refers
+# back to its key, so a factorisation is still freed as soon as it is dropped.
+_LAST_LABELS: "weakref.WeakKeyDictionary[Factorisation, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _labels(fac: Factorisation, dirs: tuple[int, ...]) -> np.ndarray:
+    """Minimum-vertex component label of every vertex in the dirs' union.
+
+    The array is read-only, since the next analysis of the same subset of
+    the same factorisation gets it too.
+    """
+    partners, last_dirs, labels = _LAST_LABELS.get(fac, (None, None, None))
+    if partners is None:
+        partners = (fac if fac.mode == "explicit" else fac.materialize()).partners
+    if dirs != last_dirs:
+        index = fac.ctx.space.index
+        labels, _ = _union(partners[index[x]] for x in dirs)
+        labels.flags.writeable = False
+        _LAST_LABELS[fac] = partners, dirs, labels
+    return labels
 
 
 def union_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:
@@ -203,11 +267,17 @@ def bfs_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:
 
 
 def _one_component_per_key(keys: np.ndarray, labels: np.ndarray) -> dict[int, bool]:
-    """For each key value: do all vertices with that key share one label?"""
-    pairs = keys.astype(np.uint64) << np.uint64(32) | labels.astype(np.uint64)
-    key_of_pair = (np.unique(pairs) >> np.uint64(32)).astype(np.uint32)
-    uniq_keys, per_key = np.unique(key_of_pair, return_counts=True)
-    return {int(k): bool(c == 1) for k, c in zip(uniq_keys, per_key)}
+    """For each key value, in increasing order: do all its vertices share one label?
+
+    One scatter picks a label per key; a key is split when any of its
+    vertices carries another label.
+    """
+    size = int(keys.max()) + 1
+    first = np.empty(size, dtype=labels.dtype)
+    first[keys] = labels
+    split = np.bincount(keys[labels != first.take(keys)], minlength=size)
+    present = np.flatnonzero(np.bincount(keys, minlength=size))
+    return dict(zip(present.tolist(), (split.take(present) == 0).tolist()))
 
 
 def small_cube_connectivity(fac: Factorisation, spec: DirSubset) -> dict[int, bool]:
@@ -407,12 +477,12 @@ def r_scan(
         raise ValueError(f"r_of is guarded to d <= {max_d} (got d={fac.d})")
     if fac.mode != "explicit":
         fac = fac.materialize()
-    dirs = fac.directions
     timings: dict[int, float] = {}
     for r in range(1, fac.d + 1):
         t0 = time.perf_counter()
         ok = all(
-            not _labels(fac, subset).any() for subset in combinations(dirs, r)
+            _union(fac.partners[i] for i in rows)[1].size == 1
+            for rows in combinations(range(fac.d), r)
         )
         timings[r] = time.perf_counter() - t0
         if ok:
@@ -441,10 +511,8 @@ def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
     dirs = _dirs(fac.ctx, order)
     if len(dirs) != len(tuple(order)) or len(dirs) != fac.d:
         raise ValueError("order must be a permutation of the direction set")
-    comp = np.arange(1 << fac.d, dtype=np.uint32)
-    for r, x in enumerate(order, 1):
-        comp = _merge(comp, fac.table(x))
-        if not comp.any():
+    for r, (_, roots) in enumerate(_prefix_labels(map(fac.table, order)), 1):
+        if roots.size == 1:
             return r
     raise AssertionError("full factor union must be connected")
 
@@ -457,6 +525,8 @@ def connectivity_profile(
     Prefixes of one chain are nested, so per-chain connectivity is monotone
     in r by construction and the r-th prefix is a uniform random r-subset.
     """
+    if fac.mode != "explicit":
+        fac = fac.materialize()
     dirs = list(fac.directions)
     out = []
     for _ in range(n_chains):

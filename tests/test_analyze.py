@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cubefactors.construct as construct_mod
 from cubefactors.code import build_context, code_size, enumerate_code, in_code
 from cubefactors.construct import (
     ConstructionParams,
@@ -13,11 +17,13 @@ from cubefactors.construct import (
     apply_explicit,
     build_explicit,
     directional,
+    implicit_factorisation,
     random_greedy_factorisation,
     touched_edge_count,
 )
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
+    _labels,
     SubsetSpec,
     ValidationReport,
     bfs_components,
@@ -584,6 +590,123 @@ def test_is_connected_matches_bfs():
         for _ in range(8):
             dirs = rng.sample(fac.directions, rng.randint(1, fac.d))
             assert is_connected(fac, dirs) == (bfs_components(fac, dirs).count == 1)
+
+
+# -- component engine ----------------------------------------------------------------
+#
+# Random matchings of the vertex set, not only cube edges, hook roots into long
+# chains and leave many components, which the near-directional construction
+# never does.
+
+CONTEXTS = {d: build_context(d) for d in range(6, 13)}
+
+
+def _random_matchings(d, seed, fixed):
+    """A factorisation whose rows are random involutions of the vertex set.
+
+    With ``fixed`` set, each row leaves a random share of vertices fixed.
+    """
+    rng = np.random.default_rng(seed)
+    n = 1 << d
+    rows = []
+    for _ in range(d):
+        perm = rng.permutation(n).astype(np.uint32)
+        paired = perm[: int(rng.integers(0, n // 2 + 1)) * 2] if fixed else perm
+        row = np.arange(n, dtype=np.uint32)
+        row[paired[0::2]], row[paired[1::2]] = paired[1::2], paired[0::2]
+        rows.append(row)
+    return Factorisation(CONTEXTS[d], "crafted", "explicit", np.stack(rows))
+
+
+def _per_key(keys, label):
+    groups = {}
+    for k, lab in zip(keys, label):
+        groups.setdefault(int(k), set()).add(lab)
+    return {k: len(s) == 1 for k, s in sorted(groups.items())}
+
+
+@given(
+    d=st.integers(6, 12),
+    seed=st.integers(0, 2**32 - 1),
+    fixed=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_engine_matches_bfs_on_random_matchings(d, seed, fixed, data):
+    fac = _random_matchings(d, seed, fixed)
+    size = data.draw(st.integers(1, d), label="size")
+    dirs = data.draw(st.permutations(fac.directions), label="order")[:size]
+    label = _bfs_labels(fac, dirs)
+    assert _labels(fac, tuple(sorted(dirs))).tolist() == label
+    rep = union_components(fac, dirs)
+    assert (rep.count, rep.sizes) == (len(set(label)), tuple(sorted(Counter(label).values())))
+    assert is_connected(fac, dirs) == (rep.count == 1)
+    mask = direction_mask(fac.ctx.space, dirs)
+    cubes = small_cube_connectivity(fac, dirs)
+    assert list(cubes.items()) == list(_per_key([u & ~mask for u in range(1 << d)], label).items())
+    tfc = tf_context(fac.ctx, dirs)
+    classes = tf_connectivity(fac, dirs)
+    bits = [tf_label(tfc, u).bits for u in range(1 << d)]
+    assert list(classes.items()) == list(_per_key(bits, label).items())
+
+
+@given(d=st.integers(6, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_min_connecting_prefix_matches_bfs_on_random_matchings(d, seed, data):
+    fac = _random_matchings(d, seed, data.draw(st.booleans(), label="fixed"))
+    order = data.draw(st.permutations(fac.directions), label="order")
+    want = next(
+        (r for r in range(1, d + 1) if len(set(_bfs_labels(fac, order[:r]))) == 1), None
+    )
+    if want is None:
+        with pytest.raises(AssertionError, match="must be connected"):
+            min_connecting_prefix(fac, order)
+    else:
+        assert min_connecting_prefix(fac, order) == want
+
+
+def _analyses(fac, dirs):
+    rep = union_components(fac, dirs)
+    return (
+        (rep.count, rep.sizes),
+        small_cube_connectivity(fac, dirs),
+        tf_connectivity(fac, dirs),
+        is_connected(fac, dirs),
+    )
+
+
+def test_labelling_memo_keeps_results_per_subset():
+    swap = build_explicit(build_context(10), SCALED, RandomTape(13))
+    for fac in (swap, _random_matchings(8, 3, True)):
+        a, b = fac.directions[:3], fac.directions[2:7]
+        got = [_analyses(fac, dirs) for dirs in (a, b, a, b)]
+        fresh = [
+            _analyses(Factorisation(fac.ctx, fac.kind, "explicit", fac.partners.copy()), dirs)
+            for dirs in (a, b)
+        ]
+        assert got == fresh * 2
+        labels = _labels(fac, b)
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0] = 1
+
+
+def test_implicit_factorisation_is_materialised_once(monkeypatch):
+    calls = []
+    real = construct_mod.build_explicit
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct_mod, "build_explicit", counted)
+    imp = implicit_factorisation(build_context(10), SCALED, RandomTape(13))
+    assert len(connectivity_profile(imp, 5, random.Random(2))) == 5
+    assert len(calls) == 1
+    explicit = real(imp.ctx, SCALED, RandomTape(13))
+    for dirs in (imp.directions[:4], imp.directions[3:9], imp.directions[:4]):
+        assert _analyses(imp, dirs) == _analyses(explicit, dirs)
+    assert len(calls) == 2
 
 
 def test_min_connecting_prefix_directional():

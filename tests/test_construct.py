@@ -430,16 +430,19 @@ def test_implicit_queries_past_the_explicit_cap():
 
 
 def test_factorisation_is_freed_without_the_cycle_collector():
-    # The implicit caches must not point back at the factorisation, or every
-    # dropped explicit twin would keep its tables until a collection runs.
+    # The implicit caches and the analyses' labelling memo must not point back
+    # at the factorisation, or every dropped explicit twin would keep its
+    # tables until a collection runs.
     imp = implicit_factorisation(CTX10, SCALED, RandomTape(13))
     for u in range(0, 1 << 10, 5):
         imp.partner(u, 1)
     facs = [imp, build_explicit(CTX10, SCALED, RandomTape(13))]
+    for f in facs:
+        union_components(f, f.directions[:3])
     refs = [weakref.ref(f) for f in facs]
     gc.disable()
     try:
-        del facs, imp
+        del facs, imp, f
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
