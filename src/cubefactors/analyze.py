@@ -11,16 +11,15 @@ matching labels each vertex with the smaller end of its edge, and each further
 one is merged by hooking and pointer jumping (Shiloach and Vishkin, 1982) over
 the component roots alone (``_merge``).  Every vertex ends labelled with the
 smallest vertex of its component, and the fold stops at the first connected
-prefix.  The last labelling of each factorisation is kept (``_labels``), so the
-analyses of one subset label it once, and an implicit factorisation is
-materialised once.
+prefix.  Each analysis labels its subset afresh (``_labels``); nothing is kept
+between calls, so an implicit factorisation's explicit twin is freed when the
+call returns.
 """
 
 from __future__ import annotations
 
 import random
 import time
-import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -156,24 +155,27 @@ def _merge(
     result keeps the minimum-vertex labelling.
     """
     m = comp.take(pt)
-    hi = comp > m
-    a, b = comp[hi], m[hi]
+    # Subsets are picked by index (flatnonzero, then take): a boolean mask
+    # that is true at random half the places costs about four times more.
+    edges = np.flatnonzero(comp > m)
+    a, b = comp.take(edges), m.take(edges)
     comp = comp.copy()
     while a.size:
         np.minimum.at(comp, a, b)
         moved, up = roots, comp.take(roots)
         while True:
             jumped = comp.take(up)
-            more = jumped != up
-            if not more.any():
+            more = np.flatnonzero(jumped != up)
+            if not more.size:
                 break
-            moved, up = moved[more], jumped[more]
+            moved, up = moved.take(more), jumped.take(more)
             comp[moved] = up
         a, b = comp.take(a), comp.take(b)
-        keep = a != b
-        a, b = np.maximum(a[keep], b[keep]), np.minimum(a[keep], b[keep])
+        keep = np.flatnonzero(a != b)
+        a, b = a.take(keep), b.take(keep)
+        a, b = np.maximum(a, b), np.minimum(a, b)
     comp = comp.take(comp)
-    return comp, roots[comp.take(roots) == roots]
+    return comp, roots.take(np.flatnonzero(comp.take(roots) == roots))
 
 
 def _prefix_labels(
@@ -203,30 +205,12 @@ def _union(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return deque(_prefix_labels(tables), maxlen=1)[0]
 
 
-# The last labelling of each factorisation, with its partner array, so that
-# the analyses of one subset share one labelling and an implicit
-# factorisation is materialised once.  Keys are weak, and no entry refers
-# back to its key, so a factorisation is still freed as soon as it is dropped.
-_LAST_LABELS: "weakref.WeakKeyDictionary[Factorisation, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _labels(fac: Factorisation, dirs: tuple[int, ...]) -> np.ndarray:
-    """Minimum-vertex component label of every vertex in the dirs' union.
-
-    The array is read-only, since the next analysis of the same subset of
-    the same factorisation gets it too.
-    """
-    partners, last_dirs, labels = _LAST_LABELS.get(fac, (None, None, None))
-    if partners is None:
-        partners = (fac if fac.mode == "explicit" else fac.materialize()).partners
-    if dirs != last_dirs:
-        index = fac.ctx.space.index
-        labels, _ = _union(partners[index[x]] for x in dirs)
-        labels.flags.writeable = False
-        _LAST_LABELS[fac] = partners, dirs, labels
-    return labels
+def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
+    """Minimum-vertex component label of every vertex in the dirs' union."""
+    if fac.mode != "explicit":
+        fac = fac.materialize()
+    index = fac.ctx.space.index
+    return _union(fac.partners[index[x]] for x in dirs)[0]
 
 
 def union_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:

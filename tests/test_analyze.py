@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -675,23 +677,7 @@ def _analyses(fac, dirs):
     )
 
 
-def test_labelling_memo_keeps_results_per_subset():
-    swap = build_explicit(build_context(10), SCALED, RandomTape(13))
-    for fac in (swap, _random_matchings(8, 3, True)):
-        a, b = fac.directions[:3], fac.directions[2:7]
-        got = [_analyses(fac, dirs) for dirs in (a, b, a, b)]
-        fresh = [
-            _analyses(Factorisation(fac.ctx, fac.kind, "explicit", fac.partners.copy()), dirs)
-            for dirs in (a, b)
-        ]
-        assert got == fresh * 2
-        labels = _labels(fac, b)
-        assert not labels.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            labels[0] = 1
-
-
-def test_implicit_factorisation_is_materialised_once(monkeypatch):
+def test_connectivity_profile_materialises_once(monkeypatch):
     calls = []
     real = construct_mod.build_explicit
 
@@ -703,10 +689,29 @@ def test_implicit_factorisation_is_materialised_once(monkeypatch):
     imp = implicit_factorisation(build_context(10), SCALED, RandomTape(13))
     assert len(connectivity_profile(imp, 5, random.Random(2))) == 5
     assert len(calls) == 1
+
+
+def test_implicit_analyses_match_the_twin_and_keep_none(monkeypatch):
+    # The explicit twin is built inside each call, and it and its partner
+    # array are freed when the call returns.
+    twins = []
+    real = construct_mod.build_explicit
+
+    def tracked(*args):
+        twin = real(*args)
+        twins.extend([weakref.ref(twin), weakref.ref(twin.partners)])
+        return twin
+
+    monkeypatch.setattr(construct_mod, "build_explicit", tracked)
+    imp = implicit_factorisation(build_context(10), SCALED, RandomTape(13))
     explicit = real(imp.ctx, SCALED, RandomTape(13))
-    for dirs in (imp.directions[:4], imp.directions[3:9], imp.directions[:4]):
-        assert _analyses(imp, dirs) == _analyses(explicit, dirs)
-    assert len(calls) == 2
+    gc.disable()
+    try:
+        for dirs in (imp.directions[:4], imp.directions[3:9]):
+            assert _analyses(imp, dirs) == _analyses(explicit, dirs)
+        assert twins and all(t() is None for t in twins)
+    finally:
+        gc.enable()
 
 
 def test_min_connecting_prefix_directional():

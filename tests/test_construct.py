@@ -430,9 +430,9 @@ def test_implicit_queries_past_the_explicit_cap():
 
 
 def test_factorisation_is_freed_without_the_cycle_collector():
-    # The implicit caches and the analyses' labelling memo must not point back
-    # at the factorisation, or every dropped explicit twin would keep its
-    # tables until a collection runs.
+    # The implicit caches must not point back at the factorisation, or every
+    # dropped explicit twin would keep its tables until a collection runs.
+    # Analysing a factorisation must not keep it alive either.
     imp = implicit_factorisation(CTX10, SCALED, RandomTape(13))
     for u in range(0, 1 << 10, 5):
         imp.partner(u, 1)
