@@ -11,9 +11,13 @@ matching labels each vertex with the smaller end of its edge, and each further
 one is merged by hooking and pointer jumping (Shiloach and Vishkin, 1982) over
 the component roots alone (``_merge``).  Every vertex ends labelled with the
 smallest vertex of its component, and the fold stops at the first connected
-prefix.  Each analysis labels its subset afresh (``_labels``); nothing is kept
-between calls, so an implicit factorisation's explicit twin is freed when the
-call returns.
+prefix.  Each analysis labels its subset afresh (``_labels``).
+
+Every analysis of factor unions, and ``validate``, reads the whole partner
+array, so it takes an explicit factorisation.  An implicit one is refused by
+``Factorisation.partners``, whose error says how to build its explicit twin:
+build it once and pass it to every analysis.  ``untouched_parallel_paths`` and
+``untouched_path_histogram`` ask only ``partner`` queries and take either mode.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from .construct import Factorisation
 from .cube import Edge, direction_mask, edge_at, popcount32
 
 __all__ = [
-    "SubsetSpec",
     "ValidationReport",
     "ComponentReport",
     "TfContext",
@@ -62,19 +65,9 @@ __all__ = [
 R_OF_MAX_D = 10
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    """A nonempty subset of the direction set, kept sorted."""
-
-    directions: tuple[int, ...]
-
-
-DirSubset = Union[SubsetSpec, Iterable[int]]
-
-
-def _dirs(ctx: CodeContext, spec: DirSubset) -> tuple[int, ...]:
-    raw = spec.directions if isinstance(spec, SubsetSpec) else spec
-    dirs = tuple(sorted(set(raw)))
+def _dirs(ctx: CodeContext, spec: Iterable[int]) -> tuple[int, ...]:
+    """The distinct directions of spec, sorted; refused if empty or not in X."""
+    dirs = tuple(sorted(set(spec)))
     if not dirs:
         raise ValueError("direction subset must be nonempty")
     for x in dirs:
@@ -102,9 +95,8 @@ def validate(fac: Factorisation) -> ValidationReport:
     and ``pt`` is an involution; the d rows then partition the edges exactly
     when no vertex sees the same bit twice.  The first faulty vertex of the
     first faulty row is reported, its faults checked in the order below.
+    Needs an explicit factorisation: pass an implicit one's explicit twin.
     """
-    if fac.mode != "explicit":
-        fac = fac.materialize()
     partners = fac.partners
     idx = np.arange(1 << fac.d, dtype=np.uint32)
     seen = np.zeros_like(idx)
@@ -206,14 +198,13 @@ def _union(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
-    """Minimum-vertex component label of every vertex in the dirs' union."""
-    if fac.mode != "explicit":
-        fac = fac.materialize()
+    """Minimum-vertex component label of every vertex in the dirs' union.
+    Reads the partner array, so an implicit factorisation is refused."""
     index = fac.ctx.space.index
     return _union(fac.partners[index[x]] for x in dirs)[0]
 
 
-def union_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:
+def union_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
     """Components of the union of the chosen factors, from their vertex labels."""
     dirs = _dirs(fac.ctx, spec)
     t0 = time.perf_counter()
@@ -222,11 +213,9 @@ def union_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:
     return ComponentReport(len(sizes), tuple(sizes.tolist()), time.perf_counter() - t0)
 
 
-def bfs_components(fac: Factorisation, spec: DirSubset) -> ComponentReport:
-    """Independent breadth-first oracle for the same component structure."""
+def bfs_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
+    """Independent breadth-first oracle for the same components, in explicit mode."""
     dirs = _dirs(fac.ctx, spec)
-    if fac.mode != "explicit":
-        fac = fac.materialize()
     t0 = time.perf_counter()
     n = 1 << fac.d
     tables = [fac.table(x) for x in dirs]
@@ -264,7 +253,7 @@ def _one_component_per_key(keys: np.ndarray, labels: np.ndarray) -> dict[int, bo
     return dict(zip(present.tolist(), (split.take(present) == 0).tolist()))
 
 
-def small_cube_connectivity(fac: Factorisation, spec: DirSubset) -> dict[int, bool]:
+def small_cube_connectivity(fac: Factorisation, spec: Iterable[int]) -> dict[int, bool]:
     """For each small cube of the subset: do its vertices land in one component?
 
     Components are taken in the whole union graph, not within the small cube.
@@ -279,7 +268,7 @@ def small_cube_connectivity(fac: Factorisation, spec: DirSubset) -> dict[int, bo
 # -- direction-subset algebra ---------------------------------------------------
 
 
-def decomposition_of(ctx: CodeContext, spec: DirSubset) -> gf2.Decomposition:
+def decomposition_of(ctx: CodeContext, spec: Iterable[int]) -> gf2.Decomposition:
     """Span W of the subset inside F_2^k, with complement and coset labels."""
     dirs = _dirs(ctx, spec)
     return gf2.decompose(gf2.span_basis(dirs, ctx.k))
@@ -312,7 +301,7 @@ class TfLabel:
     psi: int
 
 
-def tf_context(ctx: CodeContext, spec: DirSubset) -> TfContext:
+def tf_context(ctx: CodeContext, spec: Iterable[int]) -> TfContext:
     dirs = _dirs(ctx, spec)
     dec = decomposition_of(ctx, dirs)
     masks = [0] * ((1 << dec.label_width) - 1)
@@ -348,14 +337,14 @@ def tf_class_sizes(tfc: TfContext) -> dict[int, int]:
     return {int(b): int(c) for b, c in zip(uniq, counts)}
 
 
-def tf_connectivity(fac: Factorisation, spec: DirSubset) -> dict[int, bool]:
+def tf_connectivity(fac: Factorisation, spec: Iterable[int]) -> dict[int, bool]:
     """Per signature class: do the class's vertices share one component?"""
     dirs = _dirs(fac.ctx, spec)
     bits = _signature_bits(tf_context(fac.ctx, dirs))
     return _one_component_per_key(bits, _labels(fac, dirs))
 
 
-def code_intersections(ctx: CodeContext, spec: DirSubset) -> dict[int, int]:
+def code_intersections(ctx: CodeContext, spec: Iterable[int]) -> dict[int, int]:
     """Codeword count inside every small cube of the subset, by direct counting."""
     dirs = _dirs(ctx, spec)
     n = 1 << ctx.d
@@ -368,7 +357,7 @@ def code_intersections(ctx: CodeContext, spec: DirSubset) -> dict[int, int]:
     return result
 
 
-def code_intersection(ctx: CodeContext, spec: DirSubset, cube_id: int) -> int:
+def code_intersection(ctx: CodeContext, spec: Iterable[int], cube_id: int) -> int:
     """|S ∩ C| for the small cube with the given id."""
     dirs = _dirs(ctx, spec)
     mask = direction_mask(ctx.space, dirs)
@@ -387,7 +376,7 @@ def code_intersection(ctx: CodeContext, spec: DirSubset, cube_id: int) -> int:
     return count
 
 
-def psi_criterion(ctx: CodeContext, spec: DirSubset, cube_id: int) -> bool:
+def psi_criterion(ctx: CodeContext, spec: Iterable[int], cube_id: int) -> bool:
     """True when the cube's parity signature has psi = 0.
 
     Equivalent to the cube meeting the code; the equivalence is checked
@@ -456,11 +445,9 @@ def untouched_path_histogram(
 def r_scan(
     fac: Factorisation, *, max_d: int = R_OF_MAX_D
 ) -> tuple[int, dict[int, float]]:
-    """r_of plus elapsed seconds per tried subset size."""
+    """r_of plus elapsed seconds per tried subset size, in explicit mode."""
     if fac.d > max_d:
         raise ValueError(f"r_of is guarded to d <= {max_d} (got d={fac.d})")
-    if fac.mode != "explicit":
-        fac = fac.materialize()
     timings: dict[int, float] = {}
     for r in range(1, fac.d + 1):
         t0 = time.perf_counter()
@@ -483,15 +470,14 @@ def r_of(fac: Factorisation, *, max_d: int = R_OF_MAX_D) -> int:
     return r_scan(fac, max_d=max_d)[0]
 
 
-def is_connected(fac: Factorisation, spec: DirSubset) -> bool:
+def is_connected(fac: Factorisation, spec: Iterable[int]) -> bool:
     """True when the union of the chosen factors is connected."""
     return not _labels(fac, _dirs(fac.ctx, spec)).any()
 
 
 def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
-    """Smallest prefix length of ``order`` whose factor union is connected."""
-    if fac.mode != "explicit":
-        fac = fac.materialize()
+    """Smallest prefix length of ``order`` whose factor union is connected.
+    Needs an explicit factorisation: pass an implicit one's explicit twin."""
     dirs = _dirs(fac.ctx, order)
     if len(dirs) != len(tuple(order)) or len(dirs) != fac.d:
         raise ValueError("order must be a permutation of the direction set")
@@ -508,9 +494,8 @@ def connectivity_profile(
 
     Prefixes of one chain are nested, so per-chain connectivity is monotone
     in r by construction and the r-th prefix is a uniform random r-subset.
+    Needs an explicit factorisation: pass an implicit one's explicit twin.
     """
-    if fac.mode != "explicit":
-        fac = fac.materialize()
     dirs = list(fac.directions)
     out = []
     for _ in range(n_chains):

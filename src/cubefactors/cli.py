@@ -108,9 +108,19 @@ def _seed(ns: argparse.Namespace) -> int:
     return 0 if ns.seed is None else int(ns.seed)
 
 
+def _load(path: str) -> Factorisation:
+    """The factorisation stored at path.  An implicit stub within the explicit
+    cap is returned as its explicit twin, built once here for every analysis
+    the command runs; past the cap it stays implicit."""
+    fac = load_factorisation(path)
+    if fac.mode == "implicit" and fac.d <= explicit_cap():
+        fac = fac.materialize()
+    return fac
+
+
 def _fac_from_args(ns: argparse.Namespace) -> Factorisation:
     if getattr(ns, "infile", None):
-        return load_factorisation(ns.infile)
+        return _load(ns.infile)
     d = _require_d(ns)
     ctx = build_context(d)
     kind = getattr(ns, "kind", None) or "directional"
@@ -152,8 +162,8 @@ def _subset(ns: argparse.Namespace, fac: Factorisation) -> tuple[int, ...]:
 
 def _built(fac: Factorisation) -> dict:
     """How far fac is from the directional baseline; unknown (None) for an
-    implicit factorisation past the explicit cap."""
-    if fac.mode != "explicit" and fac.d > explicit_cap():
+    implicit factorisation, which ``_load`` leaves only past the explicit cap."""
+    if fac.mode != "explicit":
         return {"touched_edges": None, "baseline_only": None}
     touched = touched_edge_count(fac)
     return {"touched_edges": touched, "baseline_only": touched == 0}
@@ -166,6 +176,11 @@ def _emit(ns: argparse.Namespace, report: dict, timings: dict[str, float]) -> No
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(report, sort_keys=True, indent=2))
             fh.write("\n")
+    _show(report, timings)
+
+
+def _show(report: dict, timings: dict[str, float]) -> None:
+    """Print the report to stdout with its timings, rounded to microseconds."""
     shown = dict(report)
     shown["timings"] = {k: round(v, 6) for k, v in timings.items()}
     print(json.dumps(shown, sort_keys=True, indent=2))
@@ -209,9 +224,7 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         save_factorisation(fac, ns.out)
         timings["save"] = time.perf_counter() - t0
         summary["out"] = ns.out
-    shown = dict(summary)
-    shown["timings"] = {k: round(v, 6) for k, v in timings.items()}
-    print(json.dumps(shown, sort_keys=True, indent=2))
+    _show(summary, timings)
     return EXIT_OK
 
 
@@ -219,7 +232,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if not getattr(ns, "infile", None):
         raise UsageError("--in is required")
     t0 = time.perf_counter()
-    fac = load_factorisation(ns.infile)
+    fac = _load(ns.infile)
     t1 = time.perf_counter()
     rep = an.validate(fac)
     timings = {"load": t1 - t0, "validate": time.perf_counter() - t1}
@@ -243,9 +256,6 @@ def _pairs(counter: Counter) -> list[list[int]]:
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     fac = _fac_from_args(ns)
-    if fac.mode != "explicit" and fac.d <= explicit_cap():
-        # Built once for both the analysis and the touched-edge count.
-        fac = fac.materialize()
     dirs = _subset(ns, fac)
     op = ns.op or "components"
     ctx = fac.ctx
@@ -406,8 +416,6 @@ def cmd_export(ns: argparse.Namespace) -> int:
     fac = _fac_from_args(ns)
     dirs = _subset(ns, fac)
     fmt = ns.format or "edge-list"
-    if fac.mode != "explicit":
-        fac = fac.materialize()
     if fmt == "dot" and fac.d > DOT_MAX_D:
         raise UsageError(f"dot export is guarded to d <= {DOT_MAX_D}")
     idx = np.arange(1 << fac.d, dtype=np.uint32)

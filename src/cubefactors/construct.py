@@ -44,6 +44,7 @@ from .cube import (
     _text_rows,
     check_explicit,
     direction_mask,
+    explicit_cap,
     popcount32,
     vertex_text,
 )
@@ -336,7 +337,9 @@ class Factorisation:
         """The (d, 2^d) partner array, one row per direction position."""
         if self._partners is None:
             raise ValueError(
-                "no partner array in implicit mode; call materialize() first"
+                f"no partner array in implicit mode (d={self.d}); call "
+                f"materialize() first, which builds the explicit twin while "
+                f"d <= the explicit-mode cap {explicit_cap()}"
             )
         return self._partners
 
@@ -616,8 +619,6 @@ def _random_perfect_matching(
 
 def touched_edge_count(fac: Factorisation) -> int:
     """Edges whose factor differs from their direction (explicit mode)."""
-    if fac.mode != "explicit":
-        fac = fac.materialize()
     # Row by row, so no second (d, 2^d) array is built.
     idx = np.arange(1 << fac.d, dtype=np.uint32)
     moved = sum(

@@ -1,6 +1,4 @@
-import gc
 import random
-import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -26,7 +24,6 @@ from cubefactors.construct import (
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
     _labels,
-    SubsetSpec,
     ValidationReport,
     bfs_components,
     code_intersection,
@@ -245,7 +242,7 @@ def test_subset_spec_validation():
         union_components(FAC7, [])
     with pytest.raises(ValueError, match="direction 9 not in X"):
         union_components(FAC7, [9])
-    rep = union_components(FAC7, SubsetSpec((2, 1, 2)))
+    rep = union_components(FAC7, (2, 1, 2))
     assert rep.count == 32
 
 
@@ -667,17 +664,9 @@ def test_min_connecting_prefix_matches_bfs_on_random_matchings(d, seed, data):
         assert min_connecting_prefix(fac, order) == want
 
 
-def _analyses(fac, dirs):
-    rep = union_components(fac, dirs)
-    return (
-        (rep.count, rep.sizes),
-        small_cube_connectivity(fac, dirs),
-        tf_connectivity(fac, dirs),
-        is_connected(fac, dirs),
-    )
-
-
-def test_connectivity_profile_materialises_once(monkeypatch):
+def test_analyses_refuse_implicit_without_building(monkeypatch):
+    # Every analysis reads the partner array: an implicit factorisation is
+    # refused with the cap named, and no explicit twin is built behind it.
     calls = []
     real = construct_mod.build_explicit
 
@@ -687,31 +676,24 @@ def test_connectivity_profile_materialises_once(monkeypatch):
 
     monkeypatch.setattr(construct_mod, "build_explicit", counted)
     imp = implicit_factorisation(build_context(10), SCALED, RandomTape(13))
-    assert len(connectivity_profile(imp, 5, random.Random(2))) == 5
-    assert len(calls) == 1
-
-
-def test_implicit_analyses_match_the_twin_and_keep_none(monkeypatch):
-    # The explicit twin is built inside each call, and it and its partner
-    # array are freed when the call returns.
-    twins = []
-    real = construct_mod.build_explicit
-
-    def tracked(*args):
-        twin = real(*args)
-        twins.extend([weakref.ref(twin), weakref.ref(twin.partners)])
-        return twin
-
-    monkeypatch.setattr(construct_mod, "build_explicit", tracked)
-    imp = implicit_factorisation(build_context(10), SCALED, RandomTape(13))
-    explicit = real(imp.ctx, SCALED, RandomTape(13))
-    gc.disable()
-    try:
-        for dirs in (imp.directions[:4], imp.directions[3:9]):
-            assert _analyses(imp, dirs) == _analyses(explicit, dirs)
-        assert twins and all(t() is None for t in twins)
-    finally:
-        gc.enable()
+    dirs = imp.directions[:4]
+    refused = r"materialize\(\) first.*explicit-mode cap \d+"
+    for call in (
+        lambda: validate(imp),
+        lambda: _labels(imp, dirs),
+        lambda: union_components(imp, dirs),
+        lambda: small_cube_connectivity(imp, dirs),
+        lambda: tf_connectivity(imp, dirs),
+        lambda: is_connected(imp, dirs),
+        lambda: bfs_components(imp, dirs),
+        lambda: r_scan(imp),
+        lambda: min_connecting_prefix(imp, imp.directions),
+        lambda: connectivity_profile(imp, 5, random.Random(2)),
+        lambda: touched_edge_count(imp),
+    ):
+        with pytest.raises(ValueError, match=refused):
+            call()
+    assert calls == []
 
 
 def test_min_connecting_prefix_directional():

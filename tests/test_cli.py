@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import cubefactors.construct as construct_mod
 from cubefactors import cli
 from cubefactors.analyze import union_components
 from cubefactors.code import build_context, code_size
@@ -156,6 +157,43 @@ def test_reports_say_what_was_built(tmp_path, monkeypatch, capsys, swap, params)
     rc, rep = run_json(capsys, "analyze", "--in", str(stub), "--op", "decomposition")
     assert rc == 0
     assert rep["touched_edges"] is None and rep["baseline_only"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rmin"], ["analyze", "--op", "components"], ["export"], ["verify"]],
+    ids=["rmin", "analyze", "export", "verify"],
+)
+def test_implicit_stub_is_built_once_and_refused_past_the_cap(
+    tmp_path, monkeypatch, capsys, argv
+):
+    calls = []
+    real = construct_mod.build_explicit
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct_mod, "build_explicit", counted)
+    # The same seed saved in both modes, under one name, so that verify's
+    # report, which names its input file, can match too.
+    builds, written = {}, {}
+    for mode in ("explicit", "implicit"):
+        (tmp_path / mode).mkdir()
+        monkeypatch.chdir(tmp_path / mode)
+        assert cli.main(["construct", "--d", "8", "--seed", "4", *SWAPPING,
+                         "--mode", mode, "--out", "fac.jsonl"]) == 0
+        calls.clear()
+        assert cli.main([*argv, "--in", "fac.jsonl", "--out", "out.txt"]) == 0
+        builds[mode] = len(calls)
+        written[mode] = (tmp_path / mode / "out.txt").read_bytes()
+    capsys.readouterr()
+    assert builds == {"explicit": 0, "implicit": 1}
+    assert written["implicit"] == written["explicit"]
+
+    monkeypatch.setenv("CUBEFACTORS_MAX_EXPLICIT_D", "7")
+    assert cli.main([*argv, "--in", "fac.jsonl"]) == 2
+    assert "explicit-mode cap 7" in capsys.readouterr().err
 
 
 # -- verify ------------------------------------------------------------------------
