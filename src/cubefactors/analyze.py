@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import gf2
-from .code import CodeContext, code_size, enumerate_code, in_code, phi_table
+from .code import CodeContext, code_size, in_code, phi_table
 from .construct import Factorisation
 from .cube import Edge, direction_mask, edge_at, popcount32
 
@@ -425,12 +425,17 @@ def untouched_parallel_paths(fac: Factorisation, e: Edge) -> int:
 def untouched_path_histogram(
     fac: Factorisation, edges: Optional[Sequence[Edge]] = None
 ) -> dict[int, int]:
-    """Histogram of disturbed-path counts over code-incident edges."""
+    """Histogram of disturbed-path counts over code-incident edges.
+
+    The code is read from the context's codeword array, which has no
+    explicit-mode cap, so an implicit factorisation past the cap is answered
+    through its partner queries.
+    """
     ctx = fac.ctx
     if edges is None:
         edges = [
             edge_at(ctx.space, w, y)
-            for w in enumerate_code(ctx)
+            for w in ctx._codeword_array.tolist()
             for y in fac.directions
         ]
     hist: Counter[int] = Counter()

@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from hashlib import blake2b
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -122,27 +123,53 @@ class ConstructionParams:
         )
 
 
+def _vertex_bytes(vertex: int) -> bytes:
+    """Big-endian bytes of a vertex, as few as hold it (one for vertex 0)."""
+    return vertex.to_bytes((vertex.bit_length() + 7) // 8 or 1, "big")
+
+
+def _uniform_limit(n: int) -> int:
+    """Largest multiple of n not above 2^64: words below it are uniform mod n."""
+    return _WORD_MAX - _WORD_MAX % n
+
+
 class RandomTape:
     """Deterministic keyed randomness.
 
     Every draw is a pure function of (seed, tag, vertex), so the explicit
     bulk construction and implicit query-time replay see identical bits no
-    matter in which order vertices are visited.
+    matter in which order vertices are visited.  A word is the 8-byte BLAKE2b
+    digest, keyed by the seed, of ``tag | counter | vertex bytes``.  The
+    keyed state is built once and copied before each message, which gives
+    the digest of a hash keyed afresh.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & (_WORD_MAX - 1)
-        self._key = self.seed.to_bytes(8, "big")
+        self._keyed = blake2b(key=self.seed.to_bytes(8, "big"), digest_size=8)
+
+    def _hash(self, msg: bytes) -> int:
+        h = self._keyed.copy()
+        h.update(msg)
+        return int.from_bytes(h.digest(), "big")
 
     def _word(self, tag: int, vertex: int, counter: int) -> int:
-        msg = bytes([tag]) + counter.to_bytes(4, "big") + vertex.to_bytes(
-            (vertex.bit_length() + 7) // 8 or 1, "big"
-        )
-        return int.from_bytes(blake2b(msg, key=self._key, digest_size=8).digest(), "big")
+        return self._hash(bytes([tag]) + counter.to_bytes(4, "big") + _vertex_bytes(vertex))
+
+    def _first_words(self, tag: int, vertex_bytes: Iterable[bytes]) -> np.ndarray:
+        """``_word(tag, v, 0)`` of many vertices, given as ``_vertex_bytes``, in uint64."""
+        head = self._keyed.copy()
+        head.update(bytes([tag]) + bytes(4))
+        digests = []
+        for vb in vertex_bytes:
+            h = head.copy()
+            h.update(vb)
+            digests.append(h.digest())
+        return np.frombuffer(b"".join(digests), ">u8").astype(np.uint64)
 
     def _below(self, tag: int, vertex: int, n: int, counter: int) -> tuple[int, int]:
         # Rejection sampling keeps the draw exactly uniform on range(n).
-        limit = _WORD_MAX - _WORD_MAX % n
+        limit = _uniform_limit(n)
         while True:
             w = self._word(tag, vertex, counter)
             counter += 1
@@ -171,8 +198,7 @@ class RandomTape:
         return tuple(out)
 
     def derive_seed(self, label: str) -> int:
-        msg = bytes([_TAG_DERIVE]) + label.encode()
-        return int.from_bytes(blake2b(msg, key=self._key, digest_size=8).digest(), "big")
+        return self._hash(bytes([_TAG_DERIVE]) + label.encode())
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,31 +271,79 @@ def _near_any(words: np.ndarray, centres: np.ndarray, lo: int, hi: int) -> np.nd
 
 
 def sample_plan(ctx: CodeContext, params: ConstructionParams, tape: RandomTape) -> SwapPlan:
-    """Draw all swap sites for an explicit build (one pass over the code array)."""
+    """Draw all swap sites for an explicit build, in bulk over the code array.
+
+    The draws are the implicit queries' per-codeword draws, one batch of
+    keyed hashes per tag; the conflict rule runs as array operations over H.
+    """
     check_explicit(ctx.d)
     _check_construction_dims(ctx, params)
+    d = ctx.d
     cw = ctx._codeword_array
     words = cw.tolist()
-    thr = params.coin_threshold(ctx.d)
+    vbytes = [_vertex_bytes(u) for u in words]
+    thr = params.coin_threshold(d)
 
-    coins = np.fromiter((tape.coin(u, thr) for u in words), bool, count=len(words))
+    if thr < _WORD_MAX:
+        coins = tape._first_words(_TAG_GPRIME, vbytes) < np.uint64(thr)
+    else:
+        coins = np.ones(len(words), dtype=bool)
     gp = cw[coins]
     # Distinct codewords differ, so distance >= 1 leaves out only v itself.
     gprime = tuple(gp.tolist())
     g = tuple(gp[~_near_any(gp, gp, 1, params.rg)].tolist())
-    h = tuple(cw[~_near_any(cw, gp, 0, params.rh)].tolist())
-    pq = {u: _draw_pq(ctx, tape, u) for u in words}
+    h_at = np.flatnonzero(~_near_any(cw, gp, 0, params.rh))
+    ip, iq = _pair_positions(tape, d, words, vbytes)
+    dirs = np.array(ctx.space.directions, dtype=np.uint32)
+    pq = dict(zip(words, zip(dirs[ip].tolist(), dirs[iq].tolist())))
     r6 = {v: _draw_r6(ctx, tape, v, params.cube_dim) for v in g}
 
-    active = []
-    for u in h:
-        p, q = pq[u]
-        if params.conflict_check:
-            w = _conflict_partner(ctx, u, p, q)
-            if w is not None and _squares_conflict(ctx, u, w, *pq[w]):
-                continue
-        active.append(u)
-    return SwapPlan(params, tape.seed, gprime, g, h, pq, r6, tuple(active))
+    active = h_at
+    if params.conflict_check:
+        active = h_at[~_vetoed(ctx, cw, ip, iq, h_at)]
+    return SwapPlan(
+        params, tape.seed, gprime, g, tuple(cw[h_at].tolist()), pq, r6,
+        tuple(cw[active].tolist()),
+    )
+
+
+def _pair_positions(
+    tape: RandomTape, d: int, words: Sequence[int], vbytes: Sequence[bytes]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``tape.pair_positions(u, d)`` of every codeword u, as two int64 position arrays."""
+    n = d * (d - 1)
+    first = tape._first_words(_TAG_PQ, vbytes)
+    i, j = np.divmod((first % np.uint64(n)).astype(np.int64), d - 1)
+    j += j >= i
+    # A first word at or above the limit was rejected; redraw exactly.
+    for k in np.flatnonzero(first >= np.uint64(_uniform_limit(n))).tolist():
+        i[k], j[k] = tape.pair_positions(words[k], d)
+    return i, j
+
+
+def _vetoed(
+    ctx: CodeContext, cw: np.ndarray, ip: np.ndarray, iq: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """The conflict rule for the squares of the codewords ``cw[at]``.
+
+    Array form of ``_conflict_partner`` and ``_squares_conflict``: u's far
+    corner u+p+q has syndrome p^q, so its codeword neighbour w, when there
+    is one, lies across the direction labelled p^q and is found in the
+    sorted code array.
+    """
+    dirs = np.array(ctx.space.directions)
+    pos_of = np.full(1 << ctx.k, -1)
+    pos_of[dirs] = np.arange(ctx.d)
+    u, p, q = cw[at].astype(np.int64), ip[at], iq[at]
+    s = pos_of[dirs[p] ^ dirs[q]]
+    has = np.flatnonzero(s >= 0)
+    u, p, q, s = u[has], p[has], q[has], s[has]
+    w = u ^ (1 << p) ^ (1 << q) ^ (1 << s)
+    wi = np.searchsorted(cw, w)
+    far_w = w ^ (1 << ip[wi]) ^ (1 << iq[wi])
+    vetoed = np.zeros(len(at), dtype=bool)
+    vetoed[has] = popcount32(far_w ^ u) == 1
+    return vetoed
 
 
 class Factorisation:
@@ -456,54 +530,75 @@ def directional(ctx: CodeContext) -> Factorisation:
 
 
 def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
-    """Apply a swap plan to the directional partners, rejecting any overlap."""
+    """Apply a swap plan to the directional partners, rejecting any overlap.
+
+    Each site claims the (vertex, factor) slots it rewrites, the squares in
+    plan order and then the cube swaps.  A slot claimed by two sites raises
+    OverlapError naming the first claim, in that order, of a slot that
+    another site already holds.
+    """
     check_explicit(ctx.d)
     d = ctx.d
-    space = ctx.space
+    claims = [_square_claims(ctx, plan)]
+    claims += [_cube_claims(ctx, v, plan.r6[v]) for v in plan.g]
+    per_site = [8] * len(plan.active_squares) + [len(c[0]) for c in claims[1:]]
+    sites = np.repeat(np.arange(len(per_site)), per_site)
+    vertex, dir_pos, partner = (np.concatenate(col) for col in zip(*claims))
+
+    # A stable sort keeps each slot's claims in claim order, and site numbers
+    # grow along it, so a slot's first claim by a second site is where its
+    # site number changes.
+    key = vertex * d + dir_pos
+    order = np.argsort(key, kind="stable")
+    k, s = key[order], sites[order]
+    clash = (k[1:] == k[:-1]) & (s[1:] != s[:-1])
+    if clash.any():
+        first = int(order[1:][clash].min())
+        raise OverlapError(
+            f"overlapping swap regions: factor slot (vertex={vertex[first]}, "
+            f"direction index {dir_pos[first]}) written twice"
+        )
     partners = _directional_partners(d)
-    claims: dict[int, int] = {}
-
-    # Each slot is written as soon as its site claims it; an OverlapError
-    # discards the half-written array with the rest of the call.
-    def claim(vertex: int, dir_pos: int, site: int, partner: int) -> None:
-        key = vertex * d + dir_pos
-        owner = claims.setdefault(key, site)
-        if owner != site:
-            raise OverlapError(
-                f"overlapping swap regions: factor slot (vertex={vertex}, "
-                f"direction index {dir_pos}) written twice"
-            )
-        partners[dir_pos, vertex] = partner
-
-    site = 0
-    for u in plan.active_squares:
-        p, q = plan.pq[u]
-        bp, bq = space.bit_of(p), space.bit_of(q)
-        ip, iq = space.index[p], space.index[q]
-        for w in (u, u ^ bp, u ^ bq, u ^ bp ^ bq):
-            claim(w, ip, site, w ^ bq)
-            claim(w, iq, site, w ^ bp)
-        site += 1
-
-    for v in plan.g:
-        r = plan.r6[v]
-        bits = [space.bit_of(x) for x in r]
-        positions = [space.index[x] for x in r]
-        m = len(r)
-        for sel in range(1 << m):
-            w = v
-            s = sel
-            while s:
-                low = s & -s
-                w ^= bits[low.bit_length() - 1]
-                s ^= low
-            for j in range(m):
-                claim(w, positions[j], site, w ^ bits[j - 1])
-        site += 1
+    partners[dir_pos, vertex] = partner
 
     tape = RandomTape(plan.seed)
     return Factorisation(
         ctx, "construction", "explicit", partners, params=plan.params, tape=tape, plan=plan
+    )
+
+
+def _square_claims(ctx: CodeContext, plan: SwapPlan) -> tuple[np.ndarray, ...]:
+    """(vertex, dir_pos, partner) of the active squares' claims, 8 per square.
+
+    Square u claims, corner by corner for u, u+p, u+q, u+p+q, its slot in
+    factor p (partner across q) and then in factor q (partner across p).
+    """
+    n = len(plan.active_squares)
+    u = np.array(plan.active_squares, dtype=np.int64)
+    labels = chain.from_iterable(map(plan.pq.__getitem__, plan.active_squares))
+    pos = np.fromiter(map(ctx.space.index.__getitem__, labels), np.int64, 2 * n).reshape(n, 2)
+    bp, bq = 1 << pos[:, :1], 1 << pos[:, 1:]
+    corners = u[:, None] ^ np.hstack([np.zeros_like(bp), bp, bq, bp | bq])
+    partner = np.stack([corners ^ bq, corners ^ bp], axis=2)
+    return np.repeat(corners, 2, axis=1).ravel(), np.tile(pos, 4).ravel(), partner.ravel()
+
+
+def _cube_claims(ctx: CodeContext, v: int, r: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """(vertex, dir_pos, partner) of one cube swap's 2^m * m claims.
+
+    For each vertex w of the small cube, in the order of the subsets of r as
+    binary numbers, w's slot in factor r_j gets its neighbour across r_(j-1).
+    """
+    pos = np.array([ctx.space.index[x] for x in r], dtype=np.int64)
+    bits = 1 << pos
+    m = len(r)
+    sel = np.arange(1 << m)[:, None] >> np.arange(m) & 1
+    w = (v ^ (sel * bits).sum(axis=1))[:, None]
+    shape = (1 << m, m)
+    return (
+        np.broadcast_to(w, shape).ravel(),
+        np.broadcast_to(pos, shape).ravel(),
+        (w ^ np.roll(bits, 1)).ravel(),
     )
 
 

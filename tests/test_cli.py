@@ -1,11 +1,12 @@
 import filecmp
+import hashlib
 import json
 
 import pytest
 
 import cubefactors.construct as construct_mod
 from cubefactors import cli
-from cubefactors.analyze import union_components
+from cubefactors.analyze import union_components, untouched_path_histogram
 from cubefactors.code import build_context, code_size
 from cubefactors.construct import (
     ConstructionParams,
@@ -92,6 +93,39 @@ def test_construct_implicit_stub(tmp_path, capsys):
     assert rc == 0 and rep["mode"] == "implicit"
     assert len(path.read_text().splitlines()) == 1
     assert load_factorisation(str(path)).mode == "implicit"
+
+
+# sha256 of these construct --out files as the per-vertex build wrote them:
+# the determinism contract says the same flags give the same bytes, whatever
+# the implementation of the build.
+GOLDEN_CONSTRUCT = {
+    "default-d12": (
+        ["--d", "12"],
+        "98f430df713be01f3b7efb85cb9ead4de85dd21e6f9e3831dcccc415dd0e2b8a",
+    ),
+    "swapping-d12": (
+        ["--d", "12", "--pg", "0.005", "--rg", "6", "--rh", "3", "--cube-dim", "4"],
+        "76fb0fc7fbed8f60138b766cffc3df702b1f7cc952c8531be619b6c0e83121c9",
+    ),
+    "swapping-d16": (
+        ["--d", "16", "--pg", "0.005", "--rg", "6", "--rh", "3", "--cube-dim", "4"],
+        "4ee5b31ac36d678845b4e2da3ec2c116d10d4b1568fa43d64c4953477106e266",
+    ),
+    "readme-d10": (
+        ["--d", "10", "--seed", "13", "--pg", "0.05", "--rg", "6", "--rh", "4",
+         "--cube-dim", "6"],
+        "1ce2974be191a25cd7b82587d7d24d78a30693bc4127d997c6feb50a9af9adcf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CONSTRUCT))
+def test_construct_out_bytes_are_pinned(tmp_path, capsys, name):
+    args, digest = GOLDEN_CONSTRUCT[name]
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", *args, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_construct_implicit_keeps_one_construct_timing(monkeypatch, capsys):
@@ -345,6 +379,27 @@ def test_analyze_paths(capsys):
     rc, rep = run_json(capsys, "analyze", "--d", "7", "--op", "paths")
     assert rc == 0
     assert rep["results"] == {"disturbed_histogram": [[0, 112]], "max_disturbed": 0}
+
+
+def test_analyze_paths_on_an_implicit_stub_past_the_cap(tmp_path, monkeypatch, capsys):
+    params = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
+    exp = build_explicit(build_context(8), params, RandomTape(4))
+    assert touched_edge_count(exp) > 0
+    want = untouched_path_histogram(exp)
+    stub = tmp_path / "stub.jsonl"
+    assert cli.main(["construct", "--d", "8", "--seed", "4", *SWAPPING,
+                     "--mode", "implicit", "--out", str(stub)]) == 0
+    capsys.readouterr()
+    # past the cap the op answers from the stub's partner queries alone
+    monkeypatch.setenv("CUBEFACTORS_MAX_EXPLICIT_D", "7")
+    rc, rep = run_json(capsys, "analyze", "--in", str(stub), "--op", "paths")
+    assert rc == 0
+    assert rep["touched_edges"] is None
+    assert rep["results"] == {
+        "disturbed_histogram": [[k, v] for k, v in want.items()],
+        "max_disturbed": max(want),
+    }
+    assert max(want) > 0
 
 
 def test_analyze_decomposition(capsys):

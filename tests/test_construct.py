@@ -2,6 +2,7 @@ import filecmp
 import gc
 import json
 import weakref
+from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -258,6 +259,159 @@ def test_conflict_check_off_keeps_all_h():
     params = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=6, conflict_check=False)
     plan = sample_plan(CTX10, params, RandomTape(13))
     assert plan.active_squares == plan.h
+
+
+# -- bulk build against the per-vertex and per-slot loops ---------------------------
+
+
+def _oracle_plan(ctx, params, tape):
+    """Per-vertex reference for ``sample_plan``: one tape call per draw and per conflict check."""
+    cw = ctx._codeword_array
+    words = cw.tolist()
+    thr = params.coin_threshold(ctx.d)
+    coins = np.fromiter((tape.coin(u, thr) for u in words), bool, count=len(words))
+    gp = cw[coins]
+    g = tuple(gp[~construct_mod._near_any(gp, gp, 1, params.rg)].tolist())
+    h = tuple(cw[~construct_mod._near_any(cw, gp, 0, params.rh)].tolist())
+    pq = {u: construct_mod._draw_pq(ctx, tape, u) for u in words}
+    r6 = {v: construct_mod._draw_r6(ctx, tape, v, params.cube_dim) for v in g}
+    active = []
+    for u in h:
+        p, q = pq[u]
+        if params.conflict_check:
+            w = _conflict_partner(ctx, u, p, q)
+            if w is not None and _squares_conflict(ctx, u, w, *pq[w]):
+                continue
+        active.append(u)
+    return SwapPlan(params, tape.seed, tuple(gp.tolist()), g, h, pq, r6, tuple(active))
+
+
+def _oracle_partners(ctx, plan):
+    """Per-slot reference for ``apply_explicit``: each claim is checked and written in turn."""
+    d = ctx.d
+    space = ctx.space
+    partners = construct_mod._directional_partners(d)
+    claims = {}
+
+    def claim(vertex, dir_pos, site, partner):
+        key = vertex * d + dir_pos
+        owner = claims.setdefault(key, site)
+        if owner != site:
+            raise OverlapError(
+                f"overlapping swap regions: factor slot (vertex={vertex}, "
+                f"direction index {dir_pos}) written twice"
+            )
+        partners[dir_pos, vertex] = partner
+
+    site = 0
+    for u in plan.active_squares:
+        p, q = plan.pq[u]
+        bp, bq = space.bit_of(p), space.bit_of(q)
+        ip, iq = space.index[p], space.index[q]
+        for w in (u, u ^ bp, u ^ bq, u ^ bp ^ bq):
+            claim(w, ip, site, w ^ bq)
+            claim(w, iq, site, w ^ bp)
+        site += 1
+    for v in plan.g:
+        r = plan.r6[v]
+        bits = [space.bit_of(x) for x in r]
+        positions = [space.index[x] for x in r]
+        for sel in range(1 << len(r)):
+            w = v
+            for j, b in enumerate(bits):
+                if sel >> j & 1:
+                    w ^= b
+            for j in range(len(r)):
+                claim(w, positions[j], site, w ^ bits[j - 1])
+        site += 1
+    return partners
+
+
+_PLAN_FIELDS = ("params", "seed", "gprime", "g", "h", "pq", "r6", "active_squares")
+
+
+def _assert_bulk_matches_oracle(ctx, params, seed):
+    """Returns the build's plan, or None when the oracle refuses the seed."""
+    plan = sample_plan(ctx, params, RandomTape(seed))
+    ref = _oracle_plan(ctx, params, RandomTape(seed))
+    for field in _PLAN_FIELDS:
+        assert getattr(plan, field) == getattr(ref, field), field
+    try:
+        want = _oracle_partners(ctx, ref)
+    except OverlapError as err:
+        with pytest.raises(OverlapError) as got:
+            apply_explicit(ctx, plan)
+        assert str(got.value) == str(err)
+        return None
+    assert np.array_equal(apply_explicit(ctx, plan).partners, want)
+    return plan
+
+
+BULK_PARAMS = {
+    "scaled": SCALED,
+    "swapping": ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4),
+    "cubes": ConstructionParams(pg=0.02, rg=4, rh=4, cube_dim=6),
+    "no-conflict-check": ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4, conflict_check=False),
+    "defaults": ConstructionParams(),
+}
+
+
+@pytest.mark.parametrize("name", list(BULK_PARAMS))
+@pytest.mark.parametrize("d", range(10, 17))
+def test_bulk_build_matches_the_loops(d, name):
+    ctx = build_context(d)
+    for seed in range(4):
+        _assert_bulk_matches_oracle(ctx, BULK_PARAMS[name], seed)
+
+
+def test_bulk_build_comparison_covers_every_outcome():
+    # At d = 10 the parameter sets above swap squares, swap cubes and are
+    # refused, so the comparison sees each path of the build.
+    plans = {
+        name: [_assert_bulk_matches_oracle(CTX10, params, seed) for seed in range(4)]
+        for name, params in BULK_PARAMS.items()
+    }
+    for name, got in plans.items():
+        built = [p for p in got if p is not None]
+        assert bool(built) and any(p.active_squares for p in built) == (name != "defaults")
+    assert any(p is not None and p.g for p in plans["cubes"])
+    assert None in plans["cubes"] and None in plans["no-conflict-check"]
+
+
+def test_rejected_pair_draws_fall_back_to_the_exact_draw(monkeypatch):
+    # Halve the rejection limit, so that about half the first (p, q) words
+    # are refused and the bulk draw must redraw them one by one.
+    real = construct_mod._uniform_limit
+    monkeypatch.setattr(construct_mod, "_uniform_limit", lambda n: real(n) // 2)
+    ctx, tape = CTX10, RandomTape(13)
+    n = ctx.d * (ctx.d - 1)
+    words = ctx._codeword_array.tolist()
+    first = [tape._word(construct_mod._TAG_PQ, u, 0) for u in words]
+    assert any(w >= real(n) // 2 for w in first)
+    plan = sample_plan(ctx, SCALED, tape)
+    dirs = ctx.space.directions
+    for u in words:
+        i, j = tape.pair_positions(u, ctx.d)
+        assert plan.pq[u] == (dirs[i], dirs[j])
+    assert plan.pq == _oracle_plan(ctx, SCALED, tape).pq
+
+
+def test_tape_words_match_a_freshly_keyed_hash():
+    tape = RandomTape(2**63 + 5)
+    key = tape.seed.to_bytes(8, "big")
+    for tag, vertex, counter in ((0, 0, 0), (1, 255, 0), (1, 256, 3), (2, 2**21 + 1, 7)):
+        msg = bytes([tag]) + counter.to_bytes(4, "big") + vertex.to_bytes(
+            (vertex.bit_length() + 7) // 8 or 1, "big"
+        )
+        fresh = int.from_bytes(blake2b(msg, key=key, digest_size=8).digest(), "big")
+        assert tape._word(tag, vertex, counter) == fresh
+    vertices = [0, 1, 255, 256, 65535, 65536, 2**22 - 1]
+    batch = tape._first_words(1, [construct_mod._vertex_bytes(v) for v in vertices])
+    assert batch.tolist() == [tape._word(1, v, 0) for v in vertices]
+    label = b"fac:3:0"
+    assert tape.derive_seed(label.decode()) == int.from_bytes(
+        blake2b(bytes([3]) + label, key=key, digest_size=8).digest(), "big"
+    )
 
 
 # -- hand-crafted plans -------------------------------------------------------------
