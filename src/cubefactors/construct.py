@@ -42,6 +42,7 @@ from .code import CodeContext, codewords_near
 from .cube import (
     CubeSpace,
     Edge,
+    _binary_values,
     _text_rows,
     check_explicit,
     direction_mask,
@@ -743,68 +744,110 @@ def plan_summary(plan: SwapPlan) -> dict:
 
 
 class _FactorLines:
-    """The writer's layout of a factor line, with its encoder and decoder.
+    """The writer's layout of a factor line, with its writer and decoder.
 
     A line is ``{"factor":x,"edges":[...]}`` with no spaces, and each entry
     is ``["<the d digits of lo>",<label of the edge's axis>]``.  ``decode``
     reads such a line straight from its bytes and accepts it only if
-    ``encode`` gives back exactly those bytes; every other line is left to
-    the json path, which alone reports parse errors.
+    ``pieces`` gives back exactly those bytes; every other line is left to
+    the json path, which alone reports parse errors.  Both work through a
+    line ``CHUNK`` entries at a time, so that their scratch arrays stay
+    small however long the line is.
     """
 
-    def __init__(self, space: CubeSpace):
-        self.d = space.d
-        # Row i holds the label of direction position i, NUL-padded to a
-        # common width; the padding is dropped once the rows are flattened.
-        names = [str(x).encode() for x in space.directions]
-        width = max(map(len, names))
-        labels = np.frombuffer(b"".join(n.ljust(width, b"\0") for n in names), np.uint8)
-        self.labels = labels.reshape(space.d, width)
-        # Direction position of each label read as a decimal number; a
-        # number that is no label maps to 0, which encode then contradicts.
-        self.position = np.zeros(10**width, np.uint32)
-        self.position[list(space.directions)] = np.arange(space.d)
-        self.factor_of = {b'{"factor":%d' % x: x for x in space.directions}
+    CHUNK = 1 << 13
 
-    def encode(self, x: int, lo: np.ndarray, pos: np.ndarray) -> bytes:
-        """Factor x's line listing the edges (lo, direction position pos)."""
-        rows = _text_rows(self.d, [b'["', lo, b'",', self.labels[pos], b"],"]).ravel()
-        return b'{"factor":%d,"edges":[%s]}' % (x, rows[rows != 0][:-1].tobytes())
+    def __init__(self, space: CubeSpace):
+        self.d = d = space.d
+        names = [str(x).encode() for x in space.directions]
+        self.width = width = max(map(len, names))
+        self.label_width = np.array(list(map(len, names)), np.uint8)
+        # Item i joins an entry on direction position i to the next one:
+        # '",<label>],["', NUL-padded to whole 8-byte words so that it is
+        # gathered in one step.  A chunk whose labels differ in width drops
+        # the padding in one pass.
+        size = -(-(6 + width) // 8) * 8
+        self.joiners = np.frombuffer(
+            b"".join((b'",%s],["' % n).ljust(size, b"\0") for n in names), f"V{size}"
+        )
+        # Direction position by the two bytes after an entry's '",' read as
+        # a little-endian number: a two-digit label, or a one-digit label and
+        # its ']'.  Any other pair maps to 0, which the check then
+        # contradicts; so do the longer labels of d >= 64.
+        self.position = np.zeros(1 << 16, np.uint32)
+        self.position[[int.from_bytes((n + b"]")[:2], "little") for n in names]] = np.arange(d)
+        self.factor_of = {b'{"factor":%d' % x: x for x in space.directions}
+        self.digit_span = 8 * ((d + 7) // 8)
+
+    def pieces(self, lo: np.ndarray, pos: np.ndarray) -> Iterator[np.ndarray]:
+        """The entries (lo, direction position pos) joined by commas, that is
+        the bytes between a line's '"edges":[' and its ']}', as uint8 pieces."""
+        # Each row is an entry's digits and the joiner to the next entry, so
+        # the text is '["' and the rows, less the last row's ',["'.
+        if len(lo):
+            yield np.frombuffer(b'["', np.uint8)
+        for at in range(0, len(lo), self.CHUNK):
+            p = pos[at:at + self.CHUNK]
+            widths = self.label_width[p]
+            wide = int(widths.max())
+            joiners = self.joiners[p].view(np.uint8).reshape(len(p), -1)[:, : 6 + wide]
+            text = _text_rows(self.d, [lo[at:at + self.CHUNK], joiners]).ravel()
+            if widths.min() != wide:
+                text = text[text != 0]
+            yield text if at + self.CHUNK < len(lo) else text[:-3]
+
+    def write(self, fh, x: int, lo: np.ndarray, pos: np.ndarray) -> None:
+        """Write factor x's line listing the edges (lo, direction position pos)."""
+        fh.write(b'{"factor":%d,"edges":[' % x)
+        for piece in self.pieces(lo, pos):
+            fh.write(piece)
+        fh.write(b"]}\n")
 
     def decode(self, line: bytes) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
-        """(x, lo, pos) of a line that ``encode`` would write, else None."""
-        head, _, rest = line.partition(b',"edges":[')
-        x = self.factor_of.get(head)
-        if x is None:
+        """(x, lo, pos) of a line, with or without its closing newline, that
+        ``write`` would give, else None."""
+        head = line.find(b',"edges":[', 0, 20 + self.width)
+        x = self.factor_of.get(line[:head]) if head > 0 else None
+        stop = len(line) - line.endswith(b"\n") - 2
+        if x is None or line[stop:stop + 2] != b"]}" or len(line) < self.digit_span:
             return None
-        d, width = self.labels.shape
-        # Zero padding keeps every gather below in range, however the
-        # entries are cut; only what encode reproduces is kept.
-        size = len(rest) - 2
-        body = np.frombuffer(rest[:size] + bytes(d + width + 4), np.uint8)
-        starts = np.flatnonzero(body == ord("["))
-        lo = _shift_or((body[starts + j] for j in range(2, d + 2)), starts.size)
-        # An entry's label runs from after its '",' to its closing ']'.
-        first = starts + d + 4
-        length = np.append(starts, size + 1)[1:] - 2 - first
-        value = np.zeros(starts.size, np.int64)
-        for j in range(width):
-            digit = (body[first + j] - np.uint8(ord("0"))) % 10
-            value = np.where(j < length, 10 * value + digit, value)
-        pos = self.position[value]
-        if self.encode(x, lo, pos) != line:
-            return None
-        return x, lo, pos
+        text = np.frombuffer(line, np.uint8)
+        step = self.CHUNK * (self.d + 8)
+        starts = np.concatenate([np.zeros(0, np.intp)] + [
+            np.flatnonzero(text[at:min(at + step, stop)] == ord("[")) + at
+            for at in range(head + 10, stop, step)
+        ])
+        lo = np.empty(len(starts), np.uint32)
+        pos = np.empty(len(starts), np.uint32)
+        for at in range(0, len(starts), self.CHUNK):
+            lo[at:at + self.CHUNK], pos[at:at + self.CHUNK] = self._entries(
+                line, starts[at:at + self.CHUNK]
+            )
+        cursor = head + 10
+        for piece in self.pieces(lo, pos):
+            if not np.array_equal(piece, text[cursor:cursor + len(piece)]):
+                return None
+            cursor += len(piece)
+        return (x, lo, pos) if cursor == stop else None
+
+    def _entries(self, line: bytes, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, direction position) read from the entries that start at the
+        offsets ``starts`` of line, if they are in the writer's layout."""
+        # The digits of each entry, right-aligned in whole 8-byte words.
+        lo = _binary_values(
+            _windows(line, starts + (2 + self.d - self.digit_span), self.digit_span), self.d
+        )
+        label = _windows(line, starts + (self.d + 4), 2).view("<u2")[:, 0]
+        return lo, self.position[label]
 
 
-def _shift_or(columns: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """The n numbers whose binary digits, most significant first, are the
-    low bits of the successive columns (ASCII "0" and "1" give 0 and 1)."""
-    out = np.zeros(n, np.uint32)
-    for col in columns:
-        out <<= 1
-        out |= col & 1
-    return out
+def _windows(line: bytes, at: np.ndarray, width: int) -> np.ndarray:
+    """(len(at), width) uint8: the width bytes of line from each offset in
+    at, gathered in one step.  A window that would run past the end of the
+    line is read from further back, which a caller checking its result by
+    re-encoding then rejects.  The line must be at least width long."""
+    view = np.ndarray((len(line) - width + 1,), f"V{width}", line, 0, (1,))
+    return view[np.minimum(at, len(line) - width)].view(np.uint8).reshape(len(at), width)
 
 
 def save_factorisation(fac: Factorisation, path: str) -> None:
@@ -828,10 +871,10 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         idx = np.arange(1 << ctx.d, dtype=np.uint32)
         for x in ctx.space.directions:
             pt = fac.table(x)
-            los = np.nonzero(idx < pt)[0]
+            los = np.flatnonzero(idx < pt)
             # frexp's exponent of a positive int is its bit_length.
             pos = np.frexp((los ^ pt[los]).astype(np.float64))[1] - 1
-            fh.write(lines.encode(x, los, pos) + b"\n")
+            lines.write(fh, x, los, pos)
 
 
 @contextmanager
@@ -878,7 +921,10 @@ def _read_edges(space: CubeSpace, edges: list) -> tuple[np.ndarray, np.ndarray]:
             s for s in texts if not isinstance(s, str) or len(s) != d or s.strip("01")
         )
         raise ValueError(f"expected a {d}-digit binary string, got {bad!r}")
-    lo = _shift_or(digits.reshape(n, d).T, n)
+    # Left-padded to whole 8-byte words, as _binary_values reads them.
+    rows = np.zeros((n, 8 * ((d + 7) // 8)), np.uint8)
+    rows[:, rows.shape[1] - d:] = digits.reshape(n, d)
+    lo = _binary_values(rows, d)
     try:
         pos = np.fromiter(map(space.index.__getitem__, labels), np.uint32, count=n)
     except KeyError as exc:
@@ -904,53 +950,64 @@ def _set_edges(space: CubeSpace, t: np.ndarray, x: int, lo: np.ndarray, pos: np.
         )
 
 
+# A line that fits in the read buffer is copied out of it once; a longer
+# one is pieced together from buffer fills and then copied again.
+_READ_BUFFER = 1 << 24
+
+
+def _chomp(line: bytes) -> bytes:
+    """line without the newline that ends it."""
+    return line[:-1] if line.endswith(b"\n") else line
+
+
 def load_factorisation(path: str) -> Factorisation:
-    # Lines end at b"\n" only: str.splitlines would also split inside a
-    # JSON string at U+2028 and shift every later line number.
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
-    if lines == [b""]:
-        raise ValueError("parse error at line 1: empty file")
+    # Read line by line: a binary file's lines end at b"\n" only, whereas
+    # str.splitlines would also split inside a JSON string at U+2028 and
+    # shift every later line number.
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError("parse error at line 1: empty file")
 
-    with _at_line(1):
-        header = _json_object(lines[0])
-        d = header["d"]
-        dirs = tuple(header["X"])
-        kind = header["kind"]
-        mode = header["mode"]
-        seed = header["seed"]
-        raw_params = header["params"]
-        ctx = code_mod.build_context(d)
-        if ctx.space.directions != dirs:
-            raise ValueError("direction set does not match d")
-        params = ConstructionParams.from_dict(raw_params) if raw_params else None
-        tape = RandomTape(seed) if seed is not None else None
-        if mode == "implicit" and (params is None or tape is None):
-            raise ValueError("implicit stub needs params and seed")
+        with _at_line(1):
+            header = _json_object(_chomp(first))
+            d = header["d"]
+            dirs = tuple(header["X"])
+            kind = header["kind"]
+            mode = header["mode"]
+            seed = header["seed"]
+            raw_params = header["params"]
+            ctx = code_mod.build_context(d)
+            if ctx.space.directions != dirs:
+                raise ValueError("direction set does not match d")
+            params = ConstructionParams.from_dict(raw_params) if raw_params else None
+            tape = RandomTape(seed) if seed is not None else None
+            if mode == "implicit" and (params is None or tape is None):
+                raise ValueError("implicit stub needs params and seed")
 
-    if mode == "implicit":
-        return implicit_factorisation(ctx, params, tape)
+        if mode == "implicit":
+            return implicit_factorisation(ctx, params, tape)
 
-    check_explicit(d)
-    space = ctx.space
-    factor_lines = _FactorLines(space)
-    # Every vertex starts as its own partner, so an edge no line lists
-    # shows up as a fixed point.
-    partners = np.empty((d, 1 << d), dtype=np.uint32)
-    partners[:] = np.arange(1 << d, dtype=np.uint32)
-    for n, line in enumerate(lines[1:], start=2):
-        # A blank line, also one ended by "\r\n", is skipped.
-        if not line.rstrip(b"\r"):
-            continue
-        decoded = factor_lines.decode(line)
-        with _at_line(n):
-            if decoded is None:
-                obj = _json_object(line)
-                x = obj["factor"]
-                if space.index.get(x) is None:
-                    raise ValueError(f"unknown factor {x}")
-                lo, pos = _read_edges(space, obj["edges"])
-            else:
-                x, lo, pos = decoded
-            _set_edges(space, partners[space.index[x]], x, lo, pos)
+        check_explicit(d)
+        space = ctx.space
+        factor_lines = _FactorLines(space)
+        # Every vertex starts as its own partner, so an edge no line lists
+        # shows up as a fixed point.
+        partners = np.empty((d, 1 << d), dtype=np.uint32)
+        partners[:] = np.arange(1 << d, dtype=np.uint32)
+        for n, line in enumerate(fh, start=2):
+            # A blank line, also one ended by "\r\n", is skipped.
+            if line[:1] in b"\r\n" and not line.rstrip(b"\r\n"):
+                continue
+            decoded = factor_lines.decode(line)
+            with _at_line(n):
+                if decoded is None:
+                    obj = _json_object(_chomp(line))
+                    x = obj["factor"]
+                    if space.index.get(x) is None:
+                        raise ValueError(f"unknown factor {x}")
+                    lo, pos = _read_edges(space, obj["edges"])
+                else:
+                    x, lo, pos = decoded
+                _set_edges(space, partners[space.index[x]], x, lo, pos)
     return Factorisation(ctx, kind, "explicit", partners, params=params, tape=tape)

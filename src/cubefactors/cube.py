@@ -160,28 +160,72 @@ def vertex_text(space: CubeSpace, u: int) -> str:
     return format(u, f"0{space.d}b")
 
 
+# The eight binary digits of every byte value, as ASCII in text order, one
+# uint64 per value so that a whole byte's digits are gathered in one step.
+_BYTE_DIGITS = (
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + ord("0")
+).view(np.uint64).ravel()
+
+# Multiplying the low bits of eight bytes read as a little-endian word by
+# this gathers them into the top byte, the first byte's bit highest.
+_GATHER_BITS = np.uint64(0x8040201008040201)
+
+
+def _binary_digits(d: int, v: np.ndarray) -> np.ndarray:
+    """(len(v), d) ASCII digits of ``vertex_text`` for every vertex in v."""
+    nb = (d + 7) // 8
+    words = np.empty((len(v), nb), np.uint64)
+    for k in range(nb):
+        words[:, k] = _BYTE_DIGITS[(v >> (8 * (nb - 1 - k))) & 0xFF]
+    return words.view(np.uint8)[:, 8 * nb - d:]
+
+
+def _binary_values(rows: np.ndarray, d: int) -> np.ndarray:
+    """The numbers whose binary digits, most significant first, are the last
+    d columns of each row (ASCII "0" and "1" give 0 and 1; only the low bit
+    of a digit is read).  The rows' width must be a multiple of 8 and at most
+    32; the columns before the digits are ignored."""
+    mask = np.zeros(rows.shape[1], np.uint8)
+    mask[rows.shape[1] - d:] = 1
+    words = rows.view("<u8") & mask.view("<u8")
+    words *= _GATHER_BITS
+    words >>= np.uint64(56)
+    out = np.zeros(len(rows), np.uint32)
+    for column in words.T:
+        out <<= np.uint32(8)
+        out |= column.astype(np.uint32)
+    return out
+
+
+def _items(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 array whose rows are contiguous, as one void
+    item each, so that a copy moves each row in one step."""
+    return a.view(f"V{a.shape[-1]}")[..., 0]
+
+
 def _text_rows(d: int, parts: Sequence[Union[bytes, np.ndarray]]) -> np.ndarray:
     """ASCII rows, one per entry of the vertex arrays among ``parts``.
 
     A bytes part repeats on every row, a 1-D vertex array becomes the d
     digits of ``vertex_text`` and a 2-D uint8 array is copied as it is; the
-    parts are laid side by side in order.  Bulk writers format whole factors
-    with this instead of calling ``vertex_text`` per edge.
+    parts are laid side by side in order, each copied into the rows as one
+    item per row.  Bulk writers format whole factors with this instead of
+    calling ``vertex_text`` per edge.
     """
     n = next(len(p) for p in parts if not isinstance(p, bytes))
-    cols = []
-    for p in parts:
-        if isinstance(p, bytes):
-            cols.append(np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p))))
-        elif p.ndim == 1:
-            digits = np.empty((n, d), np.uint8)
-            for j in range(d):
-                digits[:, j] = (p >> (d - 1 - j)) & 1
-            digits += ord("0")
-            cols.append(digits)
-        else:
-            cols.append(p)
-    return np.concatenate(cols, axis=1)
+    cols = [
+        np.frombuffer(p, np.uint8)[None] if isinstance(p, bytes)
+        else _binary_digits(d, p) if p.ndim == 1
+        else p
+        for p in parts
+    ]
+    rows = np.empty((n, sum(c.shape[1] for c in cols)), np.uint8)
+    at = 0
+    for c in cols:
+        if c.shape[1]:
+            _items(rows[:, at:at + c.shape[1]])[...] = _items(c)
+        at += c.shape[1]
+    return rows
 
 
 def parse_vertex(space: CubeSpace, text: str) -> int:

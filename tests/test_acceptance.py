@@ -10,6 +10,8 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
+
 from cubefactors import cli
 from cubefactors.analyze import (
     bfs_components,
@@ -29,10 +31,16 @@ from cubefactors.construct import (
     build_explicit,
     directional,
     implicit_factorisation,
+    load_factorisation,
     random_greedy_factorisation,
+    save_factorisation,
+    touched_edge_count,
 )
 
 SCALED = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=6)
+# Default parameters perform no swap at any d <= 22; these do at every d
+# from 7 on, so the criteria that use them test the construction itself.
+SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
 
 # minimum nonzero codeword weight per dimension; 4 at d in {4, 8} because
 # the direction set there has no three elements summing to zero
@@ -276,4 +284,78 @@ def test_criterion_10_determinism(tmp_path, capsys):
         "determinism",
         ok,
         f"construct --d 12 --seed 42 twice: byte-identical={same}",
+    )
+
+
+def _swapping(d: int):
+    fac = build_explicit(build_context(d), SWAPPING, RandomTape(1))
+    return fac, touched_edge_count(fac)
+
+
+def test_criterion_11_swapping_validity():
+    t0 = time.perf_counter()
+    failures = []
+    touched = {}
+    for d in range(7, 17):
+        fac, touched[d] = _swapping(d)
+        rep = validate(fac)
+        if not rep.ok or touched[d] == 0:
+            failures.append((d, rep.message, touched[d]))
+    elapsed = time.perf_counter() - t0
+    ok = not failures and elapsed < 60.0
+    _report(
+        11,
+        "swapping validity",
+        ok,
+        f"pg 0.005 rg 6 rh 3 cube_dim 4 at d=7..16 validated in {elapsed:.1f}s, "
+        f"touched edges {touched}, failures={failures}",
+    )
+
+
+def test_criterion_12_swapping_file_round_trip(tmp_path):
+    failures = []
+    for d in range(7, 17):
+        fac, touched = _swapping(d)
+        path = tmp_path / f"fac{d}.jsonl"
+        save_factorisation(fac, str(path))
+        loaded = load_factorisation(str(path))
+        if touched == 0 or not np.array_equal(loaded.partners, fac.partners):
+            failures.append((d, touched))
+    ok = not failures
+    _report(
+        12,
+        "swapping file round trip",
+        ok,
+        f"save then load at d=7..16 gives the built partner array, failures={failures}",
+    )
+
+
+def test_criterion_13_swapping_mode_equivalence():
+    t0 = time.perf_counter()
+    rng = random.Random(1313)
+    failures = []
+    queries = 0
+    for d in range(7, 13):
+        exp, touched = _swapping(d)
+        imp = implicit_factorisation(exp.ctx, SWAPPING, RandomTape(1))
+        idx = np.arange(1 << d, dtype=np.uint32)
+        # every (vertex, factor) slot of a touched edge, then random slots
+        rows, us = np.nonzero(exp.partners != idx ^ (np.uint32(1) << idx[:d, None]))
+        slots = list(zip(us.tolist(), rows.tolist()))
+        slots += [(rng.randrange(1 << d), rng.randrange(d)) for _ in range(256)]
+        for u, i in slots:
+            x = exp.directions[i]
+            if imp.partner(u, x) != int(exp.partners[i, u]):
+                failures.append((d, u, x))
+        queries += len(slots)
+        if touched == 0:
+            failures.append((d, "no touched edge"))
+    elapsed = time.perf_counter() - t0
+    ok = not failures and elapsed < 120.0
+    _report(
+        13,
+        "swapping mode equivalence",
+        ok,
+        f"{queries} partner queries at d=7..12 on every touched edge and 256 "
+        f"random slots per d, {elapsed:.1f}s, failures={failures[:3]}",
     )

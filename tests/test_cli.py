@@ -631,6 +631,21 @@ def test_export_swapping_d10_matches_vertex_text(tmp_path, fmt):
         assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
 
 
+# sha256 of export's output for SWAP_FLAGS over every factor: export shares
+# its row writer with save_factorisation, so a faster writer must keep these.
+GOLDEN_EXPORT = {
+    "edge-list": "7a8b715af42001322c3e752d11a777d0ccb63ab697d9811a7bf44ede4fdba0ff",
+    "dot": "6d826c616e7de4870a4d34f9737d17d3dbbf92384538eb8e8ac485929b5956e3",
+}
+
+
+@pytest.mark.parametrize("fmt", list(GOLDEN_EXPORT))
+def test_export_bytes_are_pinned(tmp_path, fmt):
+    path = tmp_path / f"{fmt}.txt"
+    assert cli.main(["export", *SWAP_FLAGS, "--format", fmt, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORT[fmt]
+
+
 def test_export_dot_guard(capsys):
     rc = cli.main(["export", "--d", "11", "--format", "dot"])
     err = capsys.readouterr().err

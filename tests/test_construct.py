@@ -1,11 +1,15 @@
 import filecmp
 import gc
 import json
+import re
 import weakref
+from functools import lru_cache
 from hashlib import blake2b
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cubefactors.code import adjacent_codeword, build_context, code_size, enumerate_code
 import cubefactors.construct as construct_mod
@@ -945,6 +949,99 @@ def test_corrupted_writer_lines_match_the_json_path(tmp_path, monkeypatch, make,
         assert ours == oracle and oracle.startswith("parse error at line 2: ")
     else:
         assert np.array_equal(ours, oracle)
+
+
+SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
+
+
+@lru_cache(maxsize=None)
+def _saved_lines(d, kind, tmp_dir):
+    """The lines of a saved directional or swapping factorisation at d."""
+    ctx = build_context(d)
+    if kind == "directional":
+        fac = directional(ctx)
+    else:
+        fac = build_explicit(ctx, SWAPPING, RandomTape(1))
+        assert touched_edge_count(fac) > 0
+    path = f"{tmp_dir}/saved-{d}-{kind}.jsonl"
+    save_factorisation(fac, path)
+    with open(path, "rb") as fh:
+        return tuple(fh.read().split(b"\n")[:-1])
+
+
+_ENTRY = re.compile(rb'\["[01]+",\d+\]')
+
+
+@st.composite
+def _mutated(draw, line):
+    """line after 0 to 3 random edits: single bytes replaced, the line cut
+    short, spans deleted, entries duplicated or swapped."""
+    for _ in range(draw(st.integers(0, 3))):
+        n = len(line)
+        at = draw(st.one_of(
+            st.integers(0, min(n, 30)), st.integers(max(n - 30, 0), n), st.integers(0, n)
+        ))
+        entries = [m.span() for m in _ENTRY.finditer(line)]
+        kind = draw(st.sampled_from(["byte", "cut", "delete", "duplicate", "swap"]))
+        if kind == "byte":
+            byte = draw(st.sampled_from(b'01289[]{}",: \x00') | st.integers(0, 255))
+            line = line[:at] + bytes([byte]) + line[at + 1:]
+        elif kind == "cut":
+            line = line[:at]
+        elif kind == "delete":
+            line = line[:at] + line[at + draw(st.integers(1, 40)):]
+        elif entries:
+            (a, b), (c, e) = sorted(draw(st.sampled_from(entries)) for _ in range(2))
+            if kind == "duplicate":
+                line = line[:c] + line[a:b] + b"," + line[c:]
+            elif b <= c:
+                line = line[:a] + line[c:e] + line[b:c] + line[a:b] + line[e:]
+    return line
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([7, 10, 12]),
+    kind=st.sampled_from(["directional", "swapping"]),
+    chunk=st.sampled_from([3, 64, 1 << 13]),
+    data=st.data(),
+)
+def test_decoder_matches_the_json_path_on_mutated_lines(tmp_path_factory, d, kind, chunk, data):
+    # The byte decoder may take a line only if the json path reads the same
+    # edges from it; on every other line the two must agree on the partner
+    # array or on the parse error and its line number.  Small chunks make
+    # the codec's pieces meet inside a line.
+    tmp_dir = tmp_path_factory.getbasetemp()
+    lines = list(_saved_lines(d, kind, tmp_dir))
+    k = data.draw(st.integers(1, len(lines) - 1), label="line")
+    lines[k] = data.draw(_mutated(lines[k]), label="mutated")
+    path = _write_lines(tmp_dir, lines[: k + 1])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(construct_mod._FactorLines, "CHUNK", chunk)
+        taken = construct_mod._FactorLines(build_context(d).space).decode(lines[k])
+        ours = _load_or_error(path)
+        m.setattr(construct_mod._FactorLines, "decode", lambda self, line: None)
+        oracle = _load_or_error(path)
+    if lines[k] == _saved_lines(d, kind, tmp_dir)[k]:
+        assert taken is not None
+    event("decoder took the line" if taken else "decoder left the line")
+    event("load failed" if isinstance(oracle, str) else "load passed")
+    if isinstance(oracle, str):
+        assert ours == oracle
+    else:
+        assert isinstance(ours, np.ndarray) and np.array_equal(ours, oracle)
+
+
+def test_small_chunks_write_the_same_bytes(tmp_path, monkeypatch):
+    fac = build_explicit(CTX10, SWAPPING, RandomTape(1))
+    whole = tmp_path / "whole.jsonl"
+    save_factorisation(fac, str(whole))
+    for chunk in (1, 3, 64):
+        monkeypatch.setattr(construct_mod._FactorLines, "CHUNK", chunk)
+        pieces = tmp_path / f"chunk-{chunk}.jsonl"
+        save_factorisation(fac, str(pieces))
+        assert pieces.read_bytes() == whole.read_bytes()
+        assert np.array_equal(load_factorisation(str(pieces)).partners, fac.partners)
 
 
 def test_lines_end_at_newline_only(tmp_path):
