@@ -950,9 +950,11 @@ def _set_edges(space: CubeSpace, t: np.ndarray, x: int, lo: np.ndarray, pos: np.
         )
 
 
-# A line that fits in the read buffer is copied out of it once; a longer
-# one is pieced together from buffer fills and then copied again.
-_READ_BUFFER = 1 << 24
+# A line that fits in the read buffer (every factor line up to d = 17) is
+# copied out of it once; a longer one is pieced together from buffer fills
+# and then copied again.  Larger buffers were no faster and kept more
+# memory resident.
+_READ_BUFFER = 1 << 21
 
 
 def _chomp(line: bytes) -> bytes:
