@@ -763,12 +763,11 @@ class _FactorLines:
         self.width = width = max(map(len, names))
         self.label_width = np.array(list(map(len, names)), np.uint8)
         # Item i joins an entry on direction position i to the next one:
-        # '",<label>],["', NUL-padded to whole 8-byte words so that it is
-        # gathered in one step.  A chunk whose labels differ in width drops
-        # the padding in one pass.
-        size = -(-(6 + width) // 8) * 8
+        # '",<label>],["', NUL-padded to the widest label.  A chunk whose
+        # labels differ in width drops the padding in one pass.
         self.joiners = np.frombuffer(
-            b"".join((b'",%s],["' % n).ljust(size, b"\0") for n in names), f"V{size}"
+            b"".join((b'",%s],["' % n).ljust(6 + width, b"\0") for n in names),
+            f"V{6 + width}",
         )
         # Direction position by the two bytes after an entry's '",' read as
         # a little-endian number: a two-digit label, or a one-digit label and
@@ -812,6 +811,7 @@ class _FactorLines:
         if x is None or line[stop:stop + 2] != b"]}" or len(line) < self.digit_span:
             return None
         text = np.frombuffer(line, np.uint8)
+        # About a chunk's bytes at a time, so that the mask stays small too.
         step = self.CHUNK * (self.d + 8)
         starts = np.concatenate([np.zeros(0, np.intp)] + [
             np.flatnonzero(text[at:min(at + step, stop)] == ord("[")) + at

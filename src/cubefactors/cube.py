@@ -222,8 +222,7 @@ def _text_rows(d: int, parts: Sequence[Union[bytes, np.ndarray]]) -> np.ndarray:
     rows = np.empty((n, sum(c.shape[1] for c in cols)), np.uint8)
     at = 0
     for c in cols:
-        if c.shape[1]:
-            _items(rows[:, at:at + c.shape[1]])[...] = _items(c)
+        _items(rows[:, at:at + c.shape[1]])[...] = _items(c)
         at += c.shape[1]
     return rows
 
