@@ -751,7 +751,7 @@ class _FactorLines:
     reads such a line straight from its bytes and accepts it only if
     ``pieces`` gives back exactly those bytes; every other line is left to
     the json path, which alone reports parse errors.  Both work through a
-    line ``CHUNK`` entries at a time, so that their scratch arrays stay
+    line ``CHUNK`` entries at a time, so that their temporary arrays stay
     small however long the line is.
     """
 
