@@ -934,10 +934,11 @@ def _load_or_error(path):
         lambda line: line[: line.index(b"[") + 1] + b"]}",
         lambda line: line[:-1],
         lambda line: line + b" ",
+        lambda line: line[:-2] + b"5" + line[-2:],
     ],
     ids=["digit-2", "label-99", "label-123", "label-012", "no-label", "short-text",
          "cut-in-text", "cut-after-text", "two-edges-at-lo", "duplicated-edge", "factor-leading-zero",
-         "unknown-factor", "no-edges", "cut-suffix", "trailing-space"],
+         "unknown-factor", "no-edges", "cut-suffix", "trailing-space", "byte-before-close"],
 )
 @INPUTS_D10
 def test_corrupted_writer_lines_match_the_json_path(tmp_path, monkeypatch, make, corrupt):
@@ -974,18 +975,18 @@ _ENTRY = re.compile(rb'\["[01]+",\d+\]')
 
 @st.composite
 def _mutated(draw, line):
-    """line after 0 to 3 random edits: single bytes replaced, the line cut
-    short, spans deleted, entries duplicated or swapped."""
+    """line after 0 to 3 random edits: single bytes replaced or inserted,
+    the line cut short, spans deleted, entries duplicated or swapped."""
     for _ in range(draw(st.integers(0, 3))):
         n = len(line)
         at = draw(st.one_of(
             st.integers(0, min(n, 30)), st.integers(max(n - 30, 0), n), st.integers(0, n)
         ))
         entries = [m.span() for m in _ENTRY.finditer(line)]
-        kind = draw(st.sampled_from(["byte", "cut", "delete", "duplicate", "swap"]))
-        if kind == "byte":
+        kind = draw(st.sampled_from(["byte", "insert", "cut", "delete", "duplicate", "swap"]))
+        if kind in ("byte", "insert"):
             byte = draw(st.sampled_from(b'01289[]{}",: \x00') | st.integers(0, 255))
-            line = line[:at] + bytes([byte]) + line[at + 1:]
+            line = line[:at] + bytes([byte]) + line[at + (kind == "byte"):]
         elif kind == "cut":
             line = line[:at]
         elif kind == "delete":
