@@ -12,43 +12,27 @@ import time
 
 from cubefactors.analyze import r_scan
 from cubefactors.code import build_context
-from cubefactors.construct import (
-    ConstructionParams,
-    RandomTape,
-    build_explicit,
-    directional,
-    random_greedy_factorisation,
-)
+from cubefactors.construct import KINDS, ConstructionParams, RandomTape, build_factorisation
 
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dims", default="3,4,5,6", help="comma list of d values")
-    ap.add_argument("--kind", default="greedy",
-                    choices=("greedy", "directional", "construction"))
+    ap.add_argument("--kind", default="greedy", choices=KINDS)
     ap.add_argument("--seeds", type=int, default=5, help="seeds per dimension")
     ap.add_argument("--pg", type=float, help="G' sampling probability")
     return ap.parse_args(argv)
 
 
-def build(kind, d, seed, pg):
-    ctx = build_context(d)
-    if kind == "directional":
-        return directional(ctx)
-    if kind == "greedy":
-        return random_greedy_factorisation(ctx, RandomTape(seed))
-    params = ConstructionParams(pg=pg) if pg is not None else ConstructionParams()
-    return build_explicit(ctx, params, RandomTape(seed))
-
-
 def main(argv=None):
     ns = parse_args(argv)
     dims = [int(tok) for tok in ns.dims.split(",") if tok.strip()]
+    params = ConstructionParams(pg=ns.pg) if ns.pg is not None else ConstructionParams()
     print(f"{'kind':<13} {'d':>3} {'seed':>5} {'r':>3} {'seconds':>9}")
     for d in dims:
         seeds = range(ns.seeds) if ns.kind != "directional" else [0]
         for seed in seeds:
-            fac = build(ns.kind, d, seed, ns.pg)
+            fac = build_factorisation(build_context(d), ns.kind, params, RandomTape(seed))
             t0 = time.perf_counter()
             r, _ = r_scan(fac)
             elapsed = time.perf_counter() - t0

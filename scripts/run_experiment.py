@@ -13,13 +13,13 @@ import sys
 from pathlib import Path
 
 from cubefactors.cli import main as cli_main
+from cubefactors.construct import KINDS
 
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dims", default="10,12,14", help="comma list of d values")
-    ap.add_argument("--kind", default="construction",
-                    choices=("construction", "greedy", "directional"))
+    ap.add_argument("--kind", default="construction", choices=KINDS)
     ap.add_argument("--seeds", type=int, default=5, help="factorisations per d")
     ap.add_argument("--samples", type=int, default=200, help="chains per seed")
     ap.add_argument("--seed", type=int, default=0, help="master seed")

@@ -24,17 +24,16 @@ import numpy as np
 from . import analyze as an
 from .code import build_context
 from .construct import (
+    KINDS,
     ConstructionParams,
     Factorisation,
     OverlapError,
     RandomTape,
     apply_explicit,
-    build_explicit,
-    directional,
+    build_factorisation,
     implicit_factorisation,
     load_factorisation,
     plan_summary,
-    random_greedy_factorisation,
     sample_plan,
     save_factorisation,
     touched_edge_count,
@@ -124,13 +123,7 @@ def _fac_from_args(ns: argparse.Namespace) -> Factorisation:
     d = _require_d(ns)
     ctx = build_context(d)
     kind = getattr(ns, "kind", None) or "directional"
-    if kind == "directional":
-        return directional(ctx)
-    if kind == "construction":
-        return build_explicit(ctx, _params_from(ns), RandomTape(_seed(ns)))
-    if kind == "greedy":
-        return random_greedy_factorisation(ctx, RandomTape(_seed(ns)))
-    raise UsageError(f"unknown kind: {kind}")
+    return build_factorisation(ctx, kind, _params_from(ns), RandomTape(_seed(ns)))
 
 
 def _subset(ns: argparse.Namespace, fac: Factorisation) -> tuple[int, ...]:
@@ -352,12 +345,8 @@ def _experiment_fac(
     """
     for k in range(EXPERIMENT_DRAWS):
         fac_seed = master.derive_seed(f"fac:{i}" if k == 0 else f"fac:{i}:{k}")
-        if kind == "directional":
-            return directional(ctx), fac_seed
-        if kind == "greedy":
-            return random_greedy_factorisation(ctx, RandomTape(fac_seed)), fac_seed
         try:
-            return build_explicit(ctx, params, RandomTape(fac_seed)), fac_seed
+            return build_factorisation(ctx, kind, params, RandomTape(fac_seed)), fac_seed
         except OverlapError:
             refused.append({"index": i, "seed": fac_seed})
     mine = [entry["seed"] for entry in refused if entry["index"] == i]
@@ -371,7 +360,7 @@ def cmd_experiment(ns: argparse.Namespace) -> int:
     d = _require_d(ns)
     seed = _seed(ns)
     kind = getattr(ns, "kind", None) or "construction"
-    if kind not in ("construction", "greedy", "directional"):
+    if kind not in KINDS:
         raise UsageError(f"unknown kind: {kind}")
     n_seeds = 5 if ns.seeds is None else int(ns.seeds)
     samples = 200 if ns.samples is None else int(ns.samples)
@@ -458,7 +447,7 @@ def _add_fac_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", help="read factorisation from file")
     p.add_argument(
         "--kind",
-        choices=("directional", "construction", "greedy"),
+        choices=KINDS,
         help="factorisation kind when building from --d (default directional)",
     )
 
@@ -499,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="connectivity fraction sweep over r")
     _add_common(p, params=True)
-    p.add_argument("--kind", choices=("construction", "greedy", "directional"))
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--seeds", type=int, help="number of factorisations (default 5)")
     p.add_argument("--samples", type=int, help="subset chains per seed (default 200)")
     p.set_defaults(func=cmd_experiment)

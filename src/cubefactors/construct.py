@@ -61,6 +61,8 @@ __all__ = [
     "sample_plan",
     "apply_explicit",
     "build_explicit",
+    "KINDS",
+    "build_factorisation",
     "implicit_factorisation",
     "random_greedy_factorisation",
     "touched_edge_count",
@@ -713,6 +715,27 @@ def _random_perfect_matching(
     return pair
 
 
+# Factorisation kinds the front ends can build, in the order they list them.
+KINDS = ("directional", "construction", "greedy")
+
+
+def build_factorisation(
+    ctx: CodeContext, kind: str, params: ConstructionParams, tape: RandomTape
+) -> Factorisation:
+    """Explicit factorisation of the named kind.
+
+    ``params`` is read by the construction only and ``tape`` by the
+    construction and greedy; only the construction can raise OverlapError.
+    """
+    if kind == "directional":
+        return directional(ctx)
+    if kind == "construction":
+        return build_explicit(ctx, params, tape)
+    if kind == "greedy":
+        return random_greedy_factorisation(ctx, tape)
+    raise ValueError(f"unknown kind: {kind}")
+
+
 def touched_edge_count(fac: Factorisation) -> int:
     """Edges whose factor differs from their direction (explicit mode)."""
     # Row by row, so no second (d, 2^d) array is built.
@@ -973,10 +996,16 @@ def load_factorisation(path: str) -> Factorisation:
 
         with _at_line(1):
             header = _json_object(_chomp(first))
+            if header["type"] != "factorisation":
+                raise ValueError(f"type {header['type']!r} is not 'factorisation'")
+            if header["version"] != 1:
+                raise ValueError(f"unsupported version {header['version']!r}")
             d = header["d"]
             dirs = tuple(header["X"])
             kind = header["kind"]
             mode = header["mode"]
+            if mode not in ("explicit", "implicit"):
+                raise ValueError(f"unknown mode {mode!r}")
             seed = header["seed"]
             raw_params = header["params"]
             ctx = code_mod.build_context(d)

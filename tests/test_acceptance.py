@@ -359,3 +359,37 @@ def test_criterion_13_swapping_mode_equivalence():
         f"{queries} partner queries at d=7..12 on every touched edge and 256 "
         f"random slots per d, {elapsed:.1f}s, failures={failures[:3]}",
     )
+
+
+def test_criterion_14_swapping_mode_equivalence_large_d():
+    t0 = time.perf_counter()
+    rng = random.Random(1414)
+    failures = []
+    queries = 0
+    touched = {}
+    for d in range(14, 19):
+        exp, touched[d] = _swapping(d)
+        imp = implicit_factorisation(exp.ctx, SWAPPING, RandomTape(1))
+        idx = np.arange(1 << d, dtype=np.uint32)
+        # a seeded sample of the touched (vertex, factor) slots, then random slots
+        rows, us = np.nonzero(exp.partners != idx ^ (np.uint32(1) << idx[:d, None]))
+        moved = list(zip(us.tolist(), rows.tolist()))
+        slots = rng.sample(moved, min(512, len(moved)))
+        slots += [(rng.randrange(1 << d), rng.randrange(d)) for _ in range(256)]
+        for u, i in slots:
+            x = exp.directions[i]
+            if imp.partner(u, x) != int(exp.partners[i, u]):
+                failures.append((d, u, x))
+        queries += len(slots)
+        if touched[d] == 0:
+            failures.append((d, "no touched edge"))
+    elapsed = time.perf_counter() - t0
+    ok = not failures and elapsed < 120.0
+    _report(
+        14,
+        "swapping mode equivalence at large d",
+        ok,
+        f"{queries} partner queries at d=14..18 on 512 sampled touched slots and "
+        f"256 random slots per d, touched edges {touched}, {elapsed:.1f}s, "
+        f"failures={failures[:3]}",
+    )

@@ -271,6 +271,23 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     assert "parse error at line 1" in err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("type", "report"), ("version", 7), ("mode", "banana")]
+)
+def test_verify_refuses_a_bad_header_field(tmp_path, capsys, field, value):
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", "--d", "8", "--out", str(path)]) == 0
+    capsys.readouterr()
+    head, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[field] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    rc = cli.main(["verify", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "parse error at line 1" in err and repr(value) in err
+
+
 def _set_first_edge(value):
     def mutate(obj):
         obj["edges"][0] = value(obj["edges"][0])
@@ -464,6 +481,66 @@ def test_analyze_unknown_op_is_rejected_by_parser(capsys):
     capsys.readouterr()
 
 
+# sha256 of these analyze --out files as the two-elimination decompose wrote
+# them: tf and code-cubes read every coset label, so a change to the
+# direction-subset algebra that moved one label would change these bytes.
+GOLDEN_ANALYZE = {
+    "directional-d9": (
+        ["--d", "9", "--factors", "8,13,14"],
+        {
+            "tf": "5b421bbb6b0308313cdc8c11d5614b598316462470cde8093f69fcf29ec865f8",
+            "code-cubes": "d5f5c86cc235e3376d16c4356812b03e651c54ff5c46a77557549c9705543639",
+            "decomposition": "fac9cac1a5c13572e6492fc5afb4ea93dc1ac2247300a67a14c20f14c5d579e0",
+        },
+    ),
+    "directional-d10": (
+        ["--d", "10", "--factors", "3,5,13"],
+        {
+            "tf": "513a8645a65aabad5cfb4e2d88cf2edbb653a586b37a4e508dad6da4d691100a",
+            "code-cubes": "09a1586bc43b1dd43050e08788acac009d8a7864b8bf4aa6d29847c317b835d3",
+            "decomposition": "54254dbae2eee280003ca83b3cd3184804f7e5402172774bdf4aeaf1244461e1",
+        },
+    ),
+    "directional-d12": (
+        ["--d", "12", "--factors", "6,9"],
+        {
+            "tf": "e6193cd7b58ee969a01914c1b2f54d26e7811076f56dfb7eef58715d7c1bd105",
+            "code-cubes": "e224453eccea5c6c62381c1b1cba231d98bce9851ce35d5ec3b03bc1aef6bf1e",
+            "decomposition": "813172ebe0f926c3fcc90d26ef6bfb3c9bcd6af484afda1952124e452b993c47",
+        },
+    ),
+    "swapping-d10": (
+        ["--kind", "construction", "--d", "10", "--seed", "13", "--pg", "0.05", "--rg", "6",
+         "--rh", "4", "--cube-dim", "6", "--factors", "2,5,7"],
+        {
+            "tf": "bfe5f62fde941958dc6acc479ec6d02b5bcc2a085fd10a2c874d492b850d7a09",
+            "code-cubes": "ce809c8299230720bdf321d84662841c7dc3896586749a7a3530f32e048c345f",
+            "decomposition": "28c9b1aede1325ce189099ce3a77d07ac8460731c9d47eadaed317263a30009f",
+        },
+    ),
+    "swapping-d10-wide": (
+        ["--kind", "construction", "--d", "10", "--seed", "13", "--pg", "0.05", "--rg", "6",
+         "--rh", "4", "--cube-dim", "6", "--factors", "1,2,3,4,5,7"],
+        {
+            "tf": "b2ea63374fca0f288585ee3e2469931b9263833890bea2e4ff1b80ccfd42d174",
+            "code-cubes": "37647d82759995c3881519326bcec899d536d3ea9b38ee6436f9b4396f05394f",
+            "decomposition": "3b2e9ecd1bf80f7addd82847a796ea8c7bf5ab2a75c46fc33620c0fb82f01c2e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, op", [(name, op) for name, (_, ops) in GOLDEN_ANALYZE.items() for op in ops]
+)
+def test_analyze_out_bytes_are_pinned(tmp_path, capsys, name, op):
+    args, digests = GOLDEN_ANALYZE[name]
+    path = tmp_path / "report.json"
+    assert cli.main(["analyze", *args, "--op", op, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[op]
+
+
 # -- rmin ---------------------------------------------------------------------------
 
 
@@ -539,7 +616,7 @@ def test_experiment_gives_up_after_every_draw_is_refused(monkeypatch, capsys):
     def refuse(ctx, params, tape):
         raise OverlapError("overlapping swap regions")
 
-    monkeypatch.setattr(cli, "build_explicit", refuse)
+    monkeypatch.setattr(construct_mod, "build_explicit", refuse)
     rc = cli.main(["experiment", "--d", "7", "--seeds", "2", "--samples", "2"])
     err = capsys.readouterr().err
     assert rc == 1
@@ -684,6 +761,15 @@ def test_config_errors(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert cli.main(["analyze", "--config", str(bad), "--d", "3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["analyze", "rmin", "export", "experiment"])
+def test_unknown_kind_from_a_config_file(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 7, "kind": "banana"}))
+    rc = cli.main([command, "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown kind: banana\n"
 
 
 def test_missing_d_is_usage_error(capsys):

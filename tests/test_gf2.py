@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -137,3 +139,56 @@ def test_label_count_is_two_to_k_minus_ell(k, raw):
     dec = decompose(span_basis(vecs, k))
     labels = {dec.coset_label(x) for x in range(1 << k)}
     assert len(labels) == 1 << (k - dec.ell)
+
+
+# sha256 of (complement basis, every coset label) for seeded subspaces, as the
+# two-elimination decompose computed them; tf's parity signatures are built
+# from these labels.
+GOLDEN_LABELS = "b508fd8495e82be3bf896e8b492a5fd30b366d813f1b86dc64b7a66d61269c10"
+
+
+def test_complements_and_labels_are_pinned():
+    rng = random.Random(12)
+    rows = []
+    for _ in range(400):
+        k = rng.randrange(1, 9)
+        vecs = [rng.randrange(1 << k) for _ in range(rng.randrange(0, k + 2))]
+        dec = decompose(span_basis(vecs, k))
+        rows.append([list(dec.complement.basis), [dec.coset_label(x) for x in range(1 << k)]])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == GOLDEN_LABELS
+
+
+def _greedy_unit_extension(sub):
+    """Unit vectors, lowest index first, each kept when it enlarges the span."""
+    vecs = list(sub.basis)
+    chosen = []
+    for i in range(sub.width):
+        if not span_basis(vecs, sub.width).contains(1 << i):
+            vecs.append(1 << i)
+            chosen.append(1 << i)
+    return tuple(chosen)
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.integers(min_value=0, max_value=255), max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_complement_is_the_greedy_unit_extension(k, raw):
+    vecs = [v & ((1 << k) - 1) for v in raw]
+    dec = decompose(span_basis(vecs, k))
+    assert dec.complement.basis == _greedy_unit_extension(dec.subspace)
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.integers(min_value=0, max_value=255), max_size=6),
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0, max_value=255),
+)
+@settings(max_examples=100, deadline=None)
+def test_coset_label_is_linear(k, raw, x, y):
+    mask = (1 << k) - 1
+    dec = decompose(span_basis([v & mask for v in raw], k))
+    x, y = x & mask, y & mask
+    assert dec.coset_label(x ^ y) == dec.coset_label(x) ^ dec.coset_label(y)
