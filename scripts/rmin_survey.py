@@ -12,7 +12,13 @@ import time
 
 from cubefactors.analyze import r_scan
 from cubefactors.code import build_context
-from cubefactors.construct import KINDS, ConstructionParams, RandomTape, build_factorisation
+from cubefactors.construct import (
+    KINDS,
+    ConstructionParams,
+    OverlapError,
+    RandomTape,
+    build_factorisation,
+)
 
 
 def parse_args(argv):
@@ -25,7 +31,20 @@ def parse_args(argv):
 
 
 def main(argv=None):
+    """Run the survey; like the CLI, exit 2 on a ValueError and 1 on an
+    OverlapError, with the message on stderr."""
     ns = parse_args(argv)
+    try:
+        return survey(ns)
+    except OverlapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def survey(ns):
     dims = [int(tok) for tok in ns.dims.split(",") if tok.strip()]
     params = ConstructionParams(pg=ns.pg) if ns.pg is not None else ConstructionParams()
     print(f"{'kind':<13} {'d':>3} {'seed':>5} {'r':>3} {'seconds':>9}")

@@ -43,7 +43,6 @@ from .cube import (
     CubeSpace,
     Edge,
     _binary_values,
-    _text_rows,
     check_explicit,
     direction_mask,
     explicit_cap,
@@ -763,121 +762,16 @@ def plan_summary(plan: SwapPlan) -> dict:
 # -- file format -------------------------------------------------------------
 #
 # JSON lines.  Line 1 is a header; explicit factorisations follow with one
-# line per factor listing canonical edges as [lo_text, direction].
-
-
-class _FactorLines:
-    """The writer's layout of a factor line, with its writer and decoder.
-
-    A line is ``{"factor":x,"edges":[...]}`` with no spaces, and each entry
-    is ``["<the d digits of lo>",<label of the edge's axis>]``.  ``decode``
-    reads such a line straight from its bytes and accepts it only if
-    ``pieces`` gives back exactly those bytes; every other line is left to
-    the json path, which alone reports parse errors.  Both work through a
-    line ``CHUNK`` entries at a time, so that their temporary arrays stay
-    small however long the line is.
-    """
-
-    CHUNK = 1 << 13
-
-    def __init__(self, space: CubeSpace):
-        self.d = d = space.d
-        names = [str(x).encode() for x in space.directions]
-        self.width = width = max(map(len, names))
-        self.label_width = np.array(list(map(len, names)), np.uint8)
-        # Item i joins an entry on direction position i to the next one:
-        # '",<label>],["', NUL-padded to the widest label.  A chunk whose
-        # labels differ in width drops the padding in one pass.
-        self.joiners = np.frombuffer(
-            b"".join((b'",%s],["' % n).ljust(6 + width, b"\0") for n in names),
-            f"V{6 + width}",
-        )
-        # Direction position by the two bytes after an entry's '",' read as
-        # a little-endian number: a two-digit label, or a one-digit label and
-        # its ']'.  Any other pair maps to 0, which the check then
-        # contradicts; so do the longer labels of d >= 64.
-        self.position = np.zeros(1 << 16, np.uint32)
-        self.position[[int.from_bytes((n + b"]")[:2], "little") for n in names]] = np.arange(d)
-        self.factor_of = {b'{"factor":%d' % x: x for x in space.directions}
-        self.digit_span = 8 * ((d + 7) // 8)
-
-    def pieces(self, lo: np.ndarray, pos: np.ndarray) -> Iterator[np.ndarray]:
-        """The entries (lo, direction position pos) joined by commas, that is
-        the bytes between a line's '"edges":[' and its ']}', as uint8 pieces."""
-        # Each row is an entry's digits and the joiner to the next entry, so
-        # the text is '["' and the rows, less the last row's ',["'.
-        if len(lo):
-            yield np.frombuffer(b'["', np.uint8)
-        for at in range(0, len(lo), self.CHUNK):
-            p = pos[at:at + self.CHUNK]
-            widths = self.label_width[p]
-            wide = int(widths.max())
-            joiners = self.joiners[p].view(np.uint8).reshape(len(p), -1)[:, : 6 + wide]
-            text = _text_rows(self.d, [lo[at:at + self.CHUNK], joiners]).ravel()
-            if widths.min() != wide:
-                text = text[text != 0]
-            yield text if at + self.CHUNK < len(lo) else text[:-3]
-
-    def write(self, fh, x: int, lo: np.ndarray, pos: np.ndarray) -> None:
-        """Write factor x's line listing the edges (lo, direction position pos)."""
-        fh.write(b'{"factor":%d,"edges":[' % x)
-        for piece in self.pieces(lo, pos):
-            fh.write(piece)
-        fh.write(b"]}\n")
-
-    def decode(self, line: bytes) -> Optional[tuple[int, np.ndarray, np.ndarray]]:
-        """(x, lo, pos) of a line, with or without its closing newline, that
-        ``write`` would give, else None."""
-        head = line.find(b',"edges":[', 0, 20 + self.width)
-        x = self.factor_of.get(line[:head]) if head > 0 else None
-        stop = len(line) - line.endswith(b"\n") - 2
-        if x is None or line[stop:stop + 2] != b"]}" or len(line) < self.digit_span:
-            return None
-        text = np.frombuffer(line, np.uint8)
-        # About a chunk's bytes at a time, so that the mask stays small too.
-        step = self.CHUNK * (self.d + 8)
-        starts = np.concatenate([np.zeros(0, np.intp)] + [
-            np.flatnonzero(text[at:min(at + step, stop)] == ord("[")) + at
-            for at in range(head + 10, stop, step)
-        ])
-        lo = np.empty(len(starts), np.uint32)
-        pos = np.empty(len(starts), np.uint32)
-        for at in range(0, len(starts), self.CHUNK):
-            lo[at:at + self.CHUNK], pos[at:at + self.CHUNK] = self._entries(
-                line, starts[at:at + self.CHUNK]
-            )
-        cursor = head + 10
-        for piece in self.pieces(lo, pos):
-            if not np.array_equal(piece, text[cursor:cursor + len(piece)]):
-                return None
-            cursor += len(piece)
-        return (x, lo, pos) if cursor == stop else None
-
-    def _entries(self, line: bytes, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, direction position) read from the entries that start at the
-        offsets ``starts`` of line, if they are in the writer's layout."""
-        # The digits of each entry, right-aligned in whole 8-byte words.
-        lo = _binary_values(
-            _windows(line, starts + (2 + self.d - self.digit_span), self.digit_span), self.d
-        )
-        label = _windows(line, starts + (self.d + 4), 2).view("<u2")[:, 0]
-        return lo, self.position[label]
-
-
-def _windows(line: bytes, at: np.ndarray, width: int) -> np.ndarray:
-    """(len(at), width) uint8: the width bytes of line from each offset in
-    at, gathered in one step.  A window that would run past the end of the
-    line is read from further back, which a caller checking its result by
-    re-encoding then rejects.  The line must be at least width long."""
-    view = np.ndarray((len(line) - width + 1,), f"V{width}", line, 0, (1,))
-    return view[np.minimum(at, len(line) - width)].view(np.uint8).reshape(len(at), width)
+# line per factor, in direction order, listing canonical edges as
+# [lo_text, direction].  A version-2 line lists only the factor's edges off
+# its own axis; a version-1 line listed every edge of the factor.
 
 
 def save_factorisation(fac: Factorisation, path: str) -> None:
     ctx = fac.ctx
     header = {
         "type": "factorisation",
-        "version": 1,
+        "version": 2,
         "d": ctx.d,
         "k": ctx.k,
         "X": list(ctx.space.directions),
@@ -886,18 +780,19 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         "seed": fac.seed,
         "params": fac.params.as_dict(ctx.d) if fac.params is not None else None,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         if fac.mode != "explicit":
             return
-        lines = _FactorLines(ctx.space)
+        labels = np.array(ctx.space.directions)
         idx = np.arange(1 << ctx.d, dtype=np.uint32)
-        for x in ctx.space.directions:
-            pt = fac.table(x)
-            los = np.flatnonzero(idx < pt)
+        for i, (x, pt) in enumerate(zip(ctx.space.directions, fac.partners)):
+            diff = idx ^ pt
+            los = np.flatnonzero((idx < pt) & (diff != np.uint32(1 << i)))
             # frexp's exponent of a positive int is its bit_length.
-            pos = np.frexp((los ^ pt[los]).astype(np.float64))[1] - 1
-            lines.write(fh, x, los, pos)
+            axes = labels[np.frexp(diff[los].astype(np.float64))[1] - 1]
+            edges = [[format(lo, f"0{ctx.d}b"), a] for lo, a in zip(los.tolist(), axes.tolist())]
+            fh.write(json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n")
 
 
 @contextmanager
@@ -973,13 +868,6 @@ def _set_edges(space: CubeSpace, t: np.ndarray, x: int, lo: np.ndarray, pos: np.
         )
 
 
-# A line that fits in the read buffer (every factor line up to d = 17) is
-# copied out of it once; a longer one is pieced together from buffer fills
-# and then copied again.  Larger buffers were no faster and kept more
-# memory resident.
-_READ_BUFFER = 1 << 21
-
-
 def _chomp(line: bytes) -> bytes:
     """line without the newline that ends it."""
     return line[:-1] if line.endswith(b"\n") else line
@@ -989,7 +877,7 @@ def load_factorisation(path: str) -> Factorisation:
     # Read line by line: a binary file's lines end at b"\n" only, whereas
     # str.splitlines would also split inside a JSON string at U+2028 and
     # shift every later line number.
-    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+    with open(path, "rb") as fh:
         first = fh.readline()
         if not first:
             raise ValueError("parse error at line 1: empty file")
@@ -998,8 +886,9 @@ def load_factorisation(path: str) -> Factorisation:
             header = _json_object(_chomp(first))
             if header["type"] != "factorisation":
                 raise ValueError(f"type {header['type']!r} is not 'factorisation'")
-            if header["version"] != 1:
-                raise ValueError(f"unsupported version {header['version']!r}")
+            version = header["version"]
+            if version not in (1, 2):
+                raise ValueError(f"unsupported version {version!r}")
             d = header["d"]
             dirs = tuple(header["X"])
             kind = header["kind"]
@@ -1021,24 +910,35 @@ def load_factorisation(path: str) -> Factorisation:
 
         check_explicit(d)
         space = ctx.space
-        factor_lines = _FactorLines(space)
-        # Every vertex starts as its own partner, so an edge no line lists
-        # shows up as a fixed point.
-        partners = np.empty((d, 1 << d), dtype=np.uint32)
-        partners[:] = np.arange(1 << d, dtype=np.uint32)
+        if version == 2:
+            # Listed edges overwrite the directional baseline.
+            partners = _directional_partners(d)
+        else:
+            # Every vertex starts as its own partner, so an edge no line lists
+            # shows up as a fixed point.
+            partners = np.empty((d, 1 << d), dtype=np.uint32)
+            partners[:] = np.arange(1 << d, dtype=np.uint32)
+        # A version-2 file names every factor once: a missing line would
+        # otherwise read as a factor with no moved edge.
+        line_of: dict[int, int] = {}
+        n = 1
         for n, line in enumerate(fh, start=2):
             # A blank line, also one ended by "\r\n", is skipped.
             if line[:1] in b"\r\n" and not line.rstrip(b"\r\n"):
                 continue
-            decoded = factor_lines.decode(line)
             with _at_line(n):
-                if decoded is None:
-                    obj = _json_object(_chomp(line))
-                    x = obj["factor"]
-                    if space.index.get(x) is None:
-                        raise ValueError(f"unknown factor {x}")
-                    lo, pos = _read_edges(space, obj["edges"])
-                else:
-                    x, lo, pos = decoded
+                obj = _json_object(_chomp(line))
+                x = obj["factor"]
+                if space.index.get(x) is None:
+                    raise ValueError(f"unknown factor {x}")
+                if version == 2 and x in line_of:
+                    raise ValueError(f"factor {x} is listed again (first at line {line_of[x]})")
+                line_of[x] = n
+                lo, pos = _read_edges(space, obj["edges"])
                 _set_edges(space, partners[space.index[x]], x, lo, pos)
+        if version == 2 and len(line_of) < d:
+            x = next(x for x in space.directions if x not in line_of)
+            raise ValueError(
+                f"parse error at line {n + 1}: the file ends with no line for factor {x}"
+            )
     return Factorisation(ctx, kind, "explicit", partners, params=params, tape=tape)

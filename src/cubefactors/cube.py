@@ -206,17 +206,14 @@ def _items(a: np.ndarray) -> np.ndarray:
 def _text_rows(d: int, parts: Sequence[Union[bytes, np.ndarray]]) -> np.ndarray:
     """ASCII rows, one per entry of the vertex arrays among ``parts``.
 
-    A bytes part repeats on every row, a 1-D vertex array becomes the d
-    digits of ``vertex_text`` and a 2-D uint8 array is copied as it is; the
-    parts are laid side by side in order, each copied into the rows as one
-    item per row.  Bulk writers format whole factors with this instead of
-    calling ``vertex_text`` per edge.
+    A bytes part repeats on every row and a vertex array becomes the d
+    digits of ``vertex_text``; the parts are laid side by side in order,
+    each copied into the rows as one item per row.  ``export`` formats whole
+    factors with this instead of calling ``vertex_text`` per edge.
     """
     n = next(len(p) for p in parts if not isinstance(p, bytes))
     cols = [
-        np.frombuffer(p, np.uint8)[None] if isinstance(p, bytes)
-        else _binary_digits(d, p) if p.ndim == 1
-        else p
+        np.frombuffer(p, np.uint8)[None] if isinstance(p, bytes) else _binary_digits(d, p)
         for p in parts
     ]
     rows = np.empty((n, sum(c.shape[1] for c in cols)), np.uint8)

@@ -1,0 +1,41 @@
+"""A per-edge writer of factorisation files, kept as an oracle for the tests."""
+
+import json
+
+import numpy as np
+
+from cubefactors.cube import vertex_text
+
+
+def _per_edge_save(fac, path, version=1):
+    """Write fac edge by edge: every edge of each factor in version 1, only
+    the edges off the factor's own axis in version 2."""
+    ctx = fac.ctx
+    header = {
+        "type": "factorisation",
+        "version": version,
+        "d": ctx.d,
+        "k": ctx.k,
+        "X": list(ctx.space.directions),
+        "kind": fac.kind,
+        "mode": fac.mode,
+        "seed": fac.seed,
+        "params": fac.params.as_dict(ctx.d) if fac.params is not None else None,
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        if fac.mode != "explicit":
+            return
+        idx = np.arange(1 << ctx.d, dtype=np.uint32)
+        for x in ctx.space.directions:
+            pt = fac.table(x)
+            los = np.nonzero(idx < pt)[0]
+            diffs = idx[los] ^ pt[los]
+            edges = []
+            for lo, diff in zip(los.tolist(), diffs.tolist()):
+                direction = ctx.space.directions[int(diff).bit_length() - 1]
+                if version == 1 or direction != x:
+                    edges.append([vertex_text(ctx.space, int(lo)), direction])
+            fh.write(
+                json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n"
+            )

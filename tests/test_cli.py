@@ -1,6 +1,9 @@
 import filecmp
 import hashlib
 import json
+import pathlib
+
+import numpy as np
 
 import pytest
 
@@ -17,6 +20,7 @@ from cubefactors.construct import (
     touched_edge_count,
 )
 from cubefactors.cube import parse_vertex, vertex_text
+from factor_files import _per_edge_save
 
 SCALED = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=6)
 
@@ -95,37 +99,77 @@ def test_construct_implicit_stub(tmp_path, capsys):
     assert load_factorisation(str(path)).mode == "implicit"
 
 
-# sha256 of these construct --out files as the per-vertex build wrote them:
-# the determinism contract says the same flags give the same bytes, whatever
-# the implementation of the build.
+# sha256 of these construct --out files, first as the per-vertex build wrote
+# them in version 1 (every edge listed), now written by the per-edge writer;
+# then as construct writes them in version 2 (only the edges off their own
+# axis).  The determinism contract says the same flags give the same bytes,
+# whatever the implementation of the build.
 GOLDEN_CONSTRUCT = {
     "default-d12": (
         ["--d", "12"],
         "98f430df713be01f3b7efb85cb9ead4de85dd21e6f9e3831dcccc415dd0e2b8a",
+        "f01440b80a9602bde44e4c499cac43474b12859f90261781a2d1150adce2ea17",
     ),
     "swapping-d12": (
         ["--d", "12", "--pg", "0.005", "--rg", "6", "--rh", "3", "--cube-dim", "4"],
         "76fb0fc7fbed8f60138b766cffc3df702b1f7cc952c8531be619b6c0e83121c9",
+        "82fa82ae220661c80aa164bb0e10357c2a67368fc4357456bcd7a0ed6ed0e076",
     ),
     "swapping-d16": (
         ["--d", "16", "--pg", "0.005", "--rg", "6", "--rh", "3", "--cube-dim", "4"],
         "4ee5b31ac36d678845b4e2da3ec2c116d10d4b1568fa43d64c4953477106e266",
+        "df5a3d0afbacf2a703651a1707b272aea58005ed25a25dec12c606635353f704",
     ),
     "readme-d10": (
         ["--d", "10", "--seed", "13", "--pg", "0.05", "--rg", "6", "--rh", "4",
          "--cube-dim", "6"],
         "1ce2974be191a25cd7b82587d7d24d78a30693bc4127d997c6feb50a9af9adcf",
+        "db84d8365bce33afdc74d88d92b6b1b7407bff8930e1b55eeabfad1816a96acc",
     ),
 }
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(GOLDEN_CONSTRUCT))
 def test_construct_out_bytes_are_pinned(tmp_path, capsys, name):
-    args, digest = GOLDEN_CONSTRUCT[name]
-    path = tmp_path / "fac.jsonl"
+    args, v1_digest, v2_digest = GOLDEN_CONSTRUCT[name]
+    path, v1 = tmp_path / "fac.jsonl", tmp_path / "v1.jsonl"
     assert cli.main(["construct", *args, "--out", str(path)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert _sha256(path) == v2_digest
+    ns = cli.build_parser().parse_args(["construct", *args])
+    fac = build_explicit(build_context(ns.d), cli._params_from(ns), RandomTape(cli._seed(ns)))
+    _per_edge_save(fac, str(v1))
+    assert _sha256(v1) == v1_digest
+    partners = load_factorisation(str(path)).partners
+    assert np.array_equal(load_factorisation(str(v1)).partners, partners)
+    assert np.array_equal(partners, fac.partners)
+
+
+README_D10 = GOLDEN_CONSTRUCT["readme-d10"][0]
+V1_FIXTURE = pathlib.Path(__file__).parent / "data" / "v1-readme-d10.jsonl"
+
+
+def test_version_1_fixture_still_loads_and_verifies(capsys):
+    # construct --out of the readme-d10 flags as version 1 wrote it
+    assert _sha256(V1_FIXTURE) == GOLDEN_CONSTRUCT["readme-d10"][1]
+    fac = build_explicit(build_context(10), SCALED, RandomTape(13))
+    assert np.array_equal(load_factorisation(str(V1_FIXTURE)).partners, fac.partners)
+    rc, rep = run_json(capsys, "verify", "--in", str(V1_FIXTURE))
+    assert rc == 0 and rep["ok"] is True
+
+
+def test_default_d16_file_lists_no_edge(tmp_path, capsys):
+    path = tmp_path / "fac.jsonl"
+    rc, rep = run_json(capsys, "construct", "--d", "16", "--out", str(path))
+    assert rc == 0 and rep["touched_edges"] == 0
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["version"] == 2
+    dirs = build_context(16).space.directions
+    assert lines[1:] == ['{"factor":%d,"edges":[]}' % x for x in dirs]
 
 
 def test_construct_implicit_keeps_one_construct_timing(monkeypatch, capsys):
@@ -246,9 +290,15 @@ def test_verify_accepts_good_file(tmp_path, capsys):
     assert "timings" not in json.loads(out.read_text())
 
 
+def _construct_v1(path, *args):
+    """construct --out at path, rewritten as a version-1 file listing every edge."""
+    assert cli.main(["construct", *args, "--out", str(path)]) == 0
+    _per_edge_save(load_factorisation(str(path)), str(path))
+
+
 def test_verify_flags_corrupted_file(tmp_path, capsys):
     path = tmp_path / "fac.jsonl"
-    assert cli.main(["construct", "--d", "7", "--out", str(path)]) == 0
+    _construct_v1(path, "--d", "7")
     capsys.readouterr()
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
@@ -312,7 +362,7 @@ def _set_first_edge(value):
 )
 def test_verify_reports_malformed_factor_lines(tmp_path, capsys, mutate, message):
     path = tmp_path / "fac.jsonl"
-    assert cli.main(["construct", "--d", "7", "--out", str(path)]) == 0
+    _construct_v1(path, "--d", "7")
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
     mutate(obj)
@@ -328,7 +378,7 @@ def test_verify_reports_malformed_factor_lines(tmp_path, capsys, mutate, message
 
 def test_verify_rejects_edges_sharing_a_vertex(tmp_path, capsys):
     path = tmp_path / "fac.jsonl"
-    assert cli.main(["construct", "--d", "7", "--out", str(path)]) == 0
+    _construct_v1(path, "--d", "7")
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
     # lo = 0000000 across direction 2 meets the listed edge 0000000-0000001
@@ -339,6 +389,45 @@ def test_verify_rejects_edges_sharing_a_vertex(tmp_path, capsys):
     assert cli.main(["verify", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "parse error at line 2: factor 1 lists two edges at vertex 000000" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:3] + lines[4:],
+         "parse error at line 11: the file ends with no line for factor 3"),
+        (lambda lines: lines[:-1],
+         "parse error at line 11: the file ends with no line for factor 14"),
+        (lambda lines: lines + [lines[2]],
+         "parse error at line 12: factor 2 is listed again (first at line 3)"),
+        (lambda lines: lines[:5] + [lines[2]] + lines[5:],
+         "parse error at line 6: factor 2 is listed again (first at line 3)"),
+    ],
+    ids=["missing-middle", "missing-last", "repeated-at-end", "repeated-inside"],
+)
+def test_verify_needs_one_line_per_factor_in_version_2(tmp_path, capsys, edit, message):
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", *README_D10, "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_flags_a_dropped_edge_in_version_2(tmp_path, capsys):
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", *README_D10, "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    assert obj["edges"]
+    obj["edges"] = obj["edges"][1:]
+    lines[1] = json.dumps(obj, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc, rep = run_json(capsys, "verify", "--in", str(path))
+    assert rc == 1 and rep["ok"] is False
+    parse_vertex(build_context(10).space, rep["violation"]["vertex_text"])
 
 
 def test_verify_requires_infile(capsys):
@@ -708,8 +797,8 @@ def test_export_swapping_d10_matches_vertex_text(tmp_path, fmt):
         assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
 
 
-# sha256 of export's output for SWAP_FLAGS over every factor: export shares
-# its row writer with save_factorisation, so a faster writer must keep these.
+# sha256 of export's output for SWAP_FLAGS over every factor, which a faster
+# row writer must keep.
 GOLDEN_EXPORT = {
     "edge-list": "7a8b715af42001322c3e752d11a777d0ccb63ab697d9811a7bf44ede4fdba0ff",
     "dot": "6d826c616e7de4870a4d34f9737d17d3dbbf92384538eb8e8ac485929b5956e3",

@@ -1,15 +1,11 @@
 import filecmp
 import gc
 import json
-import re
 import weakref
-from functools import lru_cache
 from hashlib import blake2b
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 from cubefactors.code import adjacent_codeword, build_context, code_size, enumerate_code
 import cubefactors.construct as construct_mod
@@ -33,6 +29,7 @@ from cubefactors.construct import (
 )
 from cubefactors.cube import edge_at, hamming_distance, vertex_text
 from cubefactors.analyze import union_components, validate
+from factor_files import _per_edge_save
 
 CTX7 = build_context(7)
 CTX10 = build_context(10)
@@ -675,7 +672,7 @@ def test_save_load_implicit_stub(tmp_path):
 def test_load_reports_line_numbers(tmp_path):
     fac = directional(CTX7)
     path = tmp_path / "fac.jsonl"
-    save_factorisation(fac, str(path))
+    _per_edge_save(fac, str(path))
     lines = path.read_text().splitlines()
     lines[2] = lines[2][:-1]  # truncate one JSON object
     path.write_text("\n".join(lines) + "\n")
@@ -696,7 +693,7 @@ def test_load_rejects_empty_and_bad_header(tmp_path):
 def test_load_missing_edges_fail_validation(tmp_path):
     fac = directional(CTX7)
     path = tmp_path / "fac.jsonl"
-    save_factorisation(fac, str(path))
+    _per_edge_save(fac, str(path))
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
     obj["edges"] = obj["edges"][1:]
@@ -708,62 +705,37 @@ def test_load_missing_edges_fail_validation(tmp_path):
     assert rep.message == "factor has a fixed point"
 
 
-def _per_edge_save(fac, path):
-    """The per-edge writer that save_factorisation replaced, kept as an oracle."""
-    ctx = fac.ctx
-    header = {
-        "type": "factorisation",
-        "version": 1,
-        "d": ctx.d,
-        "k": ctx.k,
-        "X": list(ctx.space.directions),
-        "kind": fac.kind,
-        "mode": fac.mode,
-        "seed": fac.seed,
-        "params": fac.params.as_dict(ctx.d) if fac.params is not None else None,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        if fac.mode != "explicit":
-            return
-        idx = np.arange(1 << ctx.d, dtype=np.uint32)
-        for x in ctx.space.directions:
-            pt = fac.table(x)
-            los = np.nonzero(idx < pt)[0]
-            diffs = idx[los] ^ pt[los]
-            edges = []
-            for lo, diff in zip(los.tolist(), diffs.tolist()):
-                direction = ctx.space.directions[int(diff).bit_length() - 1]
-                edges.append([vertex_text(ctx.space, int(lo)), direction])
-            fh.write(
-                json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n"
-            )
-
-
 @pytest.mark.parametrize(
     "make",
     [
         lambda: directional(CTX7),
         lambda: build_explicit(CTX10, SCALED, RandomTape(13)),
+        lambda: build_explicit(build_context(12), SWAPPING, RandomTape(1)),
         lambda: random_greedy_factorisation(CTX10, RandomTape(5)),
         lambda: implicit_factorisation(CTX10, SCALED, RandomTape(13)),
     ],
-    ids=["directional-d7", "swapping-d10", "greedy-d10", "implicit-stub"],
+    ids=["directional-d7", "swapping-d10", "swapping-d12", "greedy-d10", "implicit-stub"],
 )
 def test_save_matches_per_edge_writer(tmp_path, make):
     fac = make()
     ours, ref = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
     save_factorisation(fac, str(ours))
-    _per_edge_save(fac, str(ref))
+    _per_edge_save(fac, str(ref), version=2)
     assert ours.read_bytes() == ref.read_bytes()
     if fac.mode == "explicit":
         loaded = load_factorisation(str(ours))
         for x in fac.directions:
             assert (loaded.table(x) == fac.table(x)).all()
+        lines = [json.loads(line) for line in ours.read_text().splitlines()[1:]]
+        assert [obj["factor"] for obj in lines] == list(fac.directions)
+        assert sum(len(obj["edges"]) for obj in lines) == touched_edge_count(fac)
+        # a version-1 file of the same factorisation loads to the same array
+        _per_edge_save(fac, str(ref))
+        assert np.array_equal(load_factorisation(str(ref)).partners, loaded.partners)
 
 
 def test_swapping_file_has_two_digit_labels(tmp_path):
-    # the oracle comparison above covers padded label columns only if the
+    # the oracle comparison above covers labels of both widths only if the
     # file mixes one- and two-digit labels and moves edges between factors
     fac = build_explicit(CTX10, SCALED, RandomTape(13))
     assert touched_edge_count(fac) > 0
@@ -776,7 +748,7 @@ def test_swapping_file_has_two_digit_labels(tmp_path):
 def _write_factor_line(tmp_path, edges, factor=1):
     fac = directional(CTX7)
     path = tmp_path / "fac.jsonl"
-    save_factorisation(fac, str(path))
+    _per_edge_save(fac, str(path))
     lines = path.read_text().splitlines()
     for i in range(1, len(lines)):
         if json.loads(lines[i])["factor"] == factor:
@@ -807,7 +779,7 @@ def test_load_accepts_an_edge_listed_twice(tmp_path):
     assert (loaded.table(x) == directional(CTX7).table(x)).all()
 
 
-# -- loader: writer layout decoded from bytes, everything else through json ------
+# -- loader: one json decoder for every layout --------------------------------------
 
 
 def _writer_lines(fac, tmp_path):
@@ -846,23 +818,16 @@ INPUTS_D10 = pytest.mark.parametrize(
 def test_other_json_layouts_load_the_same_partners(tmp_path, make):
     fac = make()
     lines = _writer_lines(fac, tmp_path)
-    factor_lines = construct_mod._FactorLines(CTX10.space)
-    # (lines, line end, whether the byte decoder takes the factor lines)
     variants = {
-        "writer": (lines, b"\n", True),
-        "default-separators": ([lines[0]] + [_relayout(x) for x in lines[1:]], b"\n", False),
-        "sorted-keys": (
-            [lines[0]] + [_relayout(x, sort_keys=True) for x in lines[1:]], b"\n", False
-        ),
-        # the writer's layout in another edge order is still the writer's layout
+        "writer": (lines, b"\n"),
+        "default-separators": ([lines[0]] + [_relayout(x) for x in lines[1:]], b"\n"),
+        "sorted-keys": ([lines[0]] + [_relayout(x, sort_keys=True) for x in lines[1:]], b"\n"),
         "reversed-edges": ([lines[0]] + [
             _relayout(x, reverse=True, separators=(",", ":")) for x in lines[1:]
-        ], b"\n", True),
-        "crlf": (lines, b"\r\n", False),
+        ], b"\n"),
+        "crlf": (lines, b"\r\n"),
     }
-    for name, (body, end, by_bytes) in variants.items():
-        decoded = [factor_lines.decode(x + end[:-1]) is not None for x in body[1:]]
-        assert decoded == [by_bytes] * len(decoded), name
+    for name, (body, end) in variants.items():
         loaded = load_factorisation(_write_lines(tmp_path, body, end))
         assert np.array_equal(loaded.partners, fac.partners), name
 
@@ -903,12 +868,6 @@ def _duplicated(line):
     return line[: end + 1] + b"," + line[start:]
 
 
-def _decoded_by_json_only(monkeypatch, path):
-    with monkeypatch.context() as m:
-        m.setattr(construct_mod._FactorLines, "decode", lambda self, line: None)
-        return _load_or_error(path)
-
-
 def _load_or_error(path):
     try:
         return load_factorisation(path).partners
@@ -916,133 +875,57 @@ def _load_or_error(path):
         return str(exc)
 
 
+# What the json path made of each corrupted first factor line of a version-1
+# file: the parse error at line 2, or JSON for the error json.loads itself
+# gives on the line, or SAME when the file loads to the original partner
+# array, or FIXED when the factor's row is left as fixed points.
+JSON, SAME, FIXED = "json", "same", "fixed"
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, expected",
     [
-        _digit_two,
-        _with_label(b"99"),
-        _with_label(b"123"),
-        _with_label(b"012"),
-        _with_label(b""),
-        lambda line: line.replace(b'["00', b'["', 1),
-        _truncated(2 + 5),
-        _truncated(2 + 10 + 2),
-        _second_edge_at_lo,
-        _duplicated,
-        lambda line: line.replace(b'{"factor":', b'{"factor":0', 1),
-        lambda line: b'{"factor":99' + line[line.index(b","):],
-        lambda line: line[: line.index(b"[") + 1] + b"]}",
-        lambda line: line[:-1],
-        lambda line: line + b" ",
-        lambda line: line[:-2] + b"5" + line[-2:],
+        (_digit_two, "expected a 10-digit binary string, got '0000200000'"),
+        (_with_label(b"99"), "direction 99 not in X"),
+        (_with_label(b"123"), "direction 123 not in X"),
+        (_with_label(b"012"), JSON),
+        (_with_label(b""), JSON),
+        (lambda line: line.replace(b'["00', b'["', 1),
+         "expected a 10-digit binary string, got '00000000'"),
+        (_truncated(2 + 5), JSON),
+        (_truncated(2 + 10 + 2), JSON),
+        (_second_edge_at_lo, "factor 1 lists two edges at vertex 0000000000"),
+        (_duplicated, SAME),
+        (lambda line: line.replace(b'{"factor":', b'{"factor":0', 1), JSON),
+        (lambda line: b'{"factor":99' + line[line.index(b","):], "unknown factor 99"),
+        (lambda line: line[: line.index(b"[") + 1] + b"]}", FIXED),
+        (lambda line: line[:-1], JSON),
+        (lambda line: line + b" ", SAME),
+        (lambda line: line[:-2] + b"5" + line[-2:], JSON),
     ],
     ids=["digit-2", "label-99", "label-123", "label-012", "no-label", "short-text",
          "cut-in-text", "cut-after-text", "two-edges-at-lo", "duplicated-edge", "factor-leading-zero",
          "unknown-factor", "no-edges", "cut-suffix", "trailing-space", "byte-before-close"],
 )
 @INPUTS_D10
-def test_corrupted_writer_lines_match_the_json_path(tmp_path, monkeypatch, make, corrupt):
-    lines = _writer_lines(make(), tmp_path)
+def test_corrupted_writer_lines_match_the_json_path(tmp_path, make, corrupt, expected):
+    fac = make()
+    path = tmp_path / "v1.jsonl"
+    _per_edge_save(fac, str(path))
+    lines = path.read_bytes().split(b"\n")[:-1]
     lines[1] = corrupt(lines[1])
-    path = _write_lines(tmp_path, lines)
-    ours, oracle = _load_or_error(path), _decoded_by_json_only(monkeypatch, path)
-    if isinstance(oracle, str):
-        assert ours == oracle and oracle.startswith("parse error at line 2: ")
+    got = _load_or_error(_write_lines(tmp_path, lines))
+    if expected == JSON:
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(lines[1])
+        expected = str(exc.value)
+    if expected in (SAME, FIXED):
+        want = fac.partners.copy()
+        if expected == FIXED:
+            want[0] = np.arange(1 << 10)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
     else:
-        assert np.array_equal(ours, oracle)
-
-
-SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
-
-
-@lru_cache(maxsize=None)
-def _saved_lines(d, kind, tmp_dir):
-    """The lines of a saved directional or swapping factorisation at d."""
-    ctx = build_context(d)
-    if kind == "directional":
-        fac = directional(ctx)
-    else:
-        fac = build_explicit(ctx, SWAPPING, RandomTape(1))
-        assert touched_edge_count(fac) > 0
-    path = f"{tmp_dir}/saved-{d}-{kind}.jsonl"
-    save_factorisation(fac, path)
-    with open(path, "rb") as fh:
-        return tuple(fh.read().split(b"\n")[:-1])
-
-
-_ENTRY = re.compile(rb'\["[01]+",\d+\]')
-
-
-@st.composite
-def _mutated(draw, line):
-    """line after 0 to 3 random edits: single bytes replaced or inserted,
-    the line cut short, spans deleted, entries duplicated or swapped."""
-    for _ in range(draw(st.integers(0, 3))):
-        n = len(line)
-        at = draw(st.one_of(
-            st.integers(0, min(n, 30)), st.integers(max(n - 30, 0), n), st.integers(0, n)
-        ))
-        entries = [m.span() for m in _ENTRY.finditer(line)]
-        kind = draw(st.sampled_from(["byte", "insert", "cut", "delete", "duplicate", "swap"]))
-        if kind in ("byte", "insert"):
-            byte = draw(st.sampled_from(b'01289[]{}",: \x00') | st.integers(0, 255))
-            line = line[:at] + bytes([byte]) + line[at + (kind == "byte"):]
-        elif kind == "cut":
-            line = line[:at]
-        elif kind == "delete":
-            line = line[:at] + line[at + draw(st.integers(1, 40)):]
-        elif entries:
-            (a, b), (c, e) = sorted(draw(st.sampled_from(entries)) for _ in range(2))
-            if kind == "duplicate":
-                line = line[:c] + line[a:b] + b"," + line[c:]
-            elif b <= c:
-                line = line[:a] + line[c:e] + line[b:c] + line[a:b] + line[e:]
-    return line
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    d=st.sampled_from([7, 10, 12]),
-    kind=st.sampled_from(["directional", "swapping"]),
-    chunk=st.sampled_from([3, 64, 1 << 13]),
-    data=st.data(),
-)
-def test_decoder_matches_the_json_path_on_mutated_lines(tmp_path_factory, d, kind, chunk, data):
-    # The byte decoder may take a line only if the json path reads the same
-    # edges from it; on every other line the two must agree on the partner
-    # array or on the parse error and its line number.  Small chunks make
-    # the codec's pieces meet inside a line.
-    tmp_dir = tmp_path_factory.getbasetemp()
-    lines = list(_saved_lines(d, kind, tmp_dir))
-    k = data.draw(st.integers(1, len(lines) - 1), label="line")
-    lines[k] = data.draw(_mutated(lines[k]), label="mutated")
-    path = _write_lines(tmp_dir, lines[: k + 1])
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(construct_mod._FactorLines, "CHUNK", chunk)
-        taken = construct_mod._FactorLines(build_context(d).space).decode(lines[k])
-        ours = _load_or_error(path)
-        m.setattr(construct_mod._FactorLines, "decode", lambda self, line: None)
-        oracle = _load_or_error(path)
-    if lines[k] == _saved_lines(d, kind, tmp_dir)[k]:
-        assert taken is not None
-    event("decoder took the line" if taken else "decoder left the line")
-    event("load failed" if isinstance(oracle, str) else "load passed")
-    if isinstance(oracle, str):
-        assert ours == oracle
-    else:
-        assert isinstance(ours, np.ndarray) and np.array_equal(ours, oracle)
-
-
-def test_small_chunks_write_the_same_bytes(tmp_path, monkeypatch):
-    fac = build_explicit(CTX10, SWAPPING, RandomTape(1))
-    whole = tmp_path / "whole.jsonl"
-    save_factorisation(fac, str(whole))
-    for chunk in (1, 3, 64):
-        monkeypatch.setattr(construct_mod._FactorLines, "CHUNK", chunk)
-        pieces = tmp_path / f"chunk-{chunk}.jsonl"
-        save_factorisation(fac, str(pieces))
-        assert pieces.read_bytes() == whole.read_bytes()
-        assert np.array_equal(load_factorisation(str(pieces)).partners, fac.partners)
+        assert got == "parse error at line 2: " + expected
 
 
 def test_lines_end_at_newline_only(tmp_path):
