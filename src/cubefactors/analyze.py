@@ -13,11 +13,12 @@ the component roots alone (``_merge``).  Every vertex ends labelled with the
 smallest vertex of its component, and the fold stops at the first connected
 prefix.  Each analysis labels its subset afresh (``_labels``).
 
-Every analysis of factor unions, and ``validate``, reads the whole partner
-array, so it takes an explicit factorisation.  An implicit one is refused by
-``Factorisation.partners``, whose error says how to build its explicit twin:
-build it once and pass it to every analysis.  ``untouched_parallel_paths`` and
-``untouched_path_histogram`` ask only ``partner`` queries and take either mode.
+Every analysis of factor unions reads whole partner rows (``table``) and
+``validate`` the axis array they derive from, so they take an explicit
+factorisation.  An implicit one is refused by ``Factorisation.axes``, whose
+error says how to build its explicit twin: build it once and pass it to every
+analysis.  ``untouched_parallel_paths`` and ``untouched_path_histogram`` ask
+only ``partner`` queries and take either mode.
 """
 
 from __future__ import annotations
@@ -90,34 +91,35 @@ class ValidationReport:
 def validate(fac: Factorisation) -> ValidationReport:
     """Check that the factors are fixed-point-free matchings partitioning all edges.
 
-    One pass over the rows of the partner array.  A row is a perfect matching
-    of the cube exactly when every difference ``pt[u] ^ u`` is a single bit
-    and ``pt`` is an involution; the d rows then partition the edges exactly
-    when no vertex sees the same bit twice.  The first faulty vertex of the
-    first faulty row is reported, its faults checked in the order below.
-    Needs an explicit factorisation: pass an implicit one's explicit twin.
+    One pass over the rows of the axis array.  A row is a perfect matching of
+    the cube exactly when every slot names an axis below d (any other value,
+    such as 255, leaves a fixed point) and ``axes[i, u ^ 2^axes[i, u]] ==
+    axes[i, u]``; the d rows then partition the edges exactly when no vertex
+    sees the same axis twice.  The first faulty vertex of the first faulty
+    row is reported, its faults checked in the order below.  Needs an
+    explicit factorisation: pass an implicit one's explicit twin.
     """
-    partners = fac.partners
+    axes = fac.axes
     idx = np.arange(1 << fac.d, dtype=np.uint32)
     seen = np.zeros_like(idx)
-    for i, pt in enumerate(partners):
-        diff = pt ^ idx
+    for i, row in enumerate(axes):
+        # Masked, so that a slot naming no axis of the cube gathers its own.
+        bit = np.left_shift(1, row, dtype=np.uint32) & np.uint32(idx.size - 1)
         faults = (
-            (diff == 0, "factor has a fixed point"),
-            (pt[pt] != idx, "factor is not an involution"),
-            (diff & (diff - np.uint32(1)) != 0, "partner is not a neighbour"),
-            (seen & diff != 0, None),
+            (row >= fac.d, "factor has a fixed point"),
+            (row.take(idx ^ bit) != row, "factor is not an involution"),
+            (seen & bit != 0, None),
         )
         bad = np.logical_or.reduce([mask for mask, _ in faults])
         if bad.any():
             u = int(bad.argmax())
             message = next(msg for mask, msg in faults if mask[u])
             if message is None:
-                # The edge sits in the first earlier row with the same partner.
-                first = int((partners[:i, u] == pt[u]).argmax())
+                # The edge sits in the first earlier row with the same axis.
+                first = int((axes[:i, u] == row[u]).argmax())
                 message = f"edge already assigned to factor {fac.directions[first]}"
             return ValidationReport(False, u, fac.directions[i], message)
-        seen |= diff
+        seen |= bit
     return ValidationReport(True)
 
 
@@ -199,9 +201,8 @@ def _union(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
     """Minimum-vertex component label of every vertex in the dirs' union.
-    Reads the partner array, so an implicit factorisation is refused."""
-    index = fac.ctx.space.index
-    return _union(fac.partners[index[x]] for x in dirs)[0]
+    Reads whole partner rows, so an implicit factorisation is refused."""
+    return _union(map(fac.table, dirs))[0]
 
 
 def union_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
@@ -363,17 +364,11 @@ def code_intersection(ctx: CodeContext, spec: Iterable[int], cube_id: int) -> in
     mask = direction_mask(ctx.space, dirs)
     if cube_id & mask or cube_id >> ctx.d:
         raise ValueError("cube_id must be zero on the subset's coordinates")
-    count = 0
-    positions = [ctx.space.index[x] for x in dirs]
-    for m in range(1 << len(dirs)):
-        u = cube_id
-        mm = m
-        while mm:
-            low = mm & -mm
-            u |= 1 << positions[low.bit_length() - 1]
-            mm ^= low
-        count += in_code(ctx, u)
-    return count
+    bits = [ctx.space.bit_of(x) for x in dirs]
+    return sum(
+        in_code(ctx, cube_id | sum(b for j, b in enumerate(bits) if m >> j & 1))
+        for m in range(1 << len(bits))
+    )
 
 
 def psi_criterion(ctx: CodeContext, spec: Iterable[int], cube_id: int) -> bool:
@@ -457,8 +452,8 @@ def r_scan(
     for r in range(1, fac.d + 1):
         t0 = time.perf_counter()
         ok = all(
-            _union(fac.partners[i] for i in rows)[1].size == 1
-            for rows in combinations(range(fac.d), r)
+            _union(map(fac.table, dirs))[1].size == 1
+            for dirs in combinations(fac.directions, r)
         )
         timings[r] = time.perf_counter() - t0
         if ok:

@@ -233,9 +233,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if not rep.ok:
         report["violation"] = {
             "vertex": rep.vertex,
-            "vertex_text": None
-            if rep.vertex is None
-            else vertex_text(fac.ctx.space, rep.vertex),
+            "vertex_text": vertex_text(fac.ctx.space, rep.vertex),
             "factor": rep.factor,
             "message": rep.message,
         }

@@ -2,7 +2,7 @@
 
 The starting point is the directional factorisation: factor x holds exactly
 the direction-x edges.  It is then perturbed by two kinds of local swaps,
-driven by a keyed deterministic tape so that the explicit partner array and
+driven by a keyed deterministic tape so that the explicit axis array and
 implicit (query-time) evaluation agree bit for bit:
 
 * every codeword is independently marked G' with probability pg; codewords
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from hashlib import blake2b
 from itertools import chain
@@ -92,6 +92,14 @@ class ConstructionParams:
     conflict_check: bool = True
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, and a float would reach the draws as a count.
+        for name, value in (("rg", self.rg), ("rh", self.rh), ("cube_dim", self.cube_dim)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.pg, bool) or not isinstance(self.pg, (int, float, type(None))):
+            raise ValueError(f"pg must be a number or null, got {self.pg!r}")
+        if not isinstance(self.conflict_check, bool):
+            raise ValueError(f"conflict_check must be true or false, got {self.conflict_check!r}")
         if self.pg is not None and not 0.0 <= self.pg <= 1.0:
             raise ValueError("pg must lie in [0, 1]")
         if not self.rg >= self.rh >= 0:
@@ -106,23 +114,11 @@ class ConstructionParams:
         return int(self.pg_value(d) * float(_WORD_MAX))
 
     def as_dict(self, d: int) -> dict:
-        return {
-            "pg": self.pg_value(d),
-            "rg": self.rg,
-            "rh": self.rh,
-            "cube_dim": self.cube_dim,
-            "conflict_check": self.conflict_check,
-        }
+        return {**asdict(self), "pg": self.pg_value(d)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConstructionParams":
-        return cls(
-            pg=data["pg"],
-            rg=data["rg"],
-            rh=data["rh"],
-            cube_dim=data["cube_dim"],
-            conflict_check=data["conflict_check"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def _vertex_bytes(vertex: int) -> bytes:
@@ -351,11 +347,11 @@ def _vetoed(
 class Factorisation:
     """Assignment of every cube edge to one of d factors, labelled by X.
 
-    Explicit mode holds one read-only (d, 2^d) uint32 partner array.  Row i
-    is the factor labelled ``directions[i]``: it matches vertex u to
-    ``partners[i, u]``, and ``table(directions[i])`` is a view of it.  The
-    factorisation is valid exactly when the d partners of every vertex are
-    its d distinct neighbours (see ``analyze.validate``).  Implicit mode
+    Explicit mode holds one read-only (d, 2^d) uint8 axis array.  Row i is
+    the factor labelled ``directions[i]``: it matches u across the axis at
+    position ``axes[i, u]`` (255: unmatched, left by a version-1 file with a
+    missing edge), and ``table(directions[i])`` derives its partners.  See
+    ``analyze.validate`` for when that is a factorisation.  Implicit mode
     holds only the context, parameters and tape, and answers partner queries
     by replaying the swap rules for the few codewords near the query.
     """
@@ -365,7 +361,7 @@ class Factorisation:
         ctx: CodeContext,
         kind: str,
         mode: str,
-        partners: Optional[np.ndarray] = None,
+        axes: Optional[np.ndarray] = None,
         params: Optional[ConstructionParams] = None,
         tape: Optional[RandomTape] = None,
         plan: Optional[SwapPlan] = None,
@@ -373,11 +369,11 @@ class Factorisation:
         if mode not in ("explicit", "implicit"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "explicit":
-            if partners is None:
-                raise ValueError("explicit mode needs a partner array")
-            if partners.shape != (ctx.d, 1 << ctx.d) or partners.dtype != np.uint32:
-                raise ValueError("partner array must be uint32 of shape (d, 2^d)")
-            partners.flags.writeable = False
+            if axes is None:
+                raise ValueError("explicit mode needs an axis array")
+            if axes.shape != (ctx.d, 1 << ctx.d) or axes.dtype != np.uint8:
+                raise ValueError("axis array must be uint8 of shape (d, 2^d)")
+            axes.flags.writeable = False
         if mode == "implicit" and (params is None or tape is None):
             raise ValueError("implicit mode needs params and a tape")
         self.ctx = ctx
@@ -386,10 +382,10 @@ class Factorisation:
         self.params = params
         self.tape = tape
         self.plan = plan
-        self._partners = partners
+        self._axes = axes
         # Implicit mode's per-codeword draws and swap-rule facts.  None of
         # them refers back to self, so a factorisation is freed as soon as
-        # it is dropped, partner array and all.
+        # it is dropped, axis array and all.
         self._coin = coin = _Memo(lambda w: tape.coin(w, params.coin_threshold(ctx.d)))
         self._pq = pq = _Memo(lambda w: _draw_pq(ctx, tape, w))
         self._r6 = _Memo(lambda v: _draw_r6(ctx, tape, v, params.cube_dim))
@@ -409,30 +405,35 @@ class Factorisation:
         return self.tape.seed if self.tape is not None else None
 
     @property
-    def partners(self) -> np.ndarray:
-        """The (d, 2^d) partner array, one row per direction position."""
-        if self._partners is None:
+    def axes(self) -> np.ndarray:
+        """The (d, 2^d) axis array, one row per direction position."""
+        if self._axes is None:
             raise ValueError(
-                f"no partner array in implicit mode (d={self.d}); call "
+                f"no axis array in implicit mode (d={self.d}); call "
                 f"materialize() first, which builds the explicit twin while "
                 f"d <= the explicit-mode cap {explicit_cap()}"
             )
-        return self._partners
+        return self._axes
 
-    def table(self, x: int) -> np.ndarray:
-        """Factor x's row of the partner array."""
-        partners = self.partners
+    def _axis_row(self, x: int) -> np.ndarray:
         i = self.ctx.space.index.get(x)
         if i is None:
             raise ValueError(f"direction {x} not in X")
-        return partners[i]
+        return self.axes[i]
+
+    def table(self, x: int) -> np.ndarray:
+        """Factor x's partner of every vertex, derived from its row of axes."""
+        # numpy shifts by 32 or more to 0: an unmatched slot is a fixed point.
+        shift = np.left_shift(1, self._axis_row(x), dtype=np.uint32)
+        return np.arange(1 << self.d, dtype=np.uint32) ^ shift
 
     def partner(self, u: int, x: int) -> int:
         """The vertex matched to u by factor x."""
         if u < 0 or u >> self.d:
             raise ValueError(f"vertex {u} does not fit in d={self.d} bits")
         if self.mode == "explicit":
-            return int(self.table(x)[u])
+            # One slot, with table's 32-bit shift.
+            return u ^ (1 << int(self._axis_row(x)[u])) & 0xFFFFFFFF
         return self._implicit_partner(u, x)
 
     def untouched(self, e: Edge) -> bool:
@@ -519,20 +520,19 @@ class _Memo(dict):
         return got
 
 
-def _directional_partners(d: int) -> np.ndarray:
-    """Partner array of the directional factorisation: row i flips bit i."""
-    idx = np.arange(1 << d, dtype=np.uint32)
-    return idx ^ (np.uint32(1) << np.arange(d, dtype=np.uint32))[:, None]
+def _directional_axes(d: int) -> np.ndarray:
+    """Axis array of the directional factorisation: row i is all i."""
+    return np.repeat(np.arange(d, dtype=np.uint8), 1 << d).reshape(d, 1 << d)
 
 
 def directional(ctx: CodeContext) -> Factorisation:
     """The baseline factorisation: factor x holds exactly the direction-x edges."""
     check_explicit(ctx.d)
-    return Factorisation(ctx, "directional", "explicit", _directional_partners(ctx.d))
+    return Factorisation(ctx, "directional", "explicit", _directional_axes(ctx.d))
 
 
 def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
-    """Apply a swap plan to the directional partners, rejecting any overlap.
+    """Apply a swap plan to the directional axes, rejecting any overlap.
 
     Each site claims the (vertex, factor) slots it rewrites, the squares in
     plan order and then the cube swaps.  A slot claimed by two sites raises
@@ -545,7 +545,7 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
     claims += [_cube_claims(ctx, v, plan.r6[v]) for v in plan.g]
     per_site = [8] * len(plan.active_squares) + [len(c[0]) for c in claims[1:]]
     sites = np.repeat(np.arange(len(per_site)), per_site)
-    vertex, dir_pos, partner = (np.concatenate(col) for col in zip(*claims))
+    vertex, dir_pos, axis = (np.concatenate(col) for col in zip(*claims))
 
     # A stable sort keeps each slot's claims in claim order, and site numbers
     # grow along it, so a slot's first claim by a second site is where its
@@ -560,20 +560,20 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
             f"overlapping swap regions: factor slot (vertex={vertex[first]}, "
             f"direction index {dir_pos[first]}) written twice"
         )
-    partners = _directional_partners(d)
-    partners[dir_pos, vertex] = partner
+    axes = _directional_axes(d)
+    axes[dir_pos, vertex] = axis
 
     tape = RandomTape(plan.seed)
     return Factorisation(
-        ctx, "construction", "explicit", partners, params=plan.params, tape=tape, plan=plan
+        ctx, "construction", "explicit", axes, params=plan.params, tape=tape, plan=plan
     )
 
 
 def _square_claims(ctx: CodeContext, plan: SwapPlan) -> tuple[np.ndarray, ...]:
-    """(vertex, dir_pos, partner) of the active squares' claims, 8 per square.
+    """(vertex, dir_pos, axis) of the active squares' claims, 8 per square.
 
     Square u claims, corner by corner for u, u+p, u+q, u+p+q, its slot in
-    factor p (partner across q) and then in factor q (partner across p).
+    factor p (axis q) and then in factor q (axis p).
     """
     n = len(plan.active_squares)
     u = np.array(plan.active_squares, dtype=np.int64)
@@ -581,15 +581,15 @@ def _square_claims(ctx: CodeContext, plan: SwapPlan) -> tuple[np.ndarray, ...]:
     pos = np.fromiter(map(ctx.space.index.__getitem__, labels), np.int64, 2 * n).reshape(n, 2)
     bp, bq = 1 << pos[:, :1], 1 << pos[:, 1:]
     corners = u[:, None] ^ np.hstack([np.zeros_like(bp), bp, bq, bp | bq])
-    partner = np.stack([corners ^ bq, corners ^ bp], axis=2)
-    return np.repeat(corners, 2, axis=1).ravel(), np.tile(pos, 4).ravel(), partner.ravel()
+    axis = np.tile(pos[:, ::-1], 4)
+    return np.repeat(corners, 2, axis=1).ravel(), np.tile(pos, 4).ravel(), axis.ravel()
 
 
 def _cube_claims(ctx: CodeContext, v: int, r: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """(vertex, dir_pos, partner) of one cube swap's 2^m * m claims.
+    """(vertex, dir_pos, axis) of one cube swap's 2^m * m claims.
 
     For each vertex w of the small cube, in the order of the subsets of r as
-    binary numbers, w's slot in factor r_j gets its neighbour across r_(j-1).
+    binary numbers, w's slot in factor r_j gets the axis r_(j-1).
     """
     pos = np.array([ctx.space.index[x] for x in r], dtype=np.int64)
     bits = 1 << pos
@@ -600,7 +600,7 @@ def _cube_claims(ctx: CodeContext, v: int, r: Sequence[int]) -> tuple[np.ndarray
     return (
         np.broadcast_to(w, shape).ravel(),
         np.broadcast_to(pos, shape).ravel(),
-        (w ^ np.roll(bits, 1)).ravel(),
+        np.broadcast_to(np.roll(pos, 1), shape).ravel(),
     )
 
 
@@ -613,7 +613,7 @@ def build_explicit(
 def implicit_factorisation(
     ctx: CodeContext, params: ConstructionParams, tape: RandomTape
 ) -> Factorisation:
-    """Query-time factorisation; no whole-cube partner array is ever built."""
+    """Query-time factorisation; no whole-cube axis array is ever built."""
     _check_construction_dims(ctx, params)
     return Factorisation(ctx, "construction", "implicit", params=params, tape=tape)
 
@@ -631,16 +631,18 @@ def random_greedy_factorisation(ctx: CodeContext, tape: RandomTape) -> Factorisa
     rng = random.Random(tape.derive_seed("greedy"))
     used = [0] * n
     left = [u for u in range(n) if u.bit_count() % 2 == 0]
-    partners = np.empty((d, n), dtype=np.uint32)
-    for row in partners:
+    axes = np.empty((d, n), dtype=np.uint8)
+    for row in axes:
         pair = _random_perfect_matching(d, n, left, used, rng)
         for u in left:
             v = pair[u]
             i = (u ^ v).bit_length() - 1
             used[u] |= 1 << i
             used[v] |= 1 << i
+            # Each vertex's entry turns from its partner into its axis.
+            pair[u] = pair[v] = i
         row[:] = pair
-    return Factorisation(ctx, "greedy", "explicit", partners, tape=tape)
+    return Factorisation(ctx, "greedy", "explicit", axes, tape=tape)
 
 
 def _random_perfect_matching(
@@ -738,11 +740,7 @@ def build_factorisation(
 def touched_edge_count(fac: Factorisation) -> int:
     """Edges whose factor differs from their direction (explicit mode)."""
     # Row by row, so no second (d, 2^d) array is built.
-    idx = np.arange(1 << fac.d, dtype=np.uint32)
-    moved = sum(
-        np.count_nonzero(row != idx ^ np.uint32(1 << i)) for i, row in enumerate(fac.partners)
-    )
-    return int(moved) // 2
+    return int(sum(np.count_nonzero(row != i) for i, row in enumerate(fac.axes))) // 2
 
 
 def plan_summary(plan: SwapPlan) -> dict:
@@ -786,11 +784,11 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
             return
         labels = np.array(ctx.space.directions)
         idx = np.arange(1 << ctx.d, dtype=np.uint32)
-        for i, (x, pt) in enumerate(zip(ctx.space.directions, fac.partners)):
-            diff = idx ^ pt
-            los = np.flatnonzero((idx < pt) & (diff != np.uint32(1 << i)))
-            # frexp's exponent of a positive int is its bit_length.
-            axes = labels[np.frexp(diff[los].astype(np.float64))[1] - 1]
+        for i, (x, row) in enumerate(zip(ctx.space.directions, fac.axes)):
+            # A moved edge is listed from its end with a 0 on its axis; an
+            # unmatched slot lists nothing.
+            los = np.flatnonzero((row != i) & (row < ctx.d) & (idx >> row & 1 == 0))
+            axes = labels[row[los]]
             edges = [[format(lo, f"0{ctx.d}b"), a] for lo, a in zip(los.tolist(), axes.tolist())]
             fh.write(json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n")
 
@@ -844,25 +842,28 @@ def _read_edges(space: CubeSpace, edges: list) -> tuple[np.ndarray, np.ndarray]:
     rows[:, rows.shape[1] - d:] = digits.reshape(n, d)
     lo = _binary_values(rows, d)
     try:
+        # A bool or a float would find the int label it equals.
+        if set(map(type, labels)) != {int}:
+            raise KeyError(next(a for a in labels if type(a) is not int))
         pos = np.fromiter(map(space.index.__getitem__, labels), np.uint32, count=n)
     except KeyError as exc:
         raise ValueError(f"direction {exc} not in X") from None
     return lo, pos
 
 
-def _set_edges(space: CubeSpace, t: np.ndarray, x: int, lo: np.ndarray, pos: np.ndarray) -> None:
-    """Set both ends of every edge (lo, direction position pos) in factor x's row t.
+def _set_edges(space: CubeSpace, row: np.ndarray, x: int, lo: np.ndarray, pos: np.ndarray) -> None:
+    """Set both ends of every edge (lo, direction position pos) in factor x's row of axes.
 
     A line is refused if two of its edges share a vertex, while an edge
     listed twice is harmless.
     """
     hi = lo ^ (np.uint32(1) << pos)
-    t[lo] = hi
-    t[hi] = lo
-    clash = np.flatnonzero((t[lo] != hi) | (t[hi] != lo))
+    row[lo] = pos
+    row[hi] = pos
+    clash = np.flatnonzero((row[lo] != pos) | (row[hi] != pos))
     if clash.size:
         k = clash[0]
-        v = lo[k] if t[lo[k]] != hi[k] else hi[k]
+        v = lo[k] if row[lo[k]] != pos[k] else hi[k]
         raise ValueError(
             f"factor {x} lists two edges at vertex {vertex_text(space, int(v))}"
         )
@@ -912,12 +913,11 @@ def load_factorisation(path: str) -> Factorisation:
         space = ctx.space
         if version == 2:
             # Listed edges overwrite the directional baseline.
-            partners = _directional_partners(d)
+            axes = _directional_axes(d)
         else:
-            # Every vertex starts as its own partner, so an edge no line lists
+            # Every slot starts unmatched (255), so an edge no line lists
             # shows up as a fixed point.
-            partners = np.empty((d, 1 << d), dtype=np.uint32)
-            partners[:] = np.arange(1 << d, dtype=np.uint32)
+            axes = np.full((d, 1 << d), 255, dtype=np.uint8)
         # A version-2 file names every factor once: a missing line would
         # otherwise read as a factor with no moved edge.
         line_of: dict[int, int] = {}
@@ -929,16 +929,17 @@ def load_factorisation(path: str) -> Factorisation:
             with _at_line(n):
                 obj = _json_object(_chomp(line))
                 x = obj["factor"]
-                if space.index.get(x) is None:
+                # 1.0 and true would find the label 1.
+                if space.index.get(x) is None or type(x) is not int:
                     raise ValueError(f"unknown factor {x}")
                 if version == 2 and x in line_of:
                     raise ValueError(f"factor {x} is listed again (first at line {line_of[x]})")
                 line_of[x] = n
                 lo, pos = _read_edges(space, obj["edges"])
-                _set_edges(space, partners[space.index[x]], x, lo, pos)
+                _set_edges(space, axes[space.index[x]], x, lo, pos)
         if version == 2 and len(line_of) < d:
             x = next(x for x in space.directions if x not in line_of)
             raise ValueError(
                 f"parse error at line {n + 1}: the file ends with no line for factor {x}"
             )
-    return Factorisation(ctx, kind, "explicit", partners, params=params, tape=tape)
+    return Factorisation(ctx, kind, "explicit", axes, params=params, tape=tape)

@@ -1,10 +1,16 @@
-"""A per-edge writer of factorisation files, kept as an oracle for the tests."""
+"""Test helpers: a factorisation's partner rows, and a per-edge writer of
+factorisation files kept as an oracle."""
 
 import json
 
 import numpy as np
 
 from cubefactors.cube import vertex_text
+
+
+def partner_rows(fac):
+    """The (d, 2^d) partners of an explicit factorisation, one row per factor."""
+    return np.stack([fac.table(x) for x in fac.directions])
 
 
 def _per_edge_save(fac, path, version=1):

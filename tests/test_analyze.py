@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +23,9 @@ from cubefactors.construct import (
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
     _labels,
+    _one_component_per_key,
+    _prefix_labels,
+    _union,
     ValidationReport,
     bfs_components,
     code_intersection,
@@ -56,13 +58,17 @@ def _crafted_square(ctx, u, p, q):
     return apply_explicit(ctx, plan)
 
 
-def _tables_copy(fac):
-    return {x: fac.table(x).copy() for x in fac.directions}
+def _crafted(axes):
+    """The factorisation with this axis array, one row per factor."""
+    return Factorisation(build_context(len(axes)), "crafted", "explicit", axes)
 
 
-def _bfs_labels(fac, dirs):
-    n = 1 << fac.d
-    tables = [fac.table(x) for x in dirs]
+_directional_axes = construct_mod._directional_axes
+
+
+def _bfs_labels(tables):
+    """Smallest vertex of each vertex's component in the union of the partner tables."""
+    n = len(tables[0])
     label = [-1] * n
     for start in range(n):
         if label[start] >= 0:
@@ -89,62 +95,63 @@ def test_validate_accepts_valid_factorisations():
 
 
 def test_validate_detects_fixed_point():
-    ctx = build_context(3)
-    tables = _tables_copy(directional(ctx))
-    tables[3] = np.arange(8, dtype=np.uint32)
-    rep = validate(Factorisation(ctx, "crafted", "explicit", np.stack(list(tables.values()))))
+    axes = _directional_axes(3)
+    axes[2] = 255  # factor 3 unmatched at every vertex
+    rep = validate(_crafted(axes))
     assert not rep.ok
     assert (rep.vertex, rep.factor) == (0, 3)
     assert rep.message == "factor has a fixed point"
 
 
 def test_validate_detects_broken_involution():
-    ctx = build_context(3)
-    tables = _tables_copy(directional(ctx))
-    tables[1][1] = 2
-    rep = validate(Factorisation(ctx, "crafted", "explicit", np.stack(list(tables.values()))))
+    axes = _directional_axes(3)
+    axes[0, 1] = 1  # vertex 1 leaves factor 1's edge 0-1 for the edge 1-3
+    rep = validate(_crafted(axes))
     assert not rep.ok
     assert (rep.vertex, rep.factor) == (0, 1)
     assert rep.message == "factor is not an involution"
 
 
-def test_validate_detects_non_neighbour_partner():
-    ctx = build_context(3)
-    tables = _tables_copy(directional(ctx))
-    tables[1] = np.arange(8, dtype=np.uint32) ^ np.uint32(3)
-    rep = validate(Factorisation(ctx, "crafted", "explicit", np.stack(list(tables.values()))))
-    assert not rep.ok
-    assert (rep.vertex, rep.factor) == (0, 1)
-    assert rep.message == "partner is not a neighbour"
-
-
 def test_validate_detects_double_assignment():
-    ctx = build_context(3)
-    tables = _tables_copy(directional(ctx))
-    tables[2] = tables[1].copy()
-    rep = validate(Factorisation(ctx, "crafted", "explicit", np.stack(list(tables.values()))))
+    axes = _directional_axes(3)
+    axes[1] = axes[0]
+    rep = validate(_crafted(axes))
     assert not rep.ok
     assert (rep.vertex, rep.factor) == (0, 2)
     assert rep.message == "edge already assigned to factor 1"
 
 
+def test_validate_reports_slot_values_that_name_no_axis():
+    # d..254 name no axis of the cube and 255 marks an unmatched slot: each
+    # is reported as a fixed point, never gathered outside the row.
+    for value in range(3, 256):
+        axes = _directional_axes(3)
+        axes[1, 5] = value
+        want = ValidationReport(False, 5, 2, "factor has a fixed point")
+        assert validate(_crafted(axes)) == want, value
+        axes = np.full((3, 8), value, dtype=np.uint8)
+        want = ValidationReport(False, 0, 1, "factor has a fixed point")
+        assert validate(_crafted(axes)) == want, value
+
+
 def _locate_violation(fac):
-    """The per-slot scan that validate replaced, kept as an oracle."""
+    """The per-slot scan that validate replaced, kept as an oracle.
+
+    It reads the partner rows that ``table`` derives: a slot naming no axis
+    of the cube gives a partner outside it, or the vertex itself.
+    """
     d, n = fac.d, 1 << fac.d
     owner = {}
     for x in fac.directions:
         pt = fac.table(x)
         for u in range(n):
             v = int(pt[u])
-            if v == u:
+            if v == u or v >= n:
                 return ValidationReport(False, u, x, "factor has a fixed point")
             if int(pt[v]) != u:
                 return ValidationReport(False, u, x, "factor is not an involution")
-            diff = u ^ v
-            if diff & (diff - 1):
-                return ValidationReport(False, u, x, "partner is not a neighbour")
             if u < v:
-                key = (u, diff.bit_length() - 1)
+                key = (u, (u ^ v).bit_length() - 1)
                 if key in owner:
                     return ValidationReport(
                         False, u, x, f"edge already assigned to factor {owner[key]}"
@@ -159,50 +166,53 @@ def _locate_violation(fac):
     return ValidationReport(True)
 
 
-def _overwrite_slot(p, rng):
-    p[rng.randrange(len(p)), rng.randrange(p.shape[1])] = rng.randrange(p.shape[1])
+# Corruptions of an axis array a, one row per factor.
 
 
-def _fixed_point(p, rng):
-    u = rng.randrange(p.shape[1])
-    p[rng.randrange(len(p)), u] = u
+def _overwrite_slot(a, rng):
+    a[rng.randrange(len(a)), rng.randrange(a.shape[1])] = rng.randrange(len(a))
 
 
-def _move_edge(p, rng):
-    # Edge u-v leaves row a, whose ends there become fixed points, and joins
-    # row b, which pairs the two ends it displaced with each other.
-    a, b = rng.sample(range(len(p)), 2)
-    u = rng.randrange(p.shape[1])
-    v = int(p[a, u])
-    ub, vb = int(p[b, u]), int(p[b, v])
-    p[a, u], p[a, v] = u, v
-    p[b, ub], p[b, vb] = vb, ub
-    p[b, u], p[b, v] = v, u
+def _unmatched_slot(a, rng):
+    # Any value from d up names no axis; 255 is the one the loader writes.
+    a[rng.randrange(len(a)), rng.randrange(a.shape[1])] = rng.randrange(len(a), 256)
 
 
-def _half_square_switch(p, rng):
-    # Rows a and b alternate around a square; a takes b's two edges of it and
+def _move_edge(a, rng):
+    # Edge u-v leaves row r, whose ends there become unmatched, and joins
+    # row s, which pairs the two ends it displaced across the edge's axis.
+    r, s = rng.sample(range(len(a)), 2)
+    u = rng.randrange(a.shape[1])
+    e = int(a[r, u])
+    v = u ^ 1 << e
+    us, vs = u ^ 1 << int(a[s, u]), v ^ 1 << int(a[s, v])
+    a[r, u] = a[r, v] = 255
+    a[s, us] = a[s, vs] = e
+    a[s, u] = a[s, v] = e
+
+
+def _half_square_switch(a, rng):
+    # Rows r and s alternate around a square; r takes s's two edges of it and
     # keeps matching onto neighbours, so those edges sit in both rows.
-    d = len(p)
+    d = len(a)
     while True:
-        u, a = rng.randrange(p.shape[1]), rng.randrange(d)
-        ei = int(p[a, u]) ^ u
-        ej = 1 << rng.randrange(d)
-        b = int(np.flatnonzero(p[:, u] == u ^ ej)[0])
-        if ei != ej and p[a, u ^ ej] == u ^ ei ^ ej and p[b, u ^ ei] == u ^ ei ^ ej:
+        u, r = rng.randrange(a.shape[1]), rng.randrange(d)
+        i, j = int(a[r, u]), rng.randrange(d)
+        s = int(np.flatnonzero(a[:, u] == j)[0])
+        if i != j and a[r, u ^ 1 << j] == i and a[s, u ^ 1 << i] == j:
             break
-    for w in (u, u ^ ei):
-        p[a, w], p[a, w ^ ej] = w ^ ej, w
+    for w in (u, u ^ 1 << i):
+        a[r, w] = a[r, w ^ 1 << j] = j
 
 
-def _duplicate_row(p, rng):
-    a, b = rng.sample(range(len(p)), 2)
-    p[b] = p[a]
+def _duplicate_row(a, rng):
+    r, s = rng.sample(range(len(a)), 2)
+    a[s] = a[r]
 
 
-def _random_writes(p, rng):
+def _random_writes(a, rng):
     for _ in range(rng.randrange(2, 6)):
-        _overwrite_slot(p, rng)
+        _overwrite_slot(a, rng)
 
 
 @pytest.mark.parametrize("d", [7, 10])
@@ -215,7 +225,7 @@ def test_validate_matches_per_slot_oracle(d):
     ]
     assert touched_edge_count(sources[2]) > 0
     corruptions = [
-        _overwrite_slot, _fixed_point, _move_edge, _half_square_switch,
+        _overwrite_slot, _unmatched_slot, _move_edge, _half_square_switch,
         _duplicate_row, _random_writes,
     ]
     rng = random.Random(d)
@@ -223,16 +233,15 @@ def test_validate_matches_per_slot_oracle(d):
     for fac in sources:
         for corrupt in corruptions:
             for _ in range(4):
-                p = fac.partners.copy()
-                corrupt(p, rng)
-                crafted = Factorisation(ctx, "crafted", "explicit", p)
+                axes = fac.axes.copy()
+                corrupt(axes, rng)
+                crafted = _crafted(axes)
                 rep = validate(crafted)
                 assert rep == _locate_violation(crafted), corrupt.__name__
                 messages.add(rep.message.split(" factor ")[0])
     assert messages >= {
         "factor has a fixed point",
         "factor is not an involution",
-        "partner is not a neighbour",
         "edge already assigned to",
     }
 
@@ -318,7 +327,7 @@ def test_small_cube_connectivity_matches_bfs():
     fac = build_explicit(build_context(10), SCALED, RandomTape(13))
     dirs = (1, 2, 3)
     got = small_cube_connectivity(fac, dirs)
-    label = _bfs_labels(fac, dirs)
+    label = _bfs_labels([fac.table(x) for x in dirs])
     mask = direction_mask(fac.ctx.space, dirs)
     expect = {}
     for u in range(1 << 10):
@@ -435,7 +444,7 @@ def test_tf_connectivity_matches_bfs():
     for dirs in ((1, 2, 3), (1, 3, 4, 5), (2, 3, 5, 7, 8, 14), (1, 5, 8, 11, 13, 14)):
         got = tf_connectivity(fac, dirs)
         tfc = tf_context(fac.ctx, dirs)
-        label = _bfs_labels(fac, dirs)
+        label = _bfs_labels([fac.table(x) for x in dirs])
         expect = {}
         for u in range(1 << 10):
             expect.setdefault(tf_label(tfc, u).bits, set()).add(label[u])
@@ -595,15 +604,14 @@ def test_is_connected_matches_bfs():
 #
 # Random matchings of the vertex set, not only cube edges, hook roots into long
 # chains and leave many components, which the near-directional construction
-# never does.
-
-CONTEXTS = {d: build_context(d) for d in range(6, 13)}
+# never does.  A factorisation holds cube edges only, so the engine is fed the
+# raw partner tables.
 
 
 def _random_matchings(d, seed, fixed):
-    """A factorisation whose rows are random involutions of the vertex set.
+    """d random involutions of the 2^d vertices, as uint32 partner tables.
 
-    With ``fixed`` set, each row leaves a random share of vertices fixed.
+    With ``fixed`` set, each leaves a random share of vertices fixed.
     """
     rng = np.random.default_rng(seed)
     n = 1 << d
@@ -614,7 +622,7 @@ def _random_matchings(d, seed, fixed):
         row = np.arange(n, dtype=np.uint32)
         row[paired[0::2]], row[paired[1::2]] = paired[1::2], paired[0::2]
         rows.append(row)
-    return Factorisation(CONTEXTS[d], "crafted", "explicit", np.stack(rows))
+    return rows
 
 
 def _per_key(keys, label):
@@ -632,36 +640,37 @@ def _per_key(keys, label):
 )
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_bfs_on_random_matchings(d, seed, fixed, data):
-    fac = _random_matchings(d, seed, fixed)
+    tables = _random_matchings(d, seed, fixed)
     size = data.draw(st.integers(1, d), label="size")
-    dirs = data.draw(st.permutations(fac.directions), label="order")[:size]
-    label = _bfs_labels(fac, dirs)
-    assert _labels(fac, tuple(sorted(dirs))).tolist() == label
-    rep = union_components(fac, dirs)
-    assert (rep.count, rep.sizes) == (len(set(label)), tuple(sorted(Counter(label).values())))
-    assert is_connected(fac, dirs) == (rep.count == 1)
-    mask = direction_mask(fac.ctx.space, dirs)
-    cubes = small_cube_connectivity(fac, dirs)
-    assert list(cubes.items()) == list(_per_key([u & ~mask for u in range(1 << d)], label).items())
-    tfc = tf_context(fac.ctx, dirs)
-    classes = tf_connectivity(fac, dirs)
-    bits = [tf_label(tfc, u).bits for u in range(1 << d)]
-    assert list(classes.items()) == list(_per_key(bits, label).items())
+    chosen = data.draw(st.permutations(tables), label="order")[:size]
+    label = _bfs_labels(chosen)
+    labels, roots = _union(chosen)
+    assert labels.tolist() == label
+    assert roots.tolist() == sorted(set(label))
+    # The grouping behind small_cube_connectivity and tf_connectivity, on
+    # small-cube ids and on arbitrary keys.
+    rng = np.random.default_rng(seed)
+    mask = int(rng.integers(0, 1 << d))
+    for keys in (np.arange(1 << d) & ~mask, rng.integers(0, 1 << d, 1 << d)):
+        got = _one_component_per_key(keys, labels)
+        assert list(got.items()) == list(_per_key(keys, label).items())
 
 
 @given(d=st.integers(6, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_min_connecting_prefix_matches_bfs_on_random_matchings(d, seed, data):
-    fac = _random_matchings(d, seed, data.draw(st.booleans(), label="fixed"))
-    order = data.draw(st.permutations(fac.directions), label="order")
+    tables = _random_matchings(d, seed, data.draw(st.booleans(), label="fixed"))
+    order = data.draw(st.permutations(tables), label="order")
     want = next(
-        (r for r in range(1, d + 1) if len(set(_bfs_labels(fac, order[:r]))) == 1), None
+        (r for r in range(1, d + 1) if len(set(_bfs_labels(order[:r]))) == 1), None
     )
+    # The walk stops at the first connected prefix, or runs out unconnected.
+    roots = [roots.size for _, roots in _prefix_labels(order)]
+    assert all(size > 1 for size in roots[:-1])
     if want is None:
-        with pytest.raises(AssertionError, match="must be connected"):
-            min_connecting_prefix(fac, order)
+        assert len(roots) == d and roots[-1] > 1
     else:
-        assert min_connecting_prefix(fac, order) == want
+        assert len(roots) == want and roots[-1] == 1
 
 
 def test_analyses_refuse_implicit_without_building(monkeypatch):

@@ -16,11 +16,12 @@ from cubefactors.construct import (
     OverlapError,
     RandomTape,
     build_explicit,
+    build_factorisation,
     load_factorisation,
     touched_edge_count,
 )
 from cubefactors.cube import parse_vertex, vertex_text
-from factor_files import _per_edge_save
+from factor_files import _per_edge_save, partner_rows
 
 SCALED = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=6)
 
@@ -129,6 +130,36 @@ GOLDEN_CONSTRUCT = {
 }
 
 
+# sha256 of the partner rows, the stack of table(x) over the directions, of
+# the factorisations built from the GOLDEN_CONSTRUCT flag sets and of one
+# greedy and one directional build, pinned while a factorisation stored its
+# partners.
+GOLDEN_PARTNER_ROWS = {
+    "default-d12": "524a9be36bc84b98f917c9850cbdc23658035050065ae9f7d9afbbb301935998",
+    "swapping-d12": "350113ec09be94c32a92304b979077b0598e8be73e837b09247ebd6c611950ed",
+    "swapping-d16": "f9db384b9afd790386aba0575d6fd31f48f4f3e94f629e8d081a715495f10ee8",
+    "readme-d10": "6f4a7b0b75cbf470e2f9ba6cf39ef61f0eff6b53fa3f1fbcc681726424abfc97",
+    "greedy-d9": "186ab1256ff90bc5b96398b5dbd40d34026e4bbe70f467eadbd15a7f874e4aa5",
+    "directional-d11": "1d40cff5acc03f630016e142a0722e4049e72335fa5a7e30a7e7f18fae767191",
+}
+OTHER_BUILDS = {"greedy-d9": ("greedy", 9, 5), "directional-d11": ("directional", 11, 0)}
+
+
+def _golden_build(name):
+    """The factorisation built from a GOLDEN_CONSTRUCT flag set or named in OTHER_BUILDS."""
+    if name in OTHER_BUILDS:
+        kind, d, seed = OTHER_BUILDS[name]
+        return build_factorisation(build_context(d), kind, ConstructionParams(), RandomTape(seed))
+    ns = cli.build_parser().parse_args(["construct", *GOLDEN_CONSTRUCT[name][0]])
+    return build_explicit(build_context(ns.d), cli._params_from(ns), RandomTape(cli._seed(ns)))
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PARTNER_ROWS))
+def test_partner_rows_are_pinned(name):
+    rows = partner_rows(_golden_build(name))
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == GOLDEN_PARTNER_ROWS[name]
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -140,13 +171,12 @@ def test_construct_out_bytes_are_pinned(tmp_path, capsys, name):
     assert cli.main(["construct", *args, "--out", str(path)]) == 0
     capsys.readouterr()
     assert _sha256(path) == v2_digest
-    ns = cli.build_parser().parse_args(["construct", *args])
-    fac = build_explicit(build_context(ns.d), cli._params_from(ns), RandomTape(cli._seed(ns)))
+    fac = _golden_build(name)
     _per_edge_save(fac, str(v1))
     assert _sha256(v1) == v1_digest
-    partners = load_factorisation(str(path)).partners
-    assert np.array_equal(load_factorisation(str(v1)).partners, partners)
-    assert np.array_equal(partners, fac.partners)
+    rows = partner_rows(load_factorisation(str(path)))
+    assert np.array_equal(partner_rows(load_factorisation(str(v1))), rows)
+    assert np.array_equal(rows, partner_rows(fac))
 
 
 README_D10 = GOLDEN_CONSTRUCT["readme-d10"][0]
@@ -157,7 +187,7 @@ def test_version_1_fixture_still_loads_and_verifies(capsys):
     # construct --out of the readme-d10 flags as version 1 wrote it
     assert _sha256(V1_FIXTURE) == GOLDEN_CONSTRUCT["readme-d10"][1]
     fac = build_explicit(build_context(10), SCALED, RandomTape(13))
-    assert np.array_equal(load_factorisation(str(V1_FIXTURE)).partners, fac.partners)
+    assert np.array_equal(partner_rows(load_factorisation(str(V1_FIXTURE))), partner_rows(fac))
     rc, rep = run_json(capsys, "verify", "--in", str(V1_FIXTURE))
     assert rc == 0 and rep["ok"] is True
 
@@ -336,6 +366,44 @@ def test_verify_refuses_a_bad_header_field(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert rc == 2
     assert "parse error at line 1" in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"factor":1.0,"edges":[["0000010",true]]}', "unknown factor 1.0"),
+        ('{"factor":true,"edges":[]}', "unknown factor True"),
+        ('{"factor":1,"edges":[["0000010",true]]}', "direction True not in X"),
+        ('{"factor":1,"edges":[["0000001",2.0]]}', "direction 2.0 not in X"),
+    ],
+    ids=["float-factor", "bool-factor", "bool-direction", "float-direction"],
+)
+def test_verify_refuses_labels_that_are_not_integers(tmp_path, capsys, line, message):
+    # 1.0 and true equal the label 1 as dict keys, but are no JSON integers.
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", "--d", "7", "--out", str(path)]) == 0
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    assert lines[1] == '{"factor":1,"edges":[]}'
+    lines[1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^parse error at line 2: {message}$"):
+        load_factorisation(str(path))
+    assert cli.main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: parse error at line 2: {message}\n"
+
+
+def test_verify_refuses_header_params_of_the_wrong_type(tmp_path, capsys):
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", *README_D10, "--out", str(path)]) == 0
+    capsys.readouterr()
+    head, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["params"]["cube_dim"] = 2.5
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    assert cli.main(["verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: parse error at line 1: cube_dim must be an integer, got 2.5\n"
 
 
 def _set_first_edge(value):
@@ -841,6 +909,14 @@ def test_config_maps_in_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"in": str(path)}))
     rc, rep = run_json(capsys, "verify", "--config", str(cfg))
     assert rc == 0 and rep["ok"] is True
+
+
+def test_config_params_of_the_wrong_type_are_usage_errors(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"cube_dim": 2.5, "pg": 0.05, "rg": 6, "rh": 4}))
+    rc = cli.main(["construct", "--d", "10", "--seed", "13", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cube_dim must be an integer, got 2.5\n"
 
 
 def test_config_errors(tmp_path, capsys):

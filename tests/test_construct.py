@@ -11,6 +11,7 @@ from cubefactors.code import adjacent_codeword, build_context, code_size, enumer
 import cubefactors.construct as construct_mod
 from cubefactors.construct import (
     ConstructionParams,
+    Factorisation,
     OverlapError,
     RandomTape,
     SwapPlan,
@@ -29,7 +30,7 @@ from cubefactors.construct import (
 )
 from cubefactors.cube import edge_at, hamming_distance, vertex_text
 from cubefactors.analyze import union_components, validate
-from factor_files import _per_edge_save
+from factor_files import _per_edge_save, partner_rows
 
 CTX7 = build_context(7)
 CTX10 = build_context(10)
@@ -47,7 +48,25 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ConstructionParams(cube_dim=0)
     assert ConstructionParams().pg_value(10) == 2.0 ** (-1.0)
+    assert ConstructionParams(pg=1, rg=6, rh=4, cube_dim=6).pg_value(10) == 1
     assert ConstructionParams(pg=0.25).pg_value(10) == 0.25
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rg", 6.5, "rg must be an integer, got 6.5"),
+        ("rh", 2.0, "rh must be an integer, got 2.0"),
+        ("cube_dim", True, "cube_dim must be an integer, got True"),
+        ("cube_dim", 2.5, "cube_dim must be an integer, got 2.5"),
+        ("pg", True, "pg must be a number or null, got True"),
+        ("pg", "0.05", "pg must be a number or null, got '0.05'"),
+        ("conflict_check", 1, "conflict_check must be true or false, got 1"),
+    ],
+)
+def test_params_of_the_wrong_type_are_refused(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ConstructionParams(**{"pg": 0.05, "rg": 6, "rh": 2, "cube_dim": 6, field: value})
 
 
 def test_tape_is_deterministic_and_seed_sensitive():
@@ -111,17 +130,35 @@ def test_partner_argument_validation():
         fac.partner(0, 9)
 
 
-def test_partner_array_rows_are_tables_and_implicit_has_none():
+def test_axis_array_derives_tables_and_implicit_has_none():
     fac = build_explicit(CTX10, SCALED, RandomTape(13))
-    assert fac.partners.shape == (10, 1 << 10) and fac.partners.dtype == np.uint32
+    assert fac.axes.shape == (10, 1 << 10) and fac.axes.dtype == np.uint8
+    assert not hasattr(fac, "partners")
+    assert type(touched_edge_count(fac)) is int
+    idx = np.arange(1 << 10)
     for i, x in enumerate(CTX10.space.directions):
-        assert fac.table(x).base is fac.partners
-        assert (fac.table(x) == fac.partners[i]).all()
+        table = fac.table(x)
+        assert table.dtype == np.uint32
+        assert (table == idx ^ 1 << fac.axes[i].astype(np.int64)).all()
+        assert [fac.partner(u, x) for u in range(1 << 10)] == table.tolist()
     imp = implicit_factorisation(CTX10, SCALED, RandomTape(13))
     with pytest.raises(ValueError, match="implicit mode"):
-        imp.partners
+        imp.axes
     with pytest.raises(ValueError, match="implicit mode"):
         imp.table(1)
+
+
+def test_an_unmatched_slot_is_a_fixed_point(tmp_path):
+    axes = construct_mod._directional_axes(7)
+    axes[2, 5] = 255
+    fac = Factorisation(CTX7, "crafted", "explicit", axes)
+    x = CTX7.space.directions[2]
+    assert fac.partner(5, x) == 5 and fac.table(x)[5] == 5
+    assert fac.partner(4, x) == 0 and fac.table(x)[4] == 0
+    # The writer lists moved edges only, and an unmatched slot holds none.
+    path = tmp_path / "fac.jsonl"
+    save_factorisation(fac, str(path))
+    assert path.read_text().splitlines()[3] == '{"factor":%d,"edges":[]}' % x
 
 
 def _saved_and_loaded(fac, tmp_path):
@@ -141,13 +178,13 @@ def _saved_and_loaded(fac, tmp_path):
     ids=["directional", "build_explicit", "greedy", "load_factorisation"],
 )
 def test_partner_array_is_read_only(tmp_path, make):
+    # The axis array is read-only, and a table derived from it is a copy.
     fac = make(tmp_path)
-    assert not fac.partners.flags.writeable
+    assert not fac.axes.flags.writeable
     with pytest.raises(ValueError):
-        fac.partners[0, 0] = 1
+        fac.axes[0, 0] = 1
     for x in fac.directions:
-        with pytest.raises(ValueError):
-            fac.table(x)[0] = 1
+        fac.table(x)[0] = 1
     assert validate(fac).ok
 
 
@@ -291,7 +328,8 @@ def _oracle_partners(ctx, plan):
     """Per-slot reference for ``apply_explicit``: each claim is checked and written in turn."""
     d = ctx.d
     space = ctx.space
-    partners = construct_mod._directional_partners(d)
+    idx = np.arange(1 << d, dtype=np.uint32)
+    partners = idx ^ (np.uint32(1) << np.arange(d, dtype=np.uint32))[:, None]
     claims = {}
 
     def claim(vertex, dir_pos, site, partner):
@@ -344,7 +382,7 @@ def _assert_bulk_matches_oracle(ctx, params, seed):
             apply_explicit(ctx, plan)
         assert str(got.value) == str(err)
         return None
-    assert np.array_equal(apply_explicit(ctx, plan).partners, want)
+    assert np.array_equal(partner_rows(apply_explicit(ctx, plan)), want)
     return plan
 
 
@@ -731,7 +769,7 @@ def test_save_matches_per_edge_writer(tmp_path, make):
         assert sum(len(obj["edges"]) for obj in lines) == touched_edge_count(fac)
         # a version-1 file of the same factorisation loads to the same array
         _per_edge_save(fac, str(ref))
-        assert np.array_equal(load_factorisation(str(ref)).partners, loaded.partners)
+        assert np.array_equal(partner_rows(load_factorisation(str(ref))), partner_rows(loaded))
 
 
 def test_swapping_file_has_two_digit_labels(tmp_path):
@@ -829,7 +867,7 @@ def test_other_json_layouts_load_the_same_partners(tmp_path, make):
     }
     for name, (body, end) in variants.items():
         loaded = load_factorisation(_write_lines(tmp_path, body, end))
-        assert np.array_equal(loaded.partners, fac.partners), name
+        assert np.array_equal(partner_rows(loaded), partner_rows(fac)), name
 
 
 def _first_entry(line):
@@ -870,7 +908,7 @@ def _duplicated(line):
 
 def _load_or_error(path):
     try:
-        return load_factorisation(path).partners
+        return partner_rows(load_factorisation(path))
     except ValueError as exc:
         return str(exc)
 
@@ -920,7 +958,7 @@ def test_corrupted_writer_lines_match_the_json_path(tmp_path, make, corrupt, exp
             json.loads(lines[1])
         expected = str(exc.value)
     if expected in (SAME, FIXED):
-        want = fac.partners.copy()
+        want = partner_rows(fac)
         if expected == FIXED:
             want[0] = np.arange(1 << 10)
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
@@ -937,7 +975,7 @@ def test_lines_end_at_newline_only(tmp_path):
     obj["note"] = "a\u2028b\u0085c"
     lines[1] = json.dumps(obj, ensure_ascii=False).encode()
     path = _write_lines(tmp_path, lines)
-    assert np.array_equal(load_factorisation(path).partners, fac.partners)
+    assert np.array_equal(partner_rows(load_factorisation(path)), partner_rows(fac))
     broken = lines[:3] + [lines[3][:-1]] + lines[4:]
     with pytest.raises(ValueError, match="parse error at line 4: "):
         load_factorisation(_write_lines(tmp_path, broken))
