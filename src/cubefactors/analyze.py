@@ -35,7 +35,7 @@ import numpy as np
 from . import gf2
 from .code import CodeContext, code_size, in_code, phi_table
 from .construct import Factorisation
-from .cube import Edge, direction_mask, edge_at, popcount32
+from .cube import Edge, _xor_table, direction_mask, edge_at
 
 __all__ = [
     "ValidationReport",
@@ -100,7 +100,7 @@ def validate(fac: Factorisation) -> ValidationReport:
     explicit factorisation: pass an implicit one's explicit twin.
     """
     axes = fac.axes
-    idx = np.arange(1 << fac.d, dtype=np.uint32)
+    idx = fac.ctx._vertex_array
     seen = np.zeros_like(idx)
     for i, row in enumerate(axes):
         # Masked, so that a slot naming no axis of the cube gathers its own.
@@ -260,9 +260,8 @@ def small_cube_connectivity(fac: Factorisation, spec: Iterable[int]) -> dict[int
     Components are taken in the whole union graph, not within the small cube.
     """
     dirs = _dirs(fac.ctx, spec)
-    n = 1 << fac.d
     mask = direction_mask(fac.ctx.space, dirs)
-    ids = np.arange(n, dtype=np.uint32) & np.uint32(~mask & (n - 1))
+    ids = fac.ctx._vertex_array & ~np.uint32(mask)
     return _one_component_per_key(ids, _labels(fac, dirs))
 
 
@@ -324,12 +323,12 @@ def tf_label(tfc: TfContext, u: int) -> TfLabel:
 
 
 def _signature_bits(tfc: TfContext) -> np.ndarray:
-    """Parity signature bits of every vertex, as in ``tf_label``."""
-    idx = np.arange(1 << tfc.ctx.d, dtype=np.uint32)
-    bits = np.zeros_like(idx)
-    for j, m in enumerate(tfc.masks):
-        bits |= (popcount32(idx & np.uint32(m)) & np.uint32(1)) << np.uint32(j)
-    return bits
+    """Parity signature bits of every vertex, as in ``tf_label``: the XOR of
+    the signature bits of its set coordinates."""
+    return _xor_table([
+        sum(1 << j for j, m in enumerate(tfc.masks) if m >> i & 1)
+        for i in range(tfc.ctx.d)
+    ])
 
 
 def tf_class_sizes(tfc: TfContext) -> dict[int, int]:
@@ -348,9 +347,8 @@ def tf_connectivity(fac: Factorisation, spec: Iterable[int]) -> dict[int, bool]:
 def code_intersections(ctx: CodeContext, spec: Iterable[int]) -> dict[int, int]:
     """Codeword count inside every small cube of the subset, by direct counting."""
     dirs = _dirs(ctx, spec)
-    n = 1 << ctx.d
     mask = direction_mask(ctx.space, dirs)
-    ids = np.arange(n, dtype=np.uint32) & np.uint32(~mask & (n - 1))
+    ids = ctx._vertex_array & ~np.uint32(mask)
     result = {int(i): 0 for i in np.unique(ids)}
     cw_ids, counts = np.unique(ids[phi_table(ctx) == 0], return_counts=True)
     for i, c in zip(cw_ids, counts):

@@ -405,11 +405,10 @@ def cmd_export(ns: argparse.Namespace) -> int:
     fmt = ns.format or "edge-list"
     if fmt == "dot" and fac.d > DOT_MAX_D:
         raise UsageError(f"dot export is guarded to d <= {DOT_MAX_D}")
-    idx = np.arange(1 << fac.d, dtype=np.uint32)
     blocks = ["graph factors {\n"] if fmt == "dot" else []
     for x in dirs:
         pt = fac.table(x)
-        us = np.nonzero(idx < pt)[0]
+        us = np.flatnonzero(fac.ctx._vertex_array < pt)
         if fmt == "dot":
             parts = [b'  "', us, b'" -- "', pt[us], b'" [label="%d"];\n' % x]
         else:

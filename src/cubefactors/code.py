@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cube import CubeSpace, check_explicit, make_space, popcount32
+from .cube import CubeSpace, _xor_table, check_explicit, make_space
 
 __all__ = [
     "CodeContext",
@@ -59,17 +59,12 @@ class CodeContext:
 
         Same words as ``enumerate_code``, built in numpy and without its
         explicit-mode cap: it holds the 2^(d-k) codewords, never 2^d vertices.
+        Each setting of the free coordinates gets the pivots of its syndrome.
         """
-        dirs = self.space.directions
-        m = np.arange(1 << len(self._free_positions), dtype=np.uint32)
-        words = np.zeros_like(m)
-        syn = np.zeros_like(m)
-        for t, pos in enumerate(self._free_positions):
-            bit = (m >> np.uint32(t)) & np.uint32(1)
-            words |= bit << np.uint32(pos)
-            syn ^= bit * np.uint32(dirs[pos])
-        for j, pos in enumerate(self._pivot_positions):
-            words |= ((syn >> np.uint32(j)) & np.uint32(1)) << np.uint32(pos)
+        free = self._free_positions
+        syn = _xor_table([self.space.directions[pos] for pos in free])
+        pivots = _xor_table([1 << pos for pos in self._pivot_positions])
+        words = _xor_table([1 << pos for pos in free]) | pivots[syn]
         words.sort()
         words.flags.writeable = False
         return words
@@ -77,12 +72,16 @@ class CodeContext:
     @cached_property
     def _phi_array(self) -> np.ndarray:
         check_explicit(self.d)
-        idx = np.arange(1 << self.d, dtype=np.uint32)
-        table = np.zeros(1 << self.d, dtype=np.uint32)
-        for i, x in enumerate(self.space.directions):
-            table[(idx >> i) & 1 == 1] ^= x
+        table = _xor_table(self.space.directions)
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def _vertex_array(self) -> np.ndarray:
+        """Every vertex, 0 to 2^d - 1, as a read-only uint32 array."""
+        idx = np.arange(1 << self.d, dtype=np.uint32)
+        idx.flags.writeable = False
+        return idx
 
 
 def build_context(d: int) -> CodeContext:
@@ -200,7 +199,7 @@ def codewords_near(ctx: CodeContext, u: int, radius: int) -> list[int]:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     words = ctx._codeword_array
-    return words[popcount32(words ^ np.uint32(u)) <= radius].tolist()
+    return words[np.bitwise_count(words ^ np.uint32(u)) <= radius].tolist()
 
 
 def phi_table(ctx: CodeContext) -> np.ndarray:

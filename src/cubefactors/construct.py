@@ -43,10 +43,10 @@ from .cube import (
     CubeSpace,
     Edge,
     _binary_values,
+    _xor_table,
     check_explicit,
     direction_mask,
     explicit_cap,
-    popcount32,
     vertex_text,
 )
 
@@ -260,7 +260,7 @@ def _near_any(words: np.ndarray, centres: np.ndarray, lo: int, hi: int) -> np.nd
     start, step = 0, 4
     while start < len(centres) and todo.size:
         stop = start + max(1, min(step, _BLOCK_ENTRIES // todo.size))
-        dist = popcount32(words[todo, None] ^ centres[None, start:stop])
+        dist = np.bitwise_count(words[todo, None] ^ centres[None, start:stop])
         hit = ((dist >= lo) & (dist <= hi)).any(axis=1)
         near[todo[hit]] = True
         todo = todo[~hit]
@@ -340,7 +340,7 @@ def _vetoed(
     wi = np.searchsorted(cw, w)
     far_w = w ^ (1 << ip[wi]) ^ (1 << iq[wi])
     vetoed = np.zeros(len(at), dtype=bool)
-    vetoed[has] = popcount32(far_w ^ u) == 1
+    vetoed[has] = np.bitwise_count(far_w ^ u) == 1
     return vetoed
 
 
@@ -425,7 +425,7 @@ class Factorisation:
         """Factor x's partner of every vertex, derived from its row of axes."""
         # numpy shifts by 32 or more to 0: an unmatched slot is a fixed point.
         shift = np.left_shift(1, self._axis_row(x), dtype=np.uint32)
-        return np.arange(1 << self.d, dtype=np.uint32) ^ shift
+        return np.bitwise_xor(shift, self.ctx._vertex_array, out=shift)
 
     def partner(self, u: int, x: int) -> int:
         """The vertex matched to u by factor x."""
@@ -592,11 +592,8 @@ def _cube_claims(ctx: CodeContext, v: int, r: Sequence[int]) -> tuple[np.ndarray
     binary numbers, w's slot in factor r_j gets the axis r_(j-1).
     """
     pos = np.array([ctx.space.index[x] for x in r], dtype=np.int64)
-    bits = 1 << pos
-    m = len(r)
-    sel = np.arange(1 << m)[:, None] >> np.arange(m) & 1
-    w = (v ^ (sel * bits).sum(axis=1))[:, None]
-    shape = (1 << m, m)
+    w = (_xor_table([1 << p for p in pos.tolist()]) ^ v)[:, None]
+    shape = (w.size, len(r))
     return (
         np.broadcast_to(w, shape).ravel(),
         np.broadcast_to(pos, shape).ravel(),
@@ -783,7 +780,7 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         if fac.mode != "explicit":
             return
         labels = np.array(ctx.space.directions)
-        idx = np.arange(1 << ctx.d, dtype=np.uint32)
+        idx = ctx._vertex_array
         for i, (x, row) in enumerate(zip(ctx.space.directions, fac.axes)):
             # A moved edge is listed from its end with a 0 on its axis; an
             # unmatched slot lists nothing.
@@ -837,10 +834,7 @@ def _read_edges(space: CubeSpace, edges: list) -> tuple[np.ndarray, np.ndarray]:
             s for s in texts if not isinstance(s, str) or len(s) != d or s.strip("01")
         )
         raise ValueError(f"expected a {d}-digit binary string, got {bad!r}")
-    # Left-padded to whole 8-byte words, as _binary_values reads them.
-    rows = np.zeros((n, 8 * ((d + 7) // 8)), np.uint8)
-    rows[:, rows.shape[1] - d:] = digits.reshape(n, d)
-    lo = _binary_values(rows, d)
+    lo = _binary_values(digits.reshape(n, d))
     try:
         # A bool or a float would find the int label it equals.
         if set(map(type, labels)) != {int}:

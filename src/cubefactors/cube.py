@@ -23,7 +23,6 @@ __all__ = [
     "basis_vertex",
     "flip",
     "hamming_distance",
-    "popcount32",
     "direction_mask",
     "small_cube_id",
     "ball",
@@ -41,7 +40,11 @@ _CAP_ENV = "CUBEFACTORS_MAX_EXPLICIT_D"
 
 def explicit_cap() -> int:
     """Largest d for which whole-cube tables may be materialised."""
-    return int(os.environ.get(_CAP_ENV, DEFAULT_EXPLICIT_CAP))
+    raw = os.environ.get(_CAP_ENV, str(DEFAULT_EXPLICIT_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def check_explicit(d: int) -> None:
@@ -103,17 +106,14 @@ def hamming_distance(u: int, v: int) -> int:
     return (u ^ v).bit_count()
 
 
-def popcount32(arr: np.ndarray) -> np.ndarray:
-    """Number of set bits of every entry, as uint32 (entries must fit in 32 bits)."""
-    # SWAR bit count on a fresh copy, so the steps below may work in place.
-    v = np.array(arr, dtype=np.uint32)
-    v -= (v >> 1) & np.uint32(0x55555555)
-    v = (v & np.uint32(0x33333333)) + ((v >> 2) & np.uint32(0x33333333))
-    v += v >> 4
-    v &= np.uint32(0x0F0F0F0F)
-    v *= np.uint32(0x01010101)
-    v >>= 24
-    return v
+def _xor_table(images: Sequence[int]) -> np.ndarray:
+    """The uint32 table whose entry u is the XOR of ``images[i]`` over the set
+    bits i of u.  Built by doubling: the entries with top bit i are those
+    below 2^i, each XORed with ``images[i]``."""
+    table = np.zeros(1 << len(images), np.uint32)
+    for i, x in enumerate(images):
+        np.bitwise_xor(table[:1 << i], x, out=table[1 << i:2 << i])
+    return table
 
 
 def direction_mask(space: CubeSpace, dirs: Iterable[int]) -> int:
@@ -166,10 +166,6 @@ _BYTE_DIGITS = (
     np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + ord("0")
 ).view(np.uint64).ravel()
 
-# Multiplying the low bits of eight bytes read as a little-endian word by
-# this gathers them into the top byte, the first byte's bit highest.
-_GATHER_BITS = np.uint64(0x8040201008040201)
-
 
 def _binary_digits(d: int, v: np.ndarray) -> np.ndarray:
     """(len(v), d) ASCII digits of ``vertex_text`` for every vertex in v."""
@@ -180,21 +176,14 @@ def _binary_digits(d: int, v: np.ndarray) -> np.ndarray:
     return words.view(np.uint8)[:, 8 * nb - d:]
 
 
-def _binary_values(rows: np.ndarray, d: int) -> np.ndarray:
-    """The numbers whose binary digits, most significant first, are the last
-    d columns of each row (ASCII "0" and "1" give 0 and 1; only the low bit
-    of a digit is read).  The rows' width must be a multiple of 8 and at most
-    32; the columns before the digits are ignored."""
-    mask = np.zeros(rows.shape[1], np.uint8)
-    mask[rows.shape[1] - d:] = 1
-    words = rows.view("<u8") & mask.view("<u8")
-    words *= _GATHER_BITS
-    words >>= np.uint64(56)
-    out = np.zeros(len(rows), np.uint32)
-    for column in words.T:
-        out <<= np.uint32(8)
-        out |= column.astype(np.uint32)
-    return out
+def _binary_values(digits: np.ndarray) -> np.ndarray:
+    """The numbers whose binary digits, most significant first, are the rows
+    of a (n, d) uint8 array, d at most 32 (ASCII "0" and "1" give 0 and 1;
+    only the low bit of a digit is read), as uint32."""
+    n, d = digits.shape
+    bits = np.zeros((n, 32), np.uint8)
+    np.bitwise_and(digits, 1, out=bits[:, 32 - d:])
+    return np.packbits(bits, axis=1).view(">u4").ravel().astype(np.uint32)
 
 
 def _items(a: np.ndarray) -> np.ndarray:

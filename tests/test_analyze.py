@@ -23,6 +23,7 @@ from cubefactors.construct import (
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
     _labels,
+    _signature_bits,
     _one_component_per_key,
     _prefix_labels,
     _union,
@@ -358,6 +359,15 @@ def test_tf_context_masks():
     assert tf_label(tfc, 0b0001000).bits == 1
     assert tf_label(tfc, 0b0001000).psi == 1
     assert tf_label(tfc, 0b0011000).bits == 0
+
+
+@pytest.mark.parametrize("d", [7, 8, 9, 10])
+def test_signature_bits_match_tf_label_at_every_vertex(d):
+    ctx = build_context(d)
+    rng = random.Random(d)
+    for _ in range(4):
+        tfc = tf_context(ctx, rng.sample(ctx.space.directions, rng.randint(1, d)))
+        assert _signature_bits(tfc).tolist() == [tf_label(tfc, u).bits for u in range(1 << d)]
 
 
 def test_tf_label_constant_on_small_cubes():

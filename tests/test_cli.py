@@ -217,6 +217,13 @@ def test_construct_implicit_keeps_one_construct_timing(monkeypatch, capsys):
     assert not {"touched_edges", "baseline_only"} & set(rep)
 
 
+def test_a_bad_explicit_cap_is_named(monkeypatch, capsys):
+    monkeypatch.setenv("CUBEFACTORS_MAX_EXPLICIT_D", "abc")
+    assert cli.main(["construct", "--d", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "CUBEFACTORS_MAX_EXPLICIT_D must be an integer, got 'abc'" in err
+
+
 SWAPPING = ["--pg", "0.005", "--rg", "6", "--rh", "3", "--cube-dim", "4"]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -213,3 +214,50 @@ def test_codewords_near_without_an_array():
 def test_codewords_near_rejects_a_negative_radius():
     with pytest.raises(ValueError, match="radius"):
         codewords_near(CTX7, 0, -1)
+
+
+# sha256 of the codeword array and of phi_table, as the per-coordinate loops
+# built them before both were built as XOR tables.
+GOLDEN_CODEWORDS = {
+    7: "56b4a5857b8cbe9eba509378f0d570eb8c7ad19a0d440510ea162bfa7695a2e7",
+    8: "3b9317c832598d2ca8b4b7eb580cdf4abc9589e0974d94f3e92ace8c2c453a3b",
+    9: "edb3079fe9a16d9b4d88334988f68c4aa9c3e7ca11ff7895042073b910923b71",
+    10: "845dd3d7886165d4a0b34b0669b78caa0742a9851a501343bc09f24c619b45cb",
+    11: "7807ea8b8b61e336377251b6895d53326ceaf4de10905cd5fe7525b90e4b275b",
+    12: "43686ee69cbb83be6d6302008153b1001f1dc63c4109b56b4efb1cfcf966b009",
+    13: "d9c23a33a907da793c97f0e48b164874579697315e92de4db47f8cca05a191e6",
+    14: "5948eb686df17fb22f98012c273941d0ca0876a2e6622cad106fe853e8fd948e",
+    15: "b609c87520159e58311d7c599fa40bdfcd28f5a8892c493827a6813b85352cb3",
+    16: "e27873c5662606d272bd1f98a8005abafa84e13a34252096486a580c85f6fe80",
+    17: "f633fddc3d924ecdf3aceed583896a72df8837f23cd9fe84565ef74d3743442d",
+    18: "684fe6e36587e3d90769b4afd9e8908fdd118b8e8c2d63168d24cef1f1cb9ce0",
+    19: "67e194a666735ebaf7a05ff52a2b1ec8c12194631deff084f80c6e21ac0c3a44",
+    20: "dcd6c2cebc76b39dcf97225e25be5853edd46509bbc844e5e949b96b7ed65b93",
+    21: "8e2d714dc3f31115df26afb8b75cd89c0c0294799ec90988e330c1f10bc5650f",
+    22: "6cfa4afdbd22ba07b6a3723e60d62a38ec1d35dddbbe190b4c13a73f01865b29",
+    23: "f341bd7993a8b9f3a216d0ec8bdc758bb3c658c7266f3aa54d7ddbb6e0888309",
+    24: "3dd72f327adb81bd01d54cdb432e6718dcc397d2ccf152eefb8c8b04d58e0884",
+    25: "089d5c657b1697c46341d45e9cc48c126d54692cc974e580d369ad22be094737",
+    26: "ec1e348b830262c7c5b3469e1d5418538a8e8c85e2a90b1863ee1d36b48b14f9",
+}
+GOLDEN_PHI = {
+    7: "e86baafa2bd0812e7326f6c8d0a91f08c6589ad96b17b13c4073704cc5c00353",
+    8: "e304de097f592711e202f3421c2f70a1e7bb3f329c78d9e8f0d6688907c0e402",
+    9: "bbf893e507913a8c6fcc27873a5a1ff1b07226fa0c84fa00bd8604c90c0ada36",
+    10: "76b6a755a6f71b288046ffed3648f9b4c829d1ad6303b02c12c4fe341c073c8c",
+    11: "59c80c706b304a069c301605280fec5e3b6fba5911b08f91f9e8049ea9143f15",
+    12: "718aaf436af23e40f0ee3fe7cc68ac63faebafcec18d792c86b205d9f0b43e52",
+    13: "04a44ffa172805ade1bb2f68ba2e2b864a72f3d343630da6ec60c0176820bdb1",
+    14: "4e9d751efd0649a1452878e6fad9b845c340a58ea2ef0981512af36c8e739106",
+    15: "fa01096cb33c1e53680d2d56b9d4103227f36096f358bfff61a522aeb611518e",
+    16: "5c7d39d48de2f6fe162bd88dd1d61d8c3dbe851a79365cbe1c2733803a7abff4",
+}
+
+
+def test_code_tables_are_pinned():
+    for d, digest in GOLDEN_CODEWORDS.items():
+        words = build_context(d)._codeword_array
+        assert hashlib.sha256(words.tobytes()).hexdigest() == digest, d
+    for d, digest in GOLDEN_PHI.items():
+        table = phi_table(build_context(d))
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest, d

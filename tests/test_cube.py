@@ -1,10 +1,16 @@
+import random
+from functools import reduce
 from math import comb
+from operator import xor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubefactors.cube import (
+    _binary_values,
+    _xor_table,
     ball,
     basis_vertex,
     check_explicit,
@@ -148,3 +154,24 @@ def test_explicit_cap_env_override(monkeypatch):
     check_explicit(8)
     monkeypatch.delenv("CUBEFACTORS_MAX_EXPLICIT_D")
     assert explicit_cap() == 22
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=12))
+def test_xor_table_xors_the_images_of_the_set_bits(images):
+    table = _xor_table(images)
+    assert table.dtype == np.uint32
+    assert table.tolist() == [
+        reduce(xor, (x for i, x in enumerate(images) if u >> i & 1), 0)
+        for u in range(1 << len(images))
+    ]
+
+
+def test_binary_values_read_up_to_32_digits():
+    rng = random.Random(32)
+    for d in range(1, 33):
+        texts = ["0" * d, "1" * d] + [format(rng.getrandbits(d), f"0{d}b") for _ in range(50)]
+        digits = np.frombuffer("".join(texts).encode(), np.uint8).reshape(len(texts), d)
+        values = _binary_values(digits)
+        assert values.dtype == np.uint32
+        assert values.tolist() == [int(s, 2) for s in texts], d
