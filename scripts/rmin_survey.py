@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Brute-force survey of r(M), the minimal connecting subset size.
+"""Survey of r(M), the minimal connecting subset size.
 
 For each dimension and seed, builds a factorisation of the chosen kind and
-scans r = 1, 2, ... until every union of r factors is connected.  The scan
-enumerates all subsets, so it is guarded to small d.
+finds r, the least r such that every union of r factors is connected, with
+``rmin``.  Each line gives r, a largest disconnected factor set (the witness),
+the smallest vertex outside vertex 0's component in its union, and how many
+unions the search labelled.  ``rmin`` is guarded to d <= 18.
 """
 
 import argparse
 import sys
 import time
 
-from cubefactors.analyze import r_scan
+from cubefactors.analyze import rmin
 from cubefactors.code import build_context
 from cubefactors.construct import (
     KINDS,
@@ -47,15 +49,22 @@ def main(argv=None):
 def survey(ns):
     dims = [int(tok) for tok in ns.dims.split(",") if tok.strip()]
     params = ConstructionParams(pg=ns.pg) if ns.pg is not None else ConstructionParams()
-    print(f"{'kind':<13} {'d':>3} {'seed':>5} {'r':>3} {'seconds':>9}")
+    print(
+        f"{'kind':<13} {'d':>3} {'seed':>5} {'r':>3} {'seconds':>9} "
+        f"{'subsets':>8} {'vertex':>7}  witness"
+    )
     for d in dims:
         seeds = range(ns.seeds) if ns.kind != "directional" else [0]
         for seed in seeds:
             fac = build_factorisation(build_context(d), ns.kind, params, RandomTape(seed))
             t0 = time.perf_counter()
-            r, _ = r_scan(fac)
+            res = rmin(fac)
             elapsed = time.perf_counter() - t0
-            print(f"{ns.kind:<13} {d:>3} {seed:>5} {r:>3} {elapsed:>9.3f}")
+            witness = ",".join(map(str, res.witness or ())) or "-"
+            print(
+                f"{ns.kind:<13} {d:>3} {seed:>5} {res.r:>3} {elapsed:>9.3f} "
+                f"{res.subsets_checked:>8} {str(res.vertex):>7}  {witness}"
+            )
     return 0
 
 

@@ -11,7 +11,8 @@ matching labels each vertex with the smaller end of its edge, and each further
 one is merged by hooking and pointer jumping (Shiloach and Vishkin, 1982) over
 the component roots alone (``_merge``).  Every vertex ends labelled with the
 smallest vertex of its component, and the fold stops at the first connected
-prefix.  Each analysis labels its subset afresh (``_labels``).
+prefix.  Each analysis labels its subset afresh (``_labels``), except
+``rmin``, whose search hands each subset's labels on to its extensions.
 
 Every analysis of factor unions reads whole partner rows (``table``) and
 ``validate`` the axis array they derive from, so they take an explicit
@@ -27,7 +28,6 @@ import random
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "ComponentReport",
     "TfContext",
     "TfLabel",
+    "RResult",
     "validate",
     "union_components",
     "bfs_components",
@@ -56,14 +57,13 @@ __all__ = [
     "psi_criterion",
     "untouched_parallel_paths",
     "untouched_path_histogram",
-    "r_of",
-    "r_scan",
+    "rmin",
     "is_connected",
     "min_connecting_prefix",
     "connectivity_profile",
 ]
 
-R_OF_MAX_D = 10
+RMIN_MAX_D = 18
 
 
 def _dirs(ctx: CodeContext, spec: Iterable[int]) -> tuple[int, ...]:
@@ -440,32 +440,62 @@ def untouched_path_histogram(
 # -- minimum connecting subset size ----------------------------------------------
 
 
-def r_scan(
-    fac: Factorisation, *, max_d: int = R_OF_MAX_D
-) -> tuple[int, dict[int, float]]:
-    """r_of plus elapsed seconds per tried subset size, in explicit mode."""
-    if fac.d > max_d:
-        raise ValueError(f"r_of is guarded to d <= {max_d} (got d={fac.d})")
-    timings: dict[int, float] = {}
-    for r in range(1, fac.d + 1):
-        t0 = time.perf_counter()
-        ok = all(
-            _union(map(fac.table, dirs))[1].size == 1
-            for dirs in combinations(fac.directions, r)
-        )
-        timings[r] = time.perf_counter() - t0
-        if ok:
-            return r, timings
-    raise AssertionError("full factor union must be connected")
+@dataclass(frozen=True)
+class RResult:
+    """r(M) with its certificate.
+
+    ``witness`` is a largest disconnected factor set, of size r - 1, and
+    ``vertex`` the smallest vertex outside vertex 0's component in its union;
+    both are None when r = 1.  ``subsets_checked`` counts the unions the
+    search labelled.
+    """
+
+    r: int
+    witness: Optional[tuple[int, ...]]
+    vertex: Optional[int]
+    subsets_checked: int
 
 
-def r_of(fac: Factorisation, *, max_d: int = R_OF_MAX_D) -> int:
+def rmin(fac: Factorisation) -> RResult:
     """Smallest r such that every union of r factors is connected.
 
-    Enumerates subsets lexicographically with early exit; r = d always
-    succeeds for a valid factorisation, since the full union is the cube.
+    A subset of a disconnected set is disconnected, so r is one more than the
+    size of a largest disconnected set.  A depth-first search walks the
+    subsets of factor positions in increasing order, extending only those
+    whose union is disconnected.  Each node carries its union's labels and
+    roots, so each child costs one ``_merge``; the root is the empty set, with
+    every vertex its own root.  A branch is cut when even all the positions
+    left could not beat the largest disconnected set found so far.  Needs an
+    explicit factorisation: pass an implicit one's explicit twin.
     """
-    return r_scan(fac, max_d=max_d)[0]
+    if fac.d > RMIN_MAX_D:
+        raise ValueError(
+            f"rmin is guarded to d <= {RMIN_MAX_D} (got d={fac.d}); "
+            f"the exact search already takes minutes at d = {RMIN_MAX_D}"
+        )
+    tables = [fac.table(x) for x in fac.directions]
+    best: tuple[int, ...] = ()
+    vertex: Optional[int] = None
+    checked = 0
+
+    def extend(chosen: tuple[int, ...], comp: np.ndarray, roots: np.ndarray) -> None:
+        nonlocal best, vertex, checked
+        for j in range(chosen[-1] + 1 if chosen else 0, fac.d):
+            if len(chosen) + fac.d - j <= len(best):
+                return
+            comp_j, roots_j = _merge(comp, roots, tables[j])
+            checked += 1
+            if roots_j.size > 1:
+                if len(chosen) >= len(best):
+                    best, vertex = (*chosen, j), int(roots_j[1])
+                extend((*chosen, j), comp_j, roots_j)
+
+    idx = fac.ctx._vertex_array
+    extend((), idx, idx)
+    if len(best) == fac.d:
+        raise AssertionError("full factor union must be connected")
+    witness = tuple(fac.directions[j] for j in best) if best else None
+    return RResult(len(best) + 1, witness, vertex, checked)
 
 
 def is_connected(fac: Factorisation, spec: Iterable[int]) -> bool:

@@ -319,17 +319,25 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def cmd_rmin(ns: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     fac = _fac_from_args(ns)
-    r, per_r = an.r_scan(fac)
+    t1 = time.perf_counter()
+    res = an.rmin(fac)
+    timings = {"build": t1 - t0, "search": time.perf_counter() - t1}
+    witness = None
+    if res.witness is not None:
+        witness = {"factors": list(res.witness), "vertex": res.vertex}
     report = {
         "operation": "rmin",
         "d": fac.d,
         "kind": fac.kind,
         "seed": fac.seed,
         **_built(fac),
-        "r": r,
+        "r": res.r,
+        "witness": witness,
+        "subsets_checked": res.subsets_checked,
     }
-    _emit(ns, report, {f"r={k}": v for k, v in per_r.items()})
+    _emit(ns, report, timings)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from cubefactors.analyze import (
     bfs_components,
     code_intersections,
     decomposition_of,
-    r_of,
+    rmin,
     tf_class_sizes,
     tf_context,
     tf_label,
@@ -237,9 +237,9 @@ def test_criterion_07_oracle_equivalence():
 
 
 def test_criterion_08_r_brute_force():
-    got = {d: r_of(directional(build_context(d))) for d in range(3, 9)}
+    got = {d: rmin(directional(build_context(d))).r for d in range(3, 9)}
     ok = all(got[d] == d for d in got)
-    _report(8, "r brute force", ok, f"directional r(M) per d: {got}")
+    _report(8, "exact r", ok, f"directional r(M) per d: {got}")
 
 
 def test_criterion_09_empirical_trend(tmp_path, capsys):
@@ -395,4 +395,21 @@ def test_criterion_14_swapping_mode_equivalence_large_d():
         f"{queries} partner queries at d=14..18 on 512 sampled touched slots and "
         f"256 random slots per d, touched edges {touched}, {elapsed:.1f}s, "
         f"failures={failures[:3]}",
+    )
+
+
+def test_criterion_15_swapping_r_below_d():
+    t0 = time.perf_counter()
+    fac = build_explicit(build_context(12), SWAPPING, RandomTape(0))
+    res = rmin(fac)
+    components = bfs_components(fac, res.witness).count
+    elapsed = time.perf_counter() - t0
+    ok = touched_edge_count(fac) > 0 and res.r < 12 and components >= 2
+    _report(
+        15,
+        "swapping r below d",
+        ok,
+        f"pg 0.005 rg 6 rh 3 cube_dim 4 at d=12 seed 0: r={res.r}, witness "
+        f"{list(res.witness)} has {components} components, "
+        f"{res.subsets_checked} subsets checked in {elapsed:.2f}s",
     )

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 import cubefactors.construct as construct_mod
 from cubefactors.code import build_context, code_size, enumerate_code, in_code
 from cubefactors.construct import (
+    KINDS,
     ConstructionParams,
     Factorisation,
+    OverlapError,
     RandomTape,
     SwapPlan,
     apply_explicit,
     build_explicit,
+    build_factorisation,
     directional,
     implicit_factorisation,
     random_greedy_factorisation,
@@ -27,6 +30,7 @@ from cubefactors.analyze import (
     _one_component_per_key,
     _prefix_labels,
     _union,
+    RResult,
     ValidationReport,
     bfs_components,
     code_intersection,
@@ -36,8 +40,7 @@ from cubefactors.analyze import (
     is_connected,
     min_connecting_prefix,
     psi_criterion,
-    r_of,
-    r_scan,
+    rmin,
     small_cube_connectivity,
     tf_class_sizes,
     tf_connectivity,
@@ -534,52 +537,96 @@ def test_cube_swap_path_histogram_frozen():
 
 # -- minimum connecting subset size ---------------------------------------------------
 
+SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
+
+
+def _brute_force_r(fac):
+    """r(M) by listing the subsets of each size, smallest size first, each size
+    stopping at its first disconnected union: the search ``rmin`` replaced,
+    kept as its oracle."""
+    for r in range(1, fac.d + 1):
+        if all(
+            _union(map(fac.table, dirs))[1].size == 1
+            for dirs in combinations(fac.directions, r)
+        ):
+            return r
+    raise AssertionError("full factor union must be connected")
+
+
+@pytest.mark.parametrize("d", range(7, 11))
+@pytest.mark.parametrize(
+    "kind, params",
+    [(kind, ConstructionParams()) for kind in KINDS] + [("construction", SWAPPING)],
+    ids=[*KINDS, "swapping"],
+)
+def test_rmin_matches_brute_force_and_its_witness_holds(d, kind, params):
+    ctx = build_context(d)
+    built = 0
+    for seed in (0,) if kind == "directional" else range(3):
+        try:
+            fac = build_factorisation(ctx, kind, params, RandomTape(seed))
+        except OverlapError:
+            continue
+        built += 1
+        res = rmin(fac)
+        assert res.r == _brute_force_r(fac), seed
+        assert res.r > 1 and len(res.witness) == res.r - 1
+        # The witness is disconnected, res.vertex is the smallest vertex
+        # outside vertex 0's component, and any one more factor connects it.
+        assert bfs_components(fac, res.witness).count >= 2
+        labels = _bfs_labels([fac.table(x) for x in res.witness])
+        assert labels[res.vertex] != 0
+        assert not any(labels[: res.vertex])
+        for x in set(fac.directions) - set(res.witness):
+            assert bfs_components(fac, (*res.witness, x)).count == 1, (seed, x)
+    assert built
+
 
 def test_r_of_directional_needs_all_factors():
+    # The first path down the search is already a largest disconnected set;
+    # every other branch is cut before it is labelled.
     for d in (3, 4, 5):
         fac = directional(build_context(d))
-        r, timings = r_scan(fac)
-        assert r == d
-        assert set(timings) == set(range(1, d + 1))
+        assert rmin(fac) == RResult(d, fac.directions[:-1], 1 << (d - 1), d)
 
 
 def test_r_of_greedy_frozen():
     ctx = build_context(4)
     got = [
-        r_of(random_greedy_factorisation(ctx, RandomTape(s))) for s in (7, 8, 9)
+        rmin(random_greedy_factorisation(ctx, RandomTape(s))).r for s in (7, 8, 9)
     ]
     assert got == [4, 4, 3]
 
 
 def test_r_of_dimension_guard():
-    fac = directional(build_context(11))
-    with pytest.raises(ValueError, match="guarded to d <= 10"):
-        r_of(fac)
-    with pytest.raises(ValueError, match="guarded to d <= 4"):
-        r_of(directional(build_context(5)), max_d=4)
+    assert rmin(directional(build_context(18))).r == 18
+    fac = directional(build_context(19))
+    with pytest.raises(ValueError, match="guarded to d <= 18"):
+        rmin(fac)
 
 
 def test_r_of_swapped_construction():
-    # all d factors always connect, so r_of <= d; this seed needs only 7
+    # all d factors always connect, so r <= d; this seed needs only 7
     ctx = build_context(8)
     fac = build_explicit(ctx, SCALED, RandomTape(2))
     assert touched_edge_count(fac) == 64
-    assert r_of(fac) == 7
+    assert rmin(fac).r == 7
 
 
 def test_r_of_supersets_stay_connected():
-    # connectivity is monotone in the subset: every size >= r_of connects
+    # connectivity is monotone in the subset: every size >= r connects
     fac = random_greedy_factorisation(build_context(6), RandomTape(11))
-    r = r_of(fac)
+    r = rmin(fac).r
     for size in range(r, 7):
         for sub in combinations(fac.directions, size):
             assert union_components(fac, sub).count == 1
 
 
 def test_r_of_definition_spot_check():
-    # r_of == 3: some 2-subset union is disconnected, every 3-subset connects
+    # r == 3: some 2-subset union is disconnected, every 3-subset connects
     ctx = build_context(4)
     fac = random_greedy_factorisation(ctx, RandomTape(9))
+    assert rmin(fac).r == 3
     assert any(
         union_components(fac, sub).count > 1
         for sub in combinations(ctx.space.directions, 2)
@@ -705,7 +752,7 @@ def test_analyses_refuse_implicit_without_building(monkeypatch):
         lambda: tf_connectivity(imp, dirs),
         lambda: is_connected(imp, dirs),
         lambda: bfs_components(imp, dirs),
-        lambda: r_scan(imp),
+        lambda: rmin(imp),
         lambda: min_connecting_prefix(imp, imp.directions),
         lambda: connectivity_profile(imp, 5, random.Random(2)),
         lambda: touched_edge_count(imp),

@@ -9,7 +9,7 @@ import pytest
 
 import cubefactors.construct as construct_mod
 from cubefactors import cli
-from cubefactors.analyze import union_components, untouched_path_histogram
+from cubefactors.analyze import rmin, union_components, untouched_path_histogram
 from cubefactors.code import build_context, code_size
 from cubefactors.construct import (
     ConstructionParams,
@@ -712,14 +712,31 @@ def test_rmin_directional(capsys):
     rc, rep = run_json(capsys, "rmin", "--d", "3")
     assert rc == 0
     assert rep["r"] == 3
-    assert set(rep["timings"]) == {"r=1", "r=2", "r=3"}
+    assert rep["witness"] == {"factors": [1, 2], "vertex": 4}
+    assert rep["subsets_checked"] == 3
+    assert set(rep["timings"]) == {"build", "search"}
+
+
+def test_rmin_out_is_the_same_twice_and_reports_the_witness(tmp_path, capsys):
+    source = ["--d", "12", "--kind", "construction", *SWAPPING]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        rc, shown = run_json(capsys, "rmin", *source, "--out", str(path))
+        assert rc == 0
+    assert filecmp.cmp(paths[0], paths[1], shallow=False)
+    rep = json.loads(paths[0].read_text())
+    assert rep == {k: v for k, v in shown.items() if k != "timings"}
+    params = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
+    res = rmin(build_explicit(build_context(12), params, RandomTape(0)))
+    assert (rep["r"], rep["subsets_checked"]) == (res.r, res.subsets_checked)
+    assert rep["witness"] == {"factors": list(res.witness), "vertex": res.vertex}
 
 
 def test_rmin_guard(capsys):
-    rc = cli.main(["rmin", "--d", "11"])
+    rc = cli.main(["rmin", "--d", "19"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "guarded to d <= 10" in err
+    assert "guarded to d <= 18" in err
 
 
 # -- experiment ------------------------------------------------------------------------

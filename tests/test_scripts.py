@@ -31,3 +31,13 @@ def test_rmin_survey_reports_an_overlap_as_a_failure(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: overlapping swap regions: ")
+
+
+def test_rmin_survey_prints_the_witness_and_subsets_checked(capsys):
+    rc = _load("rmin_survey").main(["--kind", "directional", "--dims", "5"])
+    header, line = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert header.split()[-3:] == ["subsets", "vertex", "witness"]
+    fields = line.split()
+    assert fields[:4] == ["directional", "5", "0", "5"]
+    assert fields[5:] == ["5", "16", "1,2,3,4"]
