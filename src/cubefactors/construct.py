@@ -391,6 +391,9 @@ class Factorisation:
         self._r6 = _Memo(lambda v: _draw_r6(ctx, tape, v, params.cube_dim))
         self._in_g = _Memo(partial(_isolated, ctx, params, coin))
         self._active = _Memo(partial(_square_survives, ctx, params, coin, pq))
+        # The last subset labelled by ``analyze._labels``: its sorted distinct
+        # directions and their read-only minimum-vertex label array.
+        self._subset_labels: Optional[tuple[tuple[int, ...], np.ndarray]] = None
 
     @property
     def d(self) -> int:

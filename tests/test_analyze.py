@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -655,6 +657,57 @@ def test_is_connected_matches_bfs():
         for _ in range(8):
             dirs = rng.sample(fac.directions, rng.randint(1, fac.d))
             assert is_connected(fac, dirs) == (bfs_components(fac, dirs).count == 1)
+
+
+# -- the per-factorisation label memo -----------------------------------------------
+
+
+def test_subset_analyses_agree_with_bfs_when_the_memo_switches_subsets():
+    fac = build_explicit(build_context(10), SCALED, RandomTape(13))
+    assert touched_edge_count(fac) > 0
+    a, b = (1, 3, 4, 5), (2, 3, 5, 7, 8, 14)
+    for dirs in (a, b, a):
+        label = _bfs_labels([fac.table(x) for x in dirs])
+        oracle = bfs_components(fac, dirs)
+        mask = direction_mask(fac.ctx.space, dirs)
+        tfc = tf_context(fac.ctx, dirs)
+        vertices = range(1 << fac.d)
+        cubes = _per_key([u & ~mask for u in vertices], label)
+        classes = _per_key([tf_label(tfc, u).bits for u in vertices], label)
+        for _ in range(2):
+            rep = union_components(fac, dirs)
+            assert (rep.count, rep.sizes) == (oracle.count, oracle.sizes)
+            assert small_cube_connectivity(fac, dirs) == cubes
+            assert tf_connectivity(fac, dirs) == classes
+            assert is_connected(fac, dirs) == (oracle.count == 1)
+            assert fac._subset_labels[0] == dirs
+
+
+def test_label_memo_is_keyed_by_the_sorted_distinct_directions():
+    fac = build_explicit(build_context(10), SCALED, RandomTape(13))
+    small_cube_connectivity(fac, (2, 1, 2))
+    entry = fac._subset_labels
+    assert entry[0] == (1, 2)
+    tf_connectivity(fac, [1, 2])
+    assert fac._subset_labels is entry
+    labels = _labels(fac, (1, 2))
+    assert labels is entry[1]
+    with pytest.raises(ValueError, match="read-only"):
+        labels[0] = 1
+    # The prefix sweeps and the r search label their own unions.
+    min_connecting_prefix(fac, fac.directions)
+    connectivity_profile(fac, 3, random.Random(1))
+    assert fac._subset_labels is entry
+
+
+def test_label_memo_is_freed_with_its_factorisation():
+    fac = build_explicit(build_context(10), SCALED, RandomTape(13))
+    union_components(fac, (1, 2, 3))
+    assert fac._subset_labels is not None
+    ref = weakref.ref(fac)
+    del fac
+    gc.collect()
+    assert ref() is None
 
 
 # -- component engine ----------------------------------------------------------------
