@@ -13,10 +13,12 @@ the component roots alone (``_merge``).  Every vertex ends labelled with the
 smallest vertex of its component, and the fold stops at the first connected
 prefix.  The four subset analyses (``union_components``,
 ``small_cube_connectivity``, ``tf_connectivity``, ``is_connected``) share one
-memo entry per factorisation (``_labels``): the sorted distinct directions of
-the last subset labelled and its read-only label array, 4·2^d bytes (1 MB at
-d = 18, 16 MB at d = 22).  A second subset replaces the entry, and the entry
-is freed with its factorisation.  ``rmin`` hands each subset's labels on to
+memo entry per factorisation (``Factorisation.subset_labels``, through
+``_labels``): the sorted distinct directions of the last subset labelled and
+its read-only label array, 4·2^d bytes (1 MB at d = 18, 16 MB at d = 22).
+``analyze`` with several ``--op`` asks them about one subset in one process.
+A second subset replaces the entry, and the entry is freed with its
+factorisation.  ``rmin`` hands each subset's labels on to
 its extensions, and the prefix sweeps label their own chains; neither reads
 or writes the memo.
 
@@ -224,20 +226,13 @@ def _union(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
     """Minimum-vertex component label of every vertex in the dirs' union.
 
-    The factorisation keeps the labels of the last subset asked for, keyed
-    by ``tuple(dirs)`` (callers pass ``_dirs``' sorted distinct tuple), so
-    the analyses of one subset label it once; another subset replaces the
-    entry.  The array is read-only, since every caller gets the same one.
-    Reads whole partner rows, so an implicit factorisation is refused.
+    Kept by ``fac.subset_labels`` under ``tuple(dirs)`` (callers pass
+    ``_dirs``' sorted distinct tuple), so the analyses of one subset label
+    it once.  Reads whole partner rows, so an implicit factorisation is
+    refused.
     """
     key = tuple(dirs)
-    memo = fac._subset_labels
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    labels = _union(map(fac.table, key))[0]
-    labels.flags.writeable = False
-    fac._subset_labels = (key, labels)
-    return labels
+    return fac.subset_labels(key, lambda: _union(map(fac.table, key))[0])
 
 
 def union_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:

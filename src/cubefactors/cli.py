@@ -162,8 +162,10 @@ def _built(fac: Factorisation) -> dict:
     return {"touched_edges": touched, "baseline_only": touched == 0}
 
 
-def _emit(ns: argparse.Namespace, report: dict, timings: dict[str, float]) -> None:
-    """Write the timing-free report to --out, echo it with timings to stdout."""
+def _emit(ns: argparse.Namespace, report: dict | list[dict], timings: dict[str, float]) -> None:
+    """Write the timing-free report to --out, echo it with timings to stdout.
+    A list of reports (``analyze`` with several --op) is written as a JSON
+    list."""
     out = getattr(ns, "out", None)
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -172,11 +174,18 @@ def _emit(ns: argparse.Namespace, report: dict, timings: dict[str, float]) -> No
     _show(report, timings)
 
 
-def _show(report: dict, timings: dict[str, float]) -> None:
-    """Print the report to stdout with its timings, rounded to microseconds."""
-    shown = dict(report)
-    shown["timings"] = {k: round(v, 6) for k, v in timings.items()}
+def _show(report: dict | list[dict], timings: dict[str, float]) -> None:
+    """Print the report to stdout with its timings, rounded to microseconds;
+    each report of a list gets the timing of its own operation."""
+    if isinstance(report, list):
+        shown = [_show_timed(r, {r["operation"]: timings[r["operation"]]}) for r in report]
+    else:
+        shown = _show_timed(report, timings)
     print(json.dumps(shown, sort_keys=True, indent=2))
+
+
+def _show_timed(report: dict, timings: dict[str, float]) -> dict:
+    return {**report, "timings": {k: round(v, 6) for k, v in timings.items()}}
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -245,21 +254,18 @@ def _pairs(counter: Counter) -> list[list[int]]:
     return [[int(k), int(v)] for k, v in sorted(counter.items())]
 
 
-def cmd_analyze(ns: argparse.Namespace) -> int:
-    fac = _fac_from_args(ns)
-    dirs = _subset(ns, fac)
-    op = ns.op or "components"
+def _analysis(fac: Factorisation, dirs: tuple[int, ...], op: str) -> dict:
+    """The results of one ``analyze`` operation on the subset dirs."""
     ctx = fac.ctx
-    t0 = time.perf_counter()
     if op == "components":
         rep = an.union_components(fac, dirs)
-        results = {
+        return {
             "component_count": rep.count,
             "size_histogram": _pairs(Counter(rep.sizes)),
         }
     elif op == "small-cubes":
         cubes = an.small_cube_connectivity(fac, dirs)
-        results = {
+        return {
             "cubes": len(cubes),
             "connected": sum(cubes.values()),
             "fraction": sum(cubes.values()) / len(cubes),
@@ -268,7 +274,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         tfc = an.tf_context(ctx, dirs)
         sizes = an.tf_class_sizes(tfc)
         conn = an.tf_connectivity(fac, dirs)
-        results = {
+        return {
             "ell": tfc.dec.ell,
             "class_count": len(sizes),
             "class_size_histogram": _pairs(Counter(sizes.values())),
@@ -282,7 +288,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             (count > 0) == (an.tf_label(tfc, cube_id).psi == 0)
             for cube_id, count in inter.items()
         )
-        results = {
+        return {
             "cubes": len(inter),
             "nonzero": sum(1 for v in inter.values() if v),
             "value_histogram": _pairs(Counter(inter.values())),
@@ -290,31 +296,45 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         }
     elif op == "paths":
         hist = an.untouched_path_histogram(fac)
-        results = {
+        return {
             "disturbed_histogram": _pairs(Counter(hist)),
             "max_disturbed": max(hist),
         }
     elif op == "decomposition":
         dec = an.decomposition_of(ctx, dirs)
-        results = {
+        return {
             "ell": dec.ell,
             "basis": sorted(dec.subspace.spanning_input),
             "coset_label_count": 1 << dec.label_width,
         }
-    else:
-        raise UsageError(f"unknown analysis name: {op}")
-    elapsed = time.perf_counter() - t0
-    report = {
-        "operation": op,
+    raise UsageError(f"unknown analysis name: {op}")
+
+
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    fac = _fac_from_args(ns)
+    dirs = _subset(ns, fac)
+    ops = ns.op or ["components"]
+    if isinstance(ops, str):  # a config file may name a single analysis
+        ops = [ops]
+    if len(set(ops)) < len(ops):
+        raise UsageError("--op names an analysis more than once")
+    head = {
         "d": fac.d,
         "kind": fac.kind,
         "seed": fac.seed,
         "params": None if fac.params is None else fac.params.as_dict(fac.d),
         "factors": list(dirs),
         **_built(fac),
-        "results": results,
     }
-    _emit(ns, report, {op: elapsed})
+    # Every operation reads the same factorisation and subset, so the
+    # component analyses among them label the subset once between them.
+    reports, timings = [], {}
+    for op in ops:
+        t0 = time.perf_counter()
+        results = _analysis(fac, dirs, op)
+        timings[op] = time.perf_counter() - t0
+        reports.append({"operation": op, **head, "results": results})
+    _emit(ns, reports[0] if len(reports) == 1 else reports, timings)
     return EXIT_OK
 
 
@@ -483,7 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, params=True)
     _add_fac_source(p)
     _add_subset(p)
-    p.add_argument("--op", choices=ANALYZE_OPS, help="analysis to run")
+    p.add_argument(
+        "--op",
+        choices=ANALYZE_OPS,
+        action="append",
+        help="analysis to run (default components); repeat it to run several "
+        "on one factorisation and subset, reported as a JSON list",
+    )
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("rmin", help="minimal r with every r-factor union connected")

@@ -391,8 +391,7 @@ class Factorisation:
         self._r6 = _Memo(lambda v: _draw_r6(ctx, tape, v, params.cube_dim))
         self._in_g = _Memo(partial(_isolated, ctx, params, coin))
         self._active = _Memo(partial(_square_survives, ctx, params, coin, pq))
-        # The last subset labelled by ``analyze._labels``: its sorted distinct
-        # directions and their read-only minimum-vertex label array.
+        # The one entry ``subset_labels`` keeps: a subset's key and its labels.
         self._subset_labels: Optional[tuple[tuple[int, ...], np.ndarray]] = None
 
     @property
@@ -429,6 +428,23 @@ class Factorisation:
         # numpy shifts by 32 or more to 0: an unmatched slot is a fixed point.
         shift = np.left_shift(1, self._axis_row(x), dtype=np.uint32)
         return np.bitwise_xor(shift, self.ctx._vertex_array, out=shift)
+
+    def subset_labels(
+        self, key: tuple[int, ...], label: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """The labels ``label()`` computes for the subset ``key``, kept for
+        the last key asked for.
+
+        Asking again for that key returns the kept array; another key
+        replaces it, so one entry is kept at most, and it is freed with the
+        factorisation.  The array is read-only, since every caller of one
+        key gets the same one.
+        """
+        if self._subset_labels is None or self._subset_labels[0] != key:
+            labels = label()
+            labels.flags.writeable = False
+            self._subset_labels = (key, labels)
+        return self._subset_labels[1]
 
     def partner(self, u: int, x: int) -> int:
         """The vertex matched to u by factor x."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubefactors.analyze as analyze_mod
 import cubefactors.construct as construct_mod
 from cubefactors.code import build_context, code_size, enumerate_code, in_code
 from cubefactors.construct import (
@@ -662,11 +663,24 @@ def test_is_connected_matches_bfs():
 # -- the per-factorisation label memo -----------------------------------------------
 
 
-def test_subset_analyses_agree_with_bfs_when_the_memo_switches_subsets():
+def _count_labellings(monkeypatch) -> list:
+    """Record each subset the component engine labels from scratch."""
+    calls = []
+
+    def counted(tables):
+        calls.append(1)
+        return _union(tables)
+
+    monkeypatch.setattr(analyze_mod, "_union", counted)
+    return calls
+
+
+def test_subset_analyses_agree_with_bfs_when_the_memo_switches_subsets(monkeypatch):
     fac = build_explicit(build_context(10), SCALED, RandomTape(13))
     assert touched_edge_count(fac) > 0
+    calls = _count_labellings(monkeypatch)
     a, b = (1, 3, 4, 5), (2, 3, 5, 7, 8, 14)
-    for dirs in (a, b, a):
+    for n, dirs in enumerate((a, b, a), 1):
         label = _bfs_labels([fac.table(x) for x in dirs])
         oracle = bfs_components(fac, dirs)
         mask = direction_mask(fac.ctx.space, dirs)
@@ -680,34 +694,52 @@ def test_subset_analyses_agree_with_bfs_when_the_memo_switches_subsets():
             assert small_cube_connectivity(fac, dirs) == cubes
             assert tf_connectivity(fac, dirs) == classes
             assert is_connected(fac, dirs) == (oracle.count == 1)
-            assert fac._subset_labels[0] == dirs
+        # Eight analyses of one subset, one labelling.
+        assert len(calls) == n
 
 
-def test_label_memo_is_keyed_by_the_sorted_distinct_directions():
+def test_label_memo_is_keyed_by_the_sorted_distinct_directions(monkeypatch):
     fac = build_explicit(build_context(10), SCALED, RandomTape(13))
+    calls = _count_labellings(monkeypatch)
     small_cube_connectivity(fac, (2, 1, 2))
-    entry = fac._subset_labels
-    assert entry[0] == (1, 2)
     tf_connectivity(fac, [1, 2])
-    assert fac._subset_labels is entry
     labels = _labels(fac, (1, 2))
-    assert labels is entry[1]
+    assert len(calls) == 1
+    assert labels is _labels(fac, (1, 2))
     with pytest.raises(ValueError, match="read-only"):
         labels[0] = 1
     # The prefix sweeps and the r search label their own unions.
     min_connecting_prefix(fac, fac.directions)
     connectivity_profile(fac, 3, random.Random(1))
-    assert fac._subset_labels is entry
+    rmin(build_explicit(build_context(8), SCALED, RandomTape(13)))
+    assert _labels(fac, (1, 2)) is labels
+    assert len(calls) == 1
+
+
+def test_subset_labels_keeps_one_entry():
+    fac = directional(build_context(7))
+    made = []
+
+    def label(value):
+        made.append(value)
+        return np.full(4, value)
+
+    first = fac.subset_labels((1,), lambda: label(1))
+    assert fac.subset_labels((1,), lambda: label(9)) is first
+    second = fac.subset_labels((2,), lambda: label(2))
+    assert fac.subset_labels((1,), lambda: label(3)).tolist() == [3] * 4
+    assert made == [1, 2, 3]
+    assert not first.flags.writeable and not second.flags.writeable
 
 
 def test_label_memo_is_freed_with_its_factorisation():
     fac = build_explicit(build_context(10), SCALED, RandomTape(13))
-    union_components(fac, (1, 2, 3))
-    assert fac._subset_labels is not None
+    labels = weakref.ref(_labels(fac, (1, 2, 3)))
     ref = weakref.ref(fac)
     del fac
     gc.collect()
     assert ref() is None
+    assert labels() is None
 
 
 # -- component engine ----------------------------------------------------------------

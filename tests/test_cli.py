@@ -7,6 +7,7 @@ import numpy as np
 
 import pytest
 
+import cubefactors.analyze as analyze_mod
 import cubefactors.construct as construct_mod
 from cubefactors import cli
 from cubefactors.analyze import rmin, union_components, untouched_path_histogram
@@ -703,6 +704,36 @@ def test_analyze_out_bytes_are_pinned(tmp_path, capsys, name, op):
     assert cli.main(["analyze", *args, "--op", op, "--out", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[op]
+
+
+def test_analyze_several_ops_report_what_each_alone_reports(tmp_path, capsys, monkeypatch):
+    args, _ = GOLDEN_ANALYZE["swapping-d10-wide"]
+    ops = ["components", "small-cubes", "tf", "decomposition"]
+    alone = []
+    for op in ops:
+        path = tmp_path / f"{op}.json"
+        assert cli.main(["analyze", *args, "--op", op, "--out", str(path)]) == 0
+        alone.append(json.loads(path.read_text()))
+    capsys.readouterr()
+    labellings = []
+    union = analyze_mod._union
+    monkeypatch.setattr(analyze_mod, "_union", lambda t: labellings.append(1) or union(t))
+    path = tmp_path / "all.json"
+    argv = ["analyze", *args, *(x for op in ops for x in ("--op", op)), "--out", str(path)]
+    rc, shown = run_json(capsys, *argv)
+    assert rc == 0
+    assert json.loads(path.read_text()) == alone
+    for rep in shown:
+        assert set(rep.pop("timings")) == {rep["operation"]}
+    assert shown == alone
+    # components, small-cubes and tf label the subset once between them.
+    assert labellings == [1]
+
+
+def test_analyze_rejects_an_op_given_twice(capsys):
+    rc = cli.main(["analyze", "--d", "7", "--op", "tf", "--op", "components", "--op", "tf"])
+    assert rc == 2
+    assert "more than once" in capsys.readouterr().err
 
 
 # -- rmin ---------------------------------------------------------------------------
