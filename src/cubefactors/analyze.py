@@ -96,49 +96,104 @@ class ValidationReport:
     message: str = ""
 
 
+# Vertices of U per block of ``validate``'s checks.
+_BLOCK = 1 << 12
+
+
+def _consistent(axes: np.ndarray, blk: np.ndarray) -> bool:
+    """Whether every slot at the vertices blk pairs with its partner and
+    every column there is a permutation of the axes."""
+    a, across = np.empty(blk.size, np.uint8), np.empty(blk.size, np.uint8)
+    diff = np.zeros(blk.size, np.uint8)
+    # Index-sized, so that ``take`` gathers through it without a converted
+    # copy, and ``seen`` too, so that no pass casts.
+    word, seen = np.empty(blk.size, np.intp), np.zeros(blk.size, np.intp)
+    for row in axes:
+        # blk is in range, so "clip" never clips; it spares the copy of
+        # ``out`` that the default mode makes.
+        row.take(blk, out=a, mode="clip")
+        # A slot naming no axis of the cube sets a bit outside the axes, or none.
+        np.left_shift(1, a, out=word, dtype=np.intp)
+        seen |= word
+        # Such a slot's partner may lie outside the cube, where "clip" keeps
+        # it: its wrong bit fails the column anyway.
+        row.take(np.bitwise_xor(word, blk, out=word), out=across, mode="clip")
+        diff |= np.bitwise_xor(across, a, out=across)
+    return not diff.any() and not np.bitwise_xor(seen, (1 << len(axes)) - 1, out=seen).any()
+
+
+def _first_fault(axes: np.ndarray, blk: np.ndarray, rows: int) -> Optional[tuple[int, int]]:
+    """(row, vertex) of the first fault in the first ``rows`` rows, at a vertex
+    of blk or at an own-axis slot beside a moved slot of blk."""
+    d = len(axes)
+    seen = np.zeros(blk.size, np.uint32)
+    for i in range(rows):
+        row = axes[i]
+        a = row.take(blk)
+        bit = np.left_shift(1, a, dtype=np.uint32)
+        bad = (a >= d) | (row.take(blk ^ bit, mode="clip") != a) | (seen & bit != 0)
+        seen |= bit
+        # An own-axis slot fails exactly when its partner across i is moved.
+        beside = blk[(a != i) & (row.take(blk ^ 1 << i) == i)] ^ 1 << i
+        faults = np.concatenate([blk[bad], beside])
+        if faults.size:
+            return i, int(faults.min())
+    return None
+
+
 def validate(fac: Factorisation) -> ValidationReport:
     """Check that the factors are fixed-point-free matchings partitioning all edges.
 
-    One pass over the rows of the axis array.  A row is a perfect matching of
-    the cube exactly when every slot names an axis below d (any other value,
-    such as 255, leaves a fixed point) and ``axes[i, u ^ 2^axes[i, u]] ==
-    axes[i, u]``; the d rows then partition the edges exactly when no vertex
-    sees the same axis twice.  The first faulty vertex of the first faulty
-    row is reported, its faults checked in the order below.  Every row reuses
-    one set of row-sized buffers.  Needs an explicit factorisation: pass an
+    A row is a perfect matching of the cube exactly when every slot names an
+    axis below d (any other value, such as 255, leaves a fixed point) and
+    ``axes[i, u ^ 2^axes[i, u]] == axes[i, u]``; the d rows then partition
+    the edges exactly when every vertex sees each axis once.
+
+    A slot of row i is *moved* when it names another axis than i.  One byte
+    pass per row marks U, the vertices with a moved slot; outside U every
+    column is 0..d-1, so the checks run on U alone, in blocks of ``_BLOCK``
+    of its vertices with the rows inner.  A block passes when every slot at
+    its vertices pairs with its partner and every column there is a
+    permutation of the axes.  A slot on its own axis i outside U fails only
+    beside a moved slot w of row i, and then w's block fails too: either
+    w's column is no permutation, or some row j != i puts axis i at w and
+    its partner across i is that own-axis vertex, where row j holds j.
+
+    The first faulty vertex of the first faulty row is reported.  It is
+    looked for in the failing blocks alone, among their vertices and the
+    own-axis slots beside their moved ones, and classified by three scalar
+    checks, in the order below.  Needs an explicit factorisation: pass an
     implicit one's explicit twin.
     """
     axes = fac.axes
-    idx = fac.ctx._vertex_array
-    seen = np.zeros_like(idx)
-    bit = np.empty_like(idx)
-    # Index-sized, so that ``take`` gathers through it without a converted copy.
-    word = np.empty(idx.shape, dtype=np.intp)
-    across = np.empty_like(axes[0])
-    bad, fault = np.empty(idx.shape, dtype=bool), np.empty(idx.shape, dtype=bool)
+    d = fac.d
+    moved = np.zeros(axes.shape[1], dtype=bool)
+    off = np.empty_like(moved)
     for i, row in enumerate(axes):
-        # Masked, so that a slot naming no axis of the cube gathers its own.
-        np.left_shift(1, row, out=bit, dtype=np.uint32)
-        np.bitwise_and(bit, idx.size - 1, out=bit)
-        # In range by the mask, so "clip" never clips; it spares the copy of
-        # ``out`` that the default mode makes.
-        np.take(row, np.bitwise_xor(idx, bit, out=word), out=across, mode="clip")
-        np.greater_equal(row, fac.d, out=bad)
-        bad |= np.not_equal(across, row, out=fault)
-        bad |= np.not_equal(np.bitwise_and(seen, bit, out=word), 0, out=fault)
-        if bad.any():
-            u = int(bad.argmax())
-            if row[u] >= fac.d:
-                message = "factor has a fixed point"
-            elif across[u] != row[u]:
-                message = "factor is not an involution"
-            else:
-                # The edge sits in the first earlier row with the same axis.
-                first = int((axes[:i, u] == row[u]).argmax())
-                message = f"edge already assigned to factor {fac.directions[first]}"
-            return ValidationReport(False, u, fac.directions[i], message)
-        seen |= bit
-    return ValidationReport(True)
+        moved |= np.not_equal(row, i, out=off)
+    del off
+    us = np.flatnonzero(moved)
+    del moved
+    first: Optional[tuple[int, int]] = None
+    for s in range(0, us.size, _BLOCK):
+        blk = us[s : s + _BLOCK]
+        if not _consistent(axes, blk):
+            fault = _first_fault(axes, blk, d if first is None else first[0] + 1)
+            if fault is not None and (first is None or fault < first):
+                first = fault
+    if first is None:
+        return ValidationReport(True)
+    i, u = first
+    row = axes[i]
+    if row[u] >= d:
+        message = "factor has a fixed point"
+    elif row[u ^ 1 << int(row[u])] != row[u]:
+        message = "factor is not an involution"
+    else:
+        # The edge sits in the first earlier row with the same axis.
+        j = int((axes[:i, u] == row[u]).argmax())
+        message = f"edge already assigned to factor {fac.directions[j]}"
+    return ValidationReport(False, u, fac.directions[i], message)
 
 
 # -- connectivity -------------------------------------------------------------

@@ -239,7 +239,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     rep = an.validate(fac)
     timings = {"load": t1 - t0, "validate": time.perf_counter() - t1}
     report: dict = {"operation": "verify", "in": ns.infile, "ok": rep.ok}
-    if not rep.ok:
+    if rep.ok:
+        report.update(_built(fac))
+    else:
         report["violation"] = {
             "vertex": rep.vertex,
             "vertex_text": vertex_text(fac.ctx.space, rep.vertex),

@@ -799,12 +799,13 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         if fac.mode != "explicit":
             return
         labels = np.array(ctx.space.directions)
-        idx = ctx._vertex_array
         for i, (x, row) in enumerate(zip(ctx.space.directions, fac.axes)):
             # A moved edge is listed from its end with a 0 on its axis; an
-            # unmatched slot lists nothing.
-            los = np.flatnonzero((row != i) & (row < ctx.d) & (idx >> row & 1 == 0))
-            axes = labels[row[los]]
+            # unmatched slot lists nothing.  Only the moved slots are read.
+            moved = np.flatnonzero(row != i)
+            to = row.take(moved)
+            keep = (to < ctx.d) & (moved >> to & 1 == 0)
+            los, axes = moved[keep], labels[to[keep]]
             edges = [[format(lo, f"0{ctx.d}b"), a] for lo, a in zip(los.tolist(), axes.tolist())]
             fh.write(json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n")
 

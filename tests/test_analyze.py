@@ -58,6 +58,7 @@ from cubefactors.analyze import (
 CTX7 = build_context(7)
 FAC7 = directional(CTX7)
 SCALED = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=6)
+SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
 
 
 def _crafted_square(ctx, u, p, q):
@@ -222,35 +223,127 @@ def _random_writes(a, rng):
         _overwrite_slot(a, rng)
 
 
-@pytest.mark.parametrize("d", [7, 10])
-def test_validate_matches_per_slot_oracle(d):
+# Two corruptions aimed at validate's candidates outside the moved slots.
+# Each returns False, changing nothing, where the source has no place for it.
+
+
+def _move_beside_own_slot(a, rng):
+    # The partner w = u + e_r of an own-axis slot u of row r moves to another
+    # axis.  Only row r changes, at w, so the first fault is u's involution,
+    # and u is taken with every slot on its own axis where there is one.
+    d, n = a.shape
+    r = rng.randrange(d)
+    low = np.arange(n) >> r & 1 == 0
+    for where in ((a == np.arange(d)[:, None]).all(axis=0), a[r] == r):
+        us = np.flatnonzero(where & low)
+        if us.size:
+            u = int(us[rng.randrange(us.size)])
+            a[r, u ^ 1 << r] = rng.choice([x for x in range(d) if x != r])
+            return True
+    return False
+
+
+def _own_axis_to_earlier_moved_pair(a, rng):
+    # Row j trades two parallel moved edges (u, u + e_y), (u + e_i, u + e_i + e_y)
+    # for the square's two i-edges, so it stays a matching; axis i, which a
+    # later row (its own, in a sparse source) holds at u, is there twice.
+    d = len(a)
+    rows, vertices = np.nonzero(a != np.arange(d)[:, None])
+    for _ in range(1000 if rows.size else 0):
+        t = rng.randrange(rows.size)
+        j, u = int(rows[t]), int(vertices[t])
+        y, i = int(a[j, u]), rng.randrange(d)
+        if i != y and a[j, u ^ 1 << i] == y and np.flatnonzero(a[:, u] == i)[0] > j:
+            for w in (u, u ^ 1 << y):
+                a[j, w] = a[j, w ^ 1 << i] = i
+            return True
+    return False
+
+
+def _check_against_oracle(d):
     ctx = build_context(d)
     sources = [
         directional(ctx),
         random_greedy_factorisation(ctx, RandomTape(d)),
         build_explicit(ctx, SCALED, RandomTape(13)),
+        # Every slot off its own axis.
+        _crafted(np.roll(_directional_axes(d), 1, axis=0)),
     ]
+    if d == 12:
+        sources.append(build_explicit(ctx, SWAPPING, RandomTape(0)))
+        assert touched_edge_count(sources[-1]) > 0
     assert touched_edge_count(sources[2]) > 0
     corruptions = [
         _overwrite_slot, _unmatched_slot, _move_edge, _half_square_switch,
-        _duplicate_row, _random_writes,
+        _duplicate_row, _random_writes, _move_beside_own_slot,
+        _own_axis_to_earlier_moved_pair,
     ]
     rng = random.Random(d)
     messages = set()
+    applied = set()
     for fac in sources:
+        assert validate(fac).ok
         for corrupt in corruptions:
             for _ in range(4):
                 axes = fac.axes.copy()
-                corrupt(axes, rng)
+                if corrupt(axes, rng) is False:
+                    continue
+                applied.add(corrupt)
                 crafted = _crafted(axes)
                 rep = validate(crafted)
                 assert rep == _locate_violation(crafted), corrupt.__name__
                 messages.add(rep.message.split(" factor ")[0])
+    assert applied == set(corruptions)
     assert messages >= {
         "factor has a fixed point",
         "factor is not an involution",
         "edge already assigned to",
     }
+
+
+@pytest.mark.parametrize("d", [7, 10, 12])
+def test_validate_matches_per_slot_oracle(d):
+    _check_against_oracle(d)
+
+
+def test_validate_matches_per_slot_oracle_in_small_blocks(monkeypatch):
+    # A d = 10 cube has several 64-vertex blocks of moved-slot vertices.
+    monkeypatch.setattr(analyze_mod, "_BLOCK", 64)
+    _check_against_oracle(10)
+
+
+def test_validate_finds_the_own_axis_slot_beside_a_moved_one():
+    # Every slot of vertex 0 stays on its own axis, yet row 2 breaks there.
+    axes = _directional_axes(7)
+    axes[2, 4] = 5
+    assert validate(_crafted(axes)) == ValidationReport(
+        False, 0, 3, "factor is not an involution"
+    )
+
+
+def test_validate_finds_an_axis_an_earlier_moved_slot_took():
+    # Row 0 (factor 1) pairs the square 0, 1, 4, 5 across axis 2 instead of
+    # axis 0.  It stays a matching, and row 2 holds axis 2 there once more.
+    axes = _directional_axes(7)
+    axes[0, [0, 1, 4, 5]] = 2
+    assert validate(_crafted(axes)) == ValidationReport(
+        False, 0, 3, "edge already assigned to factor 1"
+    )
+
+
+@pytest.mark.parametrize("block", [1, analyze_mod._BLOCK])
+def test_validate_finds_an_own_axis_fault_beside_a_consistent_vertex(monkeypatch, block):
+    # Row 2 (factor 3) pairs 0-1 and 4-5 across axis 0 and row 0 (factor 1)
+    # pairs 1-5 across axis 2.  Vertices 1 and 5 are consistent, so their
+    # blocks pass when each vertex is a block; vertex 0 keeps axis 0 in row 0
+    # beside the moved slot at 1, which is the first fault.
+    monkeypatch.setattr(analyze_mod, "_BLOCK", block)
+    axes = _directional_axes(7)
+    axes[2, [0, 1, 4, 5]] = 0
+    axes[0, [1, 5]] = 2
+    want = ValidationReport(False, 0, 1, "factor is not an involution")
+    assert _locate_violation(_crafted(axes)) == want
+    assert validate(_crafted(axes)) == want
 
 
 def test_subset_spec_validation():
@@ -539,8 +632,6 @@ def test_cube_swap_path_histogram_frozen():
 
 
 # -- minimum connecting subset size ---------------------------------------------------
-
-SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
 
 
 def _brute_force_r(fac):

@@ -239,9 +239,15 @@ def test_reports_say_what_was_built(tmp_path, monkeypatch, capsys, swap, params)
     assert (touched > 0) == bool(swap)
     built = {"touched_edges": touched, "baseline_only": touched == 0}
 
-    rc, rep = run_json(capsys, "construct", "--d", "10", "--seed", "1", *swap)
+    fac_file = tmp_path / "fac.jsonl"
+    rc, rep = run_json(capsys, "construct", "--d", "10", "--seed", "1", *swap,
+                       "--out", str(fac_file))
     assert rc == 0
     assert (rep["touched_edges"], rep["baseline_only"]) == (touched, touched == 0)
+    out = tmp_path / "verify.json"
+    rc, rep = run_json(capsys, "verify", "--in", str(fac_file), "--out", str(out))
+    assert rc == 0
+    assert {k: rep[k] for k in built} == {k: json.loads(out.read_text())[k] for k in built} == built
     source = ["--d", "10", "--kind", "construction", "--seed", "1", *swap]
     for argv in (["analyze", *source, "--op", "components"], ["rmin", *source]):
         out = tmp_path / "report.json"
@@ -325,7 +331,10 @@ def test_verify_accepts_good_file(tmp_path, capsys):
     assert rep["ok"] is True
     assert "violation" not in rep
     assert set(rep["timings"]) == {"load", "validate"}
-    assert "timings" not in json.loads(out.read_text())
+    assert json.loads(out.read_text()) == {
+        "operation": "verify", "in": str(path), "ok": True,
+        "touched_edges": 0, "baseline_only": True,
+    }
 
 
 def _construct_v1(path, *args):
@@ -348,6 +357,8 @@ def test_verify_flags_corrupted_file(tmp_path, capsys):
     assert rep["ok"] is False
     assert rep["violation"]["message"] == "factor has a fixed point"
     assert rep["violation"]["vertex_text"] is not None
+    # A faulty file says nothing of what was built.
+    assert "touched_edges" not in rep and "baseline_only" not in rep
 
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):
