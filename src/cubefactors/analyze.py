@@ -5,11 +5,12 @@ signatures of small cubes) are asserted by the test-suite; quantities that
 are only known asymptotically (connectivity of random unions, disturbed path
 counts) are reported as statistics and never asserted here.
 
-Every connectivity question goes through one component engine.  It folds the
-chosen factors in one matching at a time (``_prefix_labels``): the first
-matching labels each vertex with the smaller end of its edge, and each further
-one is merged by hooking and pointer jumping (Shiloach and Vishkin, 1982) over
-the component roots alone (``_merge``).  Every vertex ends labelled with the
+Connectivity questions go through one component engine, with one shortcut
+for the prefix sweeps.  The engine folds the chosen factors in one matching
+at a time (``_prefix_labels``): the first matching labels each vertex with
+the smaller end of its edge, and each further one is merged by hooking and
+pointer jumping (Shiloach and Vishkin, 1982) over the component roots alone
+(``_merge``, through ``_hook``).  Every vertex ends labelled with the
 smallest vertex of its component, and the fold stops at the first connected
 prefix.  The four subset analyses (``union_components``,
 ``small_cube_connectivity``, ``tf_connectivity``, ``is_connected``) share one
@@ -18,9 +19,20 @@ memo entry per factorisation (``Factorisation.subset_labels``, through
 its read-only label array, 4·2^d bytes (1 MB at d = 18, 16 MB at d = 22).
 ``analyze`` with several ``--op`` asks them about one subset in one process.
 A second subset replaces the entry, and the entry is freed with its
-factorisation.  ``rmin`` hands each subset's labels on to
-its extensions, and the prefix sweeps label their own chains; neither reads
-or writes the memo.
+factorisation.  ``rmin`` hands each subset's labels on to its extensions,
+and the prefix sweeps label their own chains; neither reads or writes the
+memo.
+
+The shortcut reads only U, the vertices with a slot off its own axis
+(``Factorisation.moved``): a coset u + span(N) that keeps all the slots of
+the factors N inside it is a whole component of their union.
+``min_connecting_prefix``
+settles each prefix of a chain from U by the coset rules of
+``_coset_verdicts`` (a closed coset proves it disconnected, certified cosets
+and their coset graph decide it exactly) and hands the chain to the fold at
+the first prefix they leave open.  The rules need a valid factorisation and a
+sparse U, settled once per factorisation (``_Chains``); otherwise the fold
+runs alone.  ``closed_cosets`` counts the closed cosets of one subset.
 
 Every analysis of factor unions reads whole partner rows (``table``) and
 ``validate`` the axis array they derive from, so they take an explicit
@@ -67,7 +79,9 @@ __all__ = [
     "untouched_path_histogram",
     "rmin",
     "is_connected",
+    "closed_cosets",
     "min_connecting_prefix",
+    "settled_prefixes",
     "connectivity_profile",
 ]
 
@@ -149,9 +163,9 @@ def validate(fac: Factorisation) -> ValidationReport:
     ``axes[i, u ^ 2^axes[i, u]] == axes[i, u]``; the d rows then partition
     the edges exactly when every vertex sees each axis once.
 
-    A slot of row i is *moved* when it names another axis than i.  One byte
-    pass per row marks U, the vertices with a moved slot; outside U every
-    column is 0..d-1, so the checks run on U alone, in blocks of ``_BLOCK``
+    A slot of row i is *moved* when it names another axis than i.  Outside
+    U, the vertices with a moved slot (``fac.moved``), every column is
+    0..d-1, so the checks run on U alone, in blocks of ``_BLOCK``
     of its vertices with the rows inner.  A block passes when every slot at
     its vertices pairs with its partner and every column there is a
     permutation of the axes.  A slot on its own axis i outside U fails only
@@ -167,13 +181,7 @@ def validate(fac: Factorisation) -> ValidationReport:
     """
     axes = fac.axes
     d = fac.d
-    moved = np.zeros(axes.shape[1], dtype=bool)
-    off = np.empty_like(moved)
-    for i, row in enumerate(axes):
-        moved |= np.not_equal(row, i, out=off)
-    del off
-    us = np.flatnonzero(moved)
-    del moved
+    us = fac.moved
     first: Optional[tuple[int, int]] = None
     for s in range(0, us.size, _BLOCK):
         blk = us[s : s + _BLOCK]
@@ -212,27 +220,18 @@ class ComponentReport:
     elapsed: float
 
 
-def _merge(
-    comp: np.ndarray, roots: np.ndarray, pt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and roots of the union of ``comp``'s components with one more matching.
+def _hook(comp: np.ndarray, roots: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the components of ``comp`` joined by the root pairs a > b, in
+    place; the roots left.
 
-    ``comp`` labels every vertex with the smallest vertex of its component,
-    so ``comp[comp] == comp``, and ``roots`` lists those smallest vertices.
-    Each edge between two components is kept once, from its end with the
-    larger label.  Each round hooks the larger root of every such edge onto
-    the smaller one, then jumps the pointers of ``roots`` alone, each pass
-    over the roots still moving, until every one points at a root of the
-    union so far.  The other vertices still point at their old root, so one
-    gather at the end relabels them.  Roots only ever point lower, so the
-    result keeps the minimum-vertex labelling.
+    ``comp`` points every node at a lower or equal one, and ``roots`` lists
+    the nodes that point at themselves.  Each round hooks the larger root of
+    every pair onto the smaller one, then jumps the pointers of ``roots``
+    alone, each pass over the roots still moving, until every one points at a
+    root of the union so far.  Other nodes still point at their old root.
+    Roots only ever point lower, so each component keeps its smallest node
+    as its root.
     """
-    m = comp.take(pt)
-    # Subsets are picked by index (flatnonzero, then take): a boolean mask
-    # that is true at random half the places costs about four times more.
-    edges = np.flatnonzero(comp > m)
-    a, b = comp.take(edges), m.take(edges)
-    comp = comp.copy()
     while a.size:
         np.minimum.at(comp, a, b)
         moved, up = roots, comp.take(roots)
@@ -247,8 +246,29 @@ def _merge(
         keep = np.flatnonzero(a != b)
         a, b = a.take(keep), b.take(keep)
         a, b = np.maximum(a, b), np.minimum(a, b)
-    comp = comp.take(comp)
-    return comp, roots.take(np.flatnonzero(comp.take(roots) == roots))
+    return roots.take(np.flatnonzero(comp.take(roots) == roots))
+
+
+def _merge(
+    comp: np.ndarray, roots: np.ndarray, pt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and roots of the union of ``comp``'s components with one more matching.
+
+    ``comp`` labels every vertex with the smallest vertex of its component,
+    so ``comp[comp] == comp``, and ``roots`` lists those smallest vertices.
+    Each edge between two components is kept once, from its end with the
+    larger label, and ``_hook`` joins the roots along them.  Only the roots
+    are jumped, so one gather at the end relabels the other vertices, and
+    the result keeps the minimum-vertex labelling.
+    """
+    m = comp.take(pt)
+    # Subsets are picked by index (flatnonzero, then take): a boolean mask
+    # that is true at random half the places costs about four times more.
+    edges = np.flatnonzero(comp > m)
+    a, b = comp.take(edges), m.take(edges)
+    comp = comp.copy()
+    roots = _hook(comp, roots, a, b)
+    return comp.take(comp), roots
 
 
 def _prefix_labels(
@@ -588,15 +608,204 @@ def is_connected(fac: Factorisation, spec: Iterable[int]) -> bool:
     return not _labels(fac, _dirs(fac.ctx, spec)).any()
 
 
+class _CosetView:
+    """A set N of factor rows, grown a row at a time, seen from U alone.
+
+    ``mask`` (M) has the bit of each row's own axis, k rows in all.  At the
+    j-th vertex u of U, ``acc[j]`` is the OR of ``1 << axes[f, u]`` over the
+    rows f of N.  u is *dirty* when that OR differs from M: a slot of N at u
+    leaves the axes of M.  Outside U every slot is on its own axis, so only
+    vertices of U can be dirty.  ``coset[j]`` numbers u's coset u + span(M),
+    the bits of u off M packed low, so that the 2^(d-k) cosets are numbered
+    in the order of their smallest vertices.  A coset with no dirty vertex is
+    *closed*: every slot of N there stays inside it.
+    """
+
+    def __init__(self, axes: np.ndarray, us: np.ndarray):
+        self.axes, self.us = axes, us
+        self.acc = np.zeros(us.size, np.uint32)
+        self.coset = us.astype(np.uint32)
+        self.mask = 0
+        self.k = 0
+
+    @property
+    def cosets(self) -> int:
+        return 1 << (len(self.axes) - self.k)
+
+    def add(self, i: int) -> None:
+        """Grow N by the row i."""
+        self.acc |= np.left_shift(1, self.axes[i].take(self.us), dtype=np.uint32)
+        # Axis i's place among the bits off M, which drops out of the number.
+        low = i - (self.mask & ((1 << i) - 1)).bit_count()
+        c = self.coset
+        self.coset = (c & ((1 << low) - 1)) | (c >> (low + 1) << low)
+        self.mask |= 1 << i
+        self.k += 1
+
+    def dirty(self) -> np.ndarray:
+        """Indices into U of the dirty vertices."""
+        return np.flatnonzero(self.acc != self.mask)
+
+
+def closed_cosets(fac: Factorisation, spec: Iterable[int]) -> tuple[int, int, Optional[int]]:
+    """Closed cosets of the chosen factors N: (how many, of how many, and the
+    smallest vertex of the first, or None).
+
+    With M the axes of N's own directions and k = |N|, the cosets are the
+    2^(d-k) subcubes u + span(M).  A closed one, where every slot of N stays
+    on an axis of M, holds all the edges of its subcube, so it is exactly one
+    component of N's union in a valid factorisation.  Read from U alone
+    (``_CosetView``).
+    """
+    dirs = _dirs(fac.ctx, spec)
+    view = _CosetView(fac.axes, fac.moved)
+    for x in dirs:
+        view.add(fac.ctx.space.index[x])
+    hits = np.bincount(view.coset.take(view.dirty()), minlength=view.cosets)
+    closed = np.flatnonzero(hits == 0)
+    if not closed.size:
+        return 0, view.cosets, None
+    # Deposit the first closed coset's number on the bits off M.
+    rest, vertex = int(closed[0]), 0
+    for p in range(fac.d):
+        if not view.mask >> p & 1:
+            vertex |= (rest & 1) << p
+            rest >>= 1
+    return closed.size, view.cosets, vertex
+
+
+def _coset_verdicts(
+    axes: np.ndarray, us: np.ndarray, rows: Iterable[int]
+) -> Iterator[tuple[str, Optional[bool]]]:
+    """Whether the union of each prefix of ``rows`` is connected, and the
+    rule that settled it, read from U alone; a valid factorisation only.
+
+    For prefix N, with M its axis mask and k = |N| (``_CosetView``):
+
+    * ``closed``: while k < d, if the dirty vertices leave some coset
+      untouched, that coset is a whole component, so N is disconnected.
+    * ``certified``: otherwise let miss(u) = popcount(M & ~OR(u)), the edges
+      of u's subcube Q_k missing from N's union, and R_c half its sum over
+      the coset c, the number of missing edges.  c is connected inside when
+      R_c < k, the edge connectivity of Q_k; or when every miss < k, the
+      misses of the m_c vertices with miss >= 2 (*multi*) sum below
+      2(k - 1), so that m_c <= k - 2, and R_c < 2^(k-1) - m_c.  For suppose
+      a cut splits c.  By the edge-isoperimetric inequality (Harper, 1964) it
+      has all k edges at one vertex, which no miss < k allows, or at least
+      2(k - 1) edges, more than the multi vertices miss; so some cut edge,
+      along an axis i, has no multi end, and both its ends miss that edge
+      alone.  Across any other axis both ends keep their edges, so the
+      parallel i-edge there is cut too, unless a multi vertex blocks it.
+      At most k - 2 positions of Q_(k-1) are blocked, fewer than its vertex
+      connectivity, so every unblocked position, at least 2^(k-1) - m_c of
+      them, has its i-edge cut, which R_c rules out.  When every coset is
+      certified, N's union is connected exactly when the coset graph is.
+      Its edges are the slots at dirty vertices that leave M, and ``_hook``
+      joins its 2^(d-k) nodes.
+    * otherwise ``("fold", None)`` ends the walk: only the fold can tell.
+    """
+    view = _CosetView(axes, us)
+    d = len(axes)
+    for i in rows:
+        view.add(i)
+        k, n, m = view.k, view.cosets, np.uint32(view.mask)
+        dirty = view.dirty()
+        if k < d and dirty.size < n:
+            yield "closed", False
+            continue
+        cd = view.coset.take(dirty)
+        if k < d and np.count_nonzero(np.bincount(cd, minlength=n)) < n:
+            yield "closed", False
+            continue
+        acc = view.acc.take(dirty)
+        miss = np.bitwise_count(~acc & m)
+        twice_r = np.bincount(cd, weights=miss, minlength=n)
+        ok = twice_r < 2 * k
+        if not ok.all():
+            multi = np.flatnonzero(miss >= 2)
+            cm, mm = cd.take(multi), miss.take(multi)
+            ok |= (
+                (np.bincount(cm[mm >= k], minlength=n) == 0)
+                & (np.bincount(cm, weights=mm, minlength=n) < 2 * (k - 1))
+                & (twice_r < 2 * ((1 << (k - 1)) - np.bincount(cm, minlength=n)))
+            )
+            if not ok.all():
+                yield "fold", None
+                return
+        if n == 1:
+            yield "certified", True
+            continue
+        # One coset-graph edge per slot off M: peel the lowest bit off each
+        # OR; the bit's place among the bits off M is the neighbour's.
+        off, src, ends, nbrs = acc & ~m, cd, [cd[:0]], [cd[:0]]
+        while True:
+            has = np.flatnonzero(off)
+            if not has.size:
+                break
+            off, src = off.take(has), src.take(has)
+            low = off & (~off + 1)
+            ends.append(src)
+            nbrs.append(src ^ np.left_shift(1, np.bitwise_count((low - 1) & ~m), dtype=np.uint32))
+            off ^= low
+        a, b = np.concatenate(ends), np.concatenate(nbrs)
+        roots = _hook(np.arange(n, dtype=np.uint32), np.arange(n), np.maximum(a, b), np.minimum(a, b))
+        yield "certified", roots.size == 1
+
+
+class _Chains:
+    """The chain engine's state for one factorisation, kept by ``fac.cached``.
+
+    ``moved`` is U when the coset rules may run, else None.  They need a
+    valid factorisation, which ``validate`` settles once here, and a sparse
+    U.  The construction moves 10-27 % of the vertices at d = 8..20; greedy
+    builds and rotated rows move all of them, and there nearly every coset
+    is dirty, the rules seldom settle a prefix, and validating U and trying
+    them cost more than they save.  So a factorisation with half its
+    vertices or more in U goes straight to the fold.  ``settled`` counts the
+    prefixes each rule has settled.
+    """
+
+    def __init__(self, fac: Factorisation):
+        us = fac.moved
+        sparse = 2 * us.size < 1 << fac.d
+        self.moved = us if sparse and validate(fac).ok else None
+        self.settled: Counter[str] = Counter()
+
+
+def settled_prefixes(fac: Factorisation) -> dict[str, int]:
+    """How many chain prefixes ``min_connecting_prefix`` has settled on fac
+    by each rule: ``closed``, ``certified`` and ``fold``."""
+    settled = fac.cached(_Chains).settled
+    return {rule: settled[rule] for rule in ("closed", "certified", "fold")}
+
+
 def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
     """Smallest prefix length of ``order`` whose factor union is connected.
-    Needs an explicit factorisation: pass an implicit one's explicit twin."""
+
+    Each prefix is settled from U by the coset rules of ``_coset_verdicts``
+    where they apply.  From the first prefix they leave open, the fold
+    (``_prefix_labels``) decides that one and every later one, so the chain
+    never takes more merges than the fold alone.  Needs an explicit
+    factorisation: pass an implicit one's explicit twin.
+    """
     dirs = _dirs(fac.ctx, order)
     if len(dirs) != len(tuple(order)) or len(dirs) != fac.d:
         raise ValueError("order must be a permutation of the direction set")
+    chains = fac.cached(_Chains)
+    k = 0
+    if chains.moved is not None:
+        rows = [fac.ctx.space.index[x] for x in order]
+        for k, (rule, connected) in enumerate(_coset_verdicts(fac.axes, chains.moved, rows), 1):
+            if connected is None:
+                break
+            chains.settled[rule] += 1
+            if connected:
+                return k
     for r, (_, roots) in enumerate(_prefix_labels(map(fac.table, order)), 1):
-        if roots.size == 1:
-            return r
+        if r >= k:
+            chains.settled["fold"] += 1
+            if roots.size == 1:
+                return r
     raise AssertionError("full factor union must be connected")
 
 

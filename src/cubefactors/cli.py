@@ -55,6 +55,7 @@ ANALYZE_OPS = (
     "code-cubes",
     "paths",
     "decomposition",
+    "closed-cosets",
 )
 
 
@@ -309,6 +310,9 @@ def _analysis(fac: Factorisation, dirs: tuple[int, ...], op: str) -> dict:
             "basis": sorted(dec.subspace.spanning_input),
             "coset_label_count": 1 << dec.label_width,
         }
+    elif op == "closed-cosets":
+        closed, cosets, vertex = an.closed_cosets(fac, dirs)
+        return {"closed": closed, "cosets": cosets, "vertex": vertex}
     raise UsageError(f"unknown analysis name: {op}")
 
 
@@ -400,10 +404,12 @@ def cmd_experiment(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     per_seed = []
     refused: list[dict] = []
+    settled: Counter[str] = Counter()
     for i in range(n_seeds):
         fac, fac_seed = _experiment_fac(ctx, kind, params, master, i, refused)
         rng = random.Random(master.derive_seed(f"chains:{i}"))
         profile = an.connectivity_profile(fac, samples, rng)
+        settled.update(an.settled_prefixes(fac))
         fractions = [
             sum(1 for v in profile if v <= r) / samples for r in range(1, d + 1)
         ]
@@ -425,7 +431,9 @@ def cmd_experiment(ns: argparse.Namespace) -> int:
         "params": params.as_dict(d) if kind == "construction" else None,
         "results": {"per_seed": per_seed, "aggregate": aggregate, "refused": refused},
     }
-    _emit(ns, report, {"experiment": elapsed})
+    # How many chain prefixes each rule of min_connecting_prefix settled.
+    prefixes = {f"prefixes_{rule}": settled[rule] for rule in ("closed", "certified", "fold")}
+    _emit(ns, report, {"experiment": elapsed, **prefixes})
     return EXIT_OK
 
 

@@ -393,6 +393,8 @@ class Factorisation:
         self._active = _Memo(partial(_square_survives, ctx, params, coin, pq))
         # The one entry ``subset_labels`` keeps: a subset's key and its labels.
         self._subset_labels: Optional[tuple[tuple[int, ...], np.ndarray]] = None
+        # What ``cached`` keeps, by the function that made it.
+        self._cached: dict[Callable[["Factorisation"], Any], Any] = {}
 
     @property
     def d(self) -> int:
@@ -428,6 +430,27 @@ class Factorisation:
         # numpy shifts by 32 or more to 0: an unmatched slot is a fixed point.
         shift = np.left_shift(1, self._axis_row(x), dtype=np.uint32)
         return np.bitwise_xor(shift, self.ctx._vertex_array, out=shift)
+
+    @property
+    def moved(self) -> np.ndarray:
+        """U: the vertices holding a slot off its own axis, sorted and read-only.
+
+        A slot of row i is *moved* when it names another axis than i; outside
+        U every row holds its own axis.  One byte pass per row finds U on the
+        first use, and it is kept: the axis array is read-only.
+        """
+        return self.cached(_moved_vertices)
+
+    def cached(self, make: Callable[["Factorisation"], Any]) -> Any:
+        """``make(self)``, made on the first call with ``make`` and kept with
+        the factorisation.
+
+        For facts of the axis array, which is read-only, so that a kept value
+        never goes stale.  A call that raises keeps nothing.
+        """
+        if make not in self._cached:
+            self._cached[make] = make(self)
+        return self._cached[make]
 
     def subset_labels(
         self, key: tuple[int, ...], label: Callable[[], np.ndarray]
@@ -525,6 +548,19 @@ def _square_survives(
         return True
     w2 = _conflict_partner(ctx, w, *pq[w])
     return w2 is None or not _squares_conflict(ctx, w, w2, *pq[w2])
+
+
+def _moved_vertices(fac: Factorisation) -> np.ndarray:
+    """The vertices where some row of fac's axis array names another axis
+    than its own, from one byte pass per row."""
+    axes = fac.axes
+    moved = np.zeros(axes.shape[1], dtype=bool)
+    off = np.empty_like(moved)
+    for i, row in enumerate(axes):
+        moved |= np.not_equal(row, i, out=off)
+    us = np.flatnonzero(moved)
+    us.flags.writeable = False
+    return us
 
 
 class _Memo(dict):
@@ -755,8 +791,8 @@ def build_factorisation(
 
 def touched_edge_count(fac: Factorisation) -> int:
     """Edges whose factor differs from their direction (explicit mode)."""
-    # Row by row, so no second (d, 2^d) array is built.
-    return int(sum(np.count_nonzero(row != i) for i, row in enumerate(fac.axes))) // 2
+    us = fac.moved
+    return sum(int(np.count_nonzero(row.take(us) != i)) for i, row in enumerate(fac.axes)) // 2
 
 
 def plan_summary(plan: SwapPlan) -> dict:
@@ -799,11 +835,13 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         if fac.mode != "explicit":
             return
         labels = np.array(ctx.space.directions)
+        us = fac.moved
         for i, (x, row) in enumerate(zip(ctx.space.directions, fac.axes)):
             # A moved edge is listed from its end with a 0 on its axis; an
-            # unmatched slot lists nothing.  Only the moved slots are read.
-            moved = np.flatnonzero(row != i)
-            to = row.take(moved)
+            # unmatched slot lists nothing.  Only the slots at U are read.
+            to = row.take(us)
+            off = to != i
+            moved, to = us[off], to[off]
             keep = (to < ctx.d) & (moved >> to & 1 == 0)
             los, axes = moved[keep], labels[to[keep]]
             edges = [[format(lo, f"0{ctx.d}b"), a] for lo, a in zip(los.tolist(), axes.tolist())]

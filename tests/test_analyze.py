@@ -1,4 +1,5 @@
 import gc
+import pathlib
 import random
 import weakref
 from itertools import combinations
@@ -23,11 +24,13 @@ from cubefactors.construct import (
     build_factorisation,
     directional,
     implicit_factorisation,
+    load_factorisation,
     random_greedy_factorisation,
     touched_edge_count,
 )
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
+    _coset_verdicts,
     _labels,
     _signature_bits,
     _one_component_per_key,
@@ -36,6 +39,7 @@ from cubefactors.analyze import (
     RResult,
     ValidationReport,
     bfs_components,
+    closed_cosets,
     code_intersection,
     code_intersections,
     connectivity_profile,
@@ -44,6 +48,7 @@ from cubefactors.analyze import (
     min_connecting_prefix,
     psi_criterion,
     rmin,
+    settled_prefixes,
     small_cube_connectivity,
     tf_class_sizes,
     tf_connectivity,
@@ -974,3 +979,275 @@ def test_connectivity_profile_directional_and_deterministic():
     prof = connectivity_profile(g, 10, random.Random(8))
     assert len(prof) == 10
     assert all(1 <= p <= 4 for p in prof)
+
+
+# -- chain prefixes settled from the moved vertices ------------------------------
+
+
+def _fold_prefix(fac, order):
+    """The fold's answer alone: the first connected prefix, or None."""
+    walk = enumerate(_prefix_labels(map(fac.table, order)), 1)
+    return next((r for r, (_, roots) in walk if roots.size == 1), None)
+
+
+def _swapping(ctx, params, seed):
+    """The construction from the first seed from ``seed`` on that it accepts."""
+    for s in range(seed, seed + 20):
+        try:
+            return build_explicit(ctx, params, RandomTape(s))
+        except OverlapError:
+            pass
+    raise AssertionError("no accepted seed")
+
+
+def _with_unmatched_edge(fac):
+    # A version-1 file missing one moved edge loads with 255 at both its ends.
+    axes = fac.axes.copy()
+    i, u = np.argwhere(axes != np.arange(fac.d)[:, None])[0]
+    axes[i, [u, u ^ 1 << int(axes[i, u])]] = 255
+    return _crafted(axes)
+
+
+def _double_assigned(fac):
+    # Rows stay matchings, but some edges sit in two rows (_half_square_switch).
+    axes = fac.axes.copy()
+    _half_square_switch(axes, random.Random(fac.d))
+    return _crafted(axes)
+
+
+CHAIN_INPUTS = {
+    "swapping": lambda ctx: _swapping(ctx, SWAPPING, 0),
+    "all-squares": lambda ctx: _swapping(ctx, ConstructionParams(pg=0, rg=6, rh=3, cube_dim=4), 0),
+    "defaults": lambda ctx: build_explicit(ctx, ConstructionParams(), RandomTape(1)),
+    "greedy": lambda ctx: random_greedy_factorisation(ctx, RandomTape(ctx.d)),
+    "rotated-rows": lambda ctx: _crafted(np.roll(_directional_axes(ctx.d), 1, axis=0)),
+    "version-1-fixture": lambda ctx: load_factorisation(V1_FIXTURE),
+    "unmatched-edge": lambda ctx: _with_unmatched_edge(_swapping(ctx, SWAPPING, 0)),
+    "double-assigned": lambda ctx: _double_assigned(_swapping(ctx, SWAPPING, 0)),
+}
+V1_FIXTURE = str(pathlib.Path(__file__).parent / "data" / "v1-readme-d10.jsonl")
+_chain_inputs: dict = {}
+
+
+def _chain_input(name, d):
+    # greedy builds take seconds from d = 13 on, and the fixture is d = 10.
+    d = 10 if name == "version-1-fixture" else min(d, 11) if name == "greedy" else d
+    if (name, d) not in _chain_inputs:
+        _chain_inputs[name, d] = CHAIN_INPUTS[name](build_context(d))
+    return _chain_inputs[name, d]
+
+
+@given(name=st.sampled_from(sorted(CHAIN_INPUTS)), d=st.integers(7, 14), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_min_connecting_prefix_matches_the_fold_and_bfs(name, d, data):
+    fac = _chain_input(name, d)
+    order = data.draw(st.permutations(fac.directions), label="order")
+    want = _fold_prefix(fac, order)
+    if want is None:
+        # Only an invalid factorisation can leave its full union split.
+        assert not validate(fac).ok
+        with pytest.raises(AssertionError, match="full factor union"):
+            min_connecting_prefix(fac, order)
+        return
+    assert min_connecting_prefix(fac, order) == want
+    # The rows of every input are matchings, so the breadth-first search
+    # sees the same graph.
+    assert bfs_components(fac, order[:want]).count == 1
+    if want > 1:
+        assert bfs_components(fac, order[: want - 1]).count > 1
+
+
+def test_coset_rules_run_only_on_sparse_valid_factorisations():
+    rng = random.Random(5)
+    for name, rules in [
+        ("swapping", {"closed", "certified"}),
+        ("defaults", {"closed", "certified"}),
+        ("greedy", {"fold"}),
+        ("rotated-rows", {"fold"}),
+        ("unmatched-edge", {"fold"}),
+        ("double-assigned", {"fold"}),
+    ]:
+        fac = CHAIN_INPUTS[name](build_context(12))
+        profile = connectivity_profile(fac, 6, rng)
+        settled = settled_prefixes(fac)
+        assert {rule for rule, n in settled.items() if n} == rules, name
+        assert sum(settled.values()) == sum(profile), name
+
+
+def _swap_rows(axes, f, g, base, span):
+    """Rows f and g trade axes on base + span(axes in span), where both hold
+    their own; the region must hold both axes, so the rows stay matchings."""
+    region = np.array([base ^ sum(b << a for b, a in zip(bits, span))
+                       for bits in np.ndindex(*(2,) * len(span))])
+    assert (axes[f, region] == f).all() and (axes[g, region] == g).all()
+    axes[f, region], axes[g, region] = g, f
+
+
+def _hit_every_coset(axes, k, avoid):
+    """Square swaps of row 1 with rows off M = {0..k-1}, at vertices on their
+    own axes, until every coset outside ``avoid`` holds a dirty vertex; none
+    touches a coset of ``avoid``."""
+    d = len(axes)
+    for t in range(0, 1 << d, 1 << k):
+        if t in avoid or (axes[:, t : t + (1 << k)] != np.arange(d)[:, None]).any():
+            continue
+        q = next(q for q in range(k, d) if t ^ 1 << q not in avoid)
+        base = next(
+            w for w in range(t, t + (1 << k))
+            if not w >> 1 & 1
+            and (axes[:, [w, w ^ 2, w ^ 1 << q, w ^ 2 ^ 1 << q]] == np.arange(d)[:, None]).all()
+        )
+        _swap_rows(axes, 1, q, base, (1, q))
+
+
+def _class_missing():
+    # Rows 0 and 4 trade axes on the cosets 0 and e4 of M = {0..3}: neither
+    # holds an edge along axis 0 in the union of rows 0..3 (R = 2^(k-1) = 8,
+    # every miss 1), so each splits into two halves.
+    axes = _directional_axes(9)
+    _swap_rows(axes, 0, 4, 0, range(5))
+    _hit_every_coset(axes, 4, {0, 1 << 4})
+    return axes, 4
+
+
+def _cube_swap_miss_two():
+    # A cube swap on axes (0, 4, 1, 5): row 4 takes axis 0, row 1 axis 4,
+    # row 5 axis 1 and row 0 axis 5.  In the union of rows 0..3 the square
+    # span(0, 1) of each of its four cosets loses all four edges (every miss
+    # 2, m_c = 4, R = 4 = k), though the coset stays connected.
+    axes = _directional_axes(9)
+    region = np.array([a | b << 1 | c << 4 | e << 5 for a, b, c, e in np.ndindex(2, 2, 2, 2)])
+    for row, axis in ((4, 0), (1, 4), (5, 1), (0, 5)):
+        axes[row, region] = axis
+    _hit_every_coset(axes, 4, {0, 1 << 4, 1 << 5, 3 << 4})
+    return axes, 4
+
+
+def _isolated_vertex():
+    # Four squares at vertex 0 move every row of M = {0..3} off M there, so
+    # vertex 0 is isolated in its coset (miss = k = 4; R = 4, m_c = 1).
+    axes = _directional_axes(9)
+    for p in range(4):
+        _swap_rows(axes, p, p + 4, 0, (p, p + 4))
+    _hit_every_coset(axes, 4, {0})
+    return axes, 4
+
+
+def _isolated_edge():
+    # Rows 1..4 trade axes with rows 5..8 on span(0, p, p + 4): the edge 0-1
+    # is cut off in its coset of M = {0..4} (misses 4 and 4, sum 2(k - 1)).
+    axes = _directional_axes(9)
+    for p in range(1, 5):
+        _swap_rows(axes, p, p + 4, 0, (0, p, p + 4))
+    _hit_every_coset(axes, 5, {0})
+    return axes, 5
+
+
+@pytest.mark.parametrize(
+    "craft", [_class_missing, _cube_swap_miss_two, _isolated_vertex, _isolated_edge]
+)
+def test_cosets_no_certificate_covers_go_to_the_fold(craft):
+    axes, k = craft()
+    fac = _crafted(axes)
+    assert validate(fac).ok and 2 * fac.moved.size < 1 << fac.d
+    order = list(fac.directions)
+    verdicts = list(_coset_verdicts(fac.axes, fac.moved, range(fac.d)))
+    assert verdicts == [("closed", False)] * (k - 1) + [("fold", None)]
+    want = _fold_prefix(fac, order)
+    assert min_connecting_prefix(fac, order) == want
+    assert bfs_components(fac, order[:want]).count == 1
+    assert bfs_components(fac, order[: want - 1]).count > 1
+    assert settled_prefixes(fac) == {"closed": k - 1, "certified": 0, "fold": want - k + 1}
+
+
+def test_a_coset_with_several_multi_vertices_is_certified():
+    # Two squares at each of the vertices 0, e3 + e4 and e0 + e3 (rows 1 and
+    # 2 trade with rows 5 and 6): in the union of rows 0..4 (k = 5) coset 0
+    # loses six edges (R = 6 >= k) and has three vertices with miss 2 (sum
+    # 6 < 2(k - 1)), so only the second clause certifies it.
+    axes = _directional_axes(9)
+    for v in (0, 0b11000, 0b01001):
+        _swap_rows(axes, 1, 5, v, (1, 5))
+        _swap_rows(axes, 2, 6, v, (2, 6))
+    _hit_every_coset(axes, 5, {0})
+    fac = _crafted(axes)
+    verdicts = list(_coset_verdicts(fac.axes, fac.moved, range(fac.d)))
+    assert verdicts[4][0] == "certified"
+    assert min_connecting_prefix(fac, fac.directions) == _fold_prefix(fac, fac.directions)
+
+
+def test_certified_cosets_decide_through_the_coset_graph():
+    # Only squares: a coset of M = {0..3} loses at most an edge or two
+    # (R < k), so every prefix is closed or certified, and the coset graph
+    # decides the certified ones.
+    axes = _directional_axes(9)
+    _hit_every_coset(axes, 4, set())
+    fac = _crafted(axes)
+    verdicts = list(_coset_verdicts(fac.axes, fac.moved, range(fac.d)))
+    want = _fold_prefix(fac, fac.directions)
+    assert verdicts[3] == ("certified", False)
+    for r, (rule, connected) in enumerate(verdicts, 1):
+        assert rule in ("closed", "certified") and connected == (r >= want)
+    assert min_connecting_prefix(fac, fac.directions) == want
+
+
+# -- closed cosets ---------------------------------------------------------------
+
+
+def _dense_closed_cosets(fac, dirs):
+    """Closed cosets counted over every vertex: the smallest vertex of each
+    coset whose slots of dirs all stay on their own directions' axes."""
+    rows = [fac.ctx.space.index[x] for x in dirs]
+    mask = sum(1 << i for i in rows)
+    n = 1 << fac.d
+    inside = np.ones(n, dtype=bool)
+    for i in rows:
+        inside &= (mask >> fac.axes[i].astype(np.int64) & 1) == 1
+    coset = np.arange(n) & ~mask
+    split = np.unique(coset[~inside])
+    return [int(c) for c in np.unique(coset) if c not in set(split.tolist())]
+
+
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_closed_cosets_match_a_dense_count_and_are_components(d):
+    rng = random.Random(d)
+    ctx = build_context(d)
+    facs = [
+        _swapping(ctx, SWAPPING, 0),
+        _swapping(ctx, ConstructionParams(pg=0, rg=6, rh=3, cube_dim=4), 1),
+        build_explicit(ctx, SCALED, RandomTape(13)),
+        directional(ctx),
+    ]
+    for fac in facs:
+        for size in (1, d // 2, d - 3, d - 1, d):
+            dirs = sorted(rng.sample(fac.directions, size))
+            closed, cosets, vertex = closed_cosets(fac, dirs)
+            want = _dense_closed_cosets(fac, dirs)
+            assert (closed, cosets) == (len(want), 1 << (d - size))
+            assert vertex == (want[0] if want else None)
+            if vertex is not None and size < d:
+                # The reported coset is one whole component of the union.
+                labels = _labels(fac, tuple(dirs))
+                rows = [fac.ctx.space.index[x] for x in dirs]
+                mask = sum(1 << i for i in rows)
+                coset = np.flatnonzero((np.arange(1 << d) & ~mask) == vertex)
+                assert (labels[coset] == vertex).all()
+                assert np.count_nonzero(labels == vertex) == coset.size
+                sizes = bfs_components(fac, dirs).sizes
+                assert sizes.count(1 << size) >= closed
+
+
+def test_closed_cosets_of_the_directional_baseline():
+    fac = directional(build_context(7))
+    assert closed_cosets(fac, [1, 2, 4]) == (16, 16, 0)
+    assert closed_cosets(fac, fac.directions) == (1, 1, 0)
+
+
+def test_moved_vertices_are_the_columns_off_their_own_axes():
+    fac = _swapping(build_context(12), SWAPPING, 0)
+    us = fac.moved
+    want = np.flatnonzero((fac.axes != np.arange(12)[:, None]).any(axis=0))
+    assert np.array_equal(us, want) and not us.flags.writeable
+    assert fac.moved is us
+    assert directional(build_context(7)).moved.size == 0
+    assert touched_edge_count(fac) == np.count_nonzero(fac.axes != np.arange(12)[:, None]) // 2

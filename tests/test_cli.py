@@ -741,6 +741,18 @@ def test_analyze_several_ops_report_what_each_alone_reports(tmp_path, capsys, mo
     assert labellings == [1]
 
 
+def test_analyze_closed_cosets(capsys):
+    rc, rep = run_json(capsys, "analyze", "--d", "8", "--factors", "1,2,4", "--op", "closed-cosets")
+    assert rc == 0
+    assert rep["results"] == {"closed": 32, "cosets": 32, "vertex": 0}
+    args, _ = GOLDEN_ANALYZE["swapping-d10-wide"]
+    rc, rep = run_json(capsys, "analyze", *args, "--op", "closed-cosets")
+    fac = build_explicit(build_context(10), SCALED, RandomTape(13))
+    closed, cosets, vertex = analyze_mod.closed_cosets(fac, [1, 2, 3, 4, 5, 7])
+    assert rep["results"] == {"closed": closed, "cosets": cosets, "vertex": vertex}
+    assert cosets == 16 and 0 < closed < cosets
+
+
 def test_analyze_rejects_an_op_given_twice(capsys):
     rc = cli.main(["analyze", "--d", "7", "--op", "tf", "--op", "components", "--op", "tf"])
     assert rc == 2
@@ -805,6 +817,26 @@ def test_experiment_fractions_are_monotone(tmp_path, capsys):
     assert cli.main(args) == 0
     capsys.readouterr()
     assert filecmp.cmp(str(path), str(p2), shallow=False)
+
+
+def test_experiment_shows_how_each_prefix_was_settled_on_stdout_only(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    rc, rep = run_json(
+        capsys, "experiment", "--d", "10", "--seeds", "2", "--samples", "5", *SWAPPING,
+        "--out", str(path),
+    )
+    assert rc == 0
+    timings = rep.pop("timings")
+    assert json.loads(path.read_text()) == rep
+    prefixes = {k: v for k, v in timings.items() if k.startswith("prefixes_")}
+    assert set(prefixes) == {"prefixes_closed", "prefixes_certified", "prefixes_fold"}
+    # One settled prefix per prefix walked: each chain walks r of them.
+    walked = sum(
+        round(sum(1 - f for f in entry["fractions"]) * 5) + 5
+        for entry in rep["results"]["per_seed"]
+    )
+    assert sum(prefixes.values()) == walked
+    assert prefixes["prefixes_closed"] > 0 and prefixes["prefixes_certified"] > 0
 
 
 SWAPPING_SWEEP = ["experiment", "--d", "10", "--seeds", "20", *SWAPPING, "--samples", "20"]
