@@ -12,6 +12,7 @@ guard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -352,7 +353,11 @@ def cmd_rmin(ns: argparse.Namespace) -> int:
     timings = {"build": t1 - t0, "search": time.perf_counter() - t1}
     witness = None
     if res.witness is not None:
-        witness = {"factors": list(res.witness), "vertex": res.vertex}
+        witness = {
+            "factors": list(res.witness),
+            "vertex": res.vertex,
+            "closed_coset": an.in_closed_coset(fac, res.witness, res.vertex),
+        }
     report = {
         "operation": "rmin",
         "d": fac.d,
@@ -502,12 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="sample and store a factorisation")
     _add_common(p, params=True)
     p.add_argument("--mode", choices=("explicit", "implicit"), help="storage mode")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="validate a stored factorisation")
     _add_common(p)
     p.add_argument("--in", dest="infile", help="factorisation file")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="run an analysis over a factorisation")
     _add_common(p, params=True)
@@ -520,36 +523,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="analysis to run (default components); repeat it to run several "
         "on one factorisation and subset, reported as a JSON list",
     )
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("rmin", help="minimal r with every r-factor union connected")
     _add_common(p, params=True)
     _add_fac_source(p)
-    p.set_defaults(func=cmd_rmin)
 
     p = sub.add_parser("experiment", help="connectivity fraction sweep over r")
     _add_common(p, params=True)
     p.add_argument("--kind", choices=KINDS)
     p.add_argument("--seeds", type=int, help="number of factorisations (default 5)")
     p.add_argument("--samples", type=int, help="subset chains per seed (default 200)")
-    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("export", help="write the union graph of chosen factors")
     _add_common(p, params=True)
     _add_fac_source(p)
     _add_subset(p)
     p.add_argument("--format", choices=("edge-list", "dot"), help="output format")
-    p.set_defaults(func=cmd_export)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call in the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         _apply_config(ns)
-        return ns.func(ns)
+        # Looked up by name on each call, so that the command functions are
+        # not frozen into the parser.
+        return globals()[f"cmd_{ns.command}"](ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,7 @@ from cubefactors.construct import (
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
     _coset_verdicts,
+    _label,
     _labels,
     _signature_bits,
     _one_component_per_key,
@@ -44,6 +45,7 @@ from cubefactors.analyze import (
     code_intersections,
     connectivity_profile,
     decomposition_of,
+    in_closed_coset,
     is_connected,
     min_connecting_prefix,
     psi_criterion,
@@ -760,14 +762,15 @@ def test_is_connected_matches_bfs():
 
 
 def _count_labellings(monkeypatch) -> list:
-    """Record each subset the component engine labels from scratch."""
+    """Record each subset labelled from scratch: every call of the labeller
+    handed to ``Factorisation.subset_labels``, from the cosets or the fold."""
     calls = []
+    keep = Factorisation.subset_labels
 
-    def counted(tables):
-        calls.append(1)
-        return _union(tables)
+    def counted(fac, key, label):
+        return keep(fac, key, lambda: calls.append(key) or label())
 
-    monkeypatch.setattr(analyze_mod, "_union", counted)
+    monkeypatch.setattr(Factorisation, "subset_labels", counted)
     return calls
 
 
@@ -1074,6 +1077,19 @@ def test_coset_rules_run_only_on_sparse_valid_factorisations():
         assert sum(settled.values()) == sum(profile), name
 
 
+def test_validate_runs_once_per_factorisation(monkeypatch):
+    fac = _swapping(build_context(10), SWAPPING, 0)
+    runs = []
+    check = analyze_mod._validate
+    monkeypatch.setattr(analyze_mod, "_validate", lambda f: runs.append(1) or check(f))
+    rep = validate(fac)
+    assert rep.ok and validate(fac) is rep
+    # The coset rules read the same report.
+    union_components(fac, fac.directions[:5])
+    min_connecting_prefix(fac, fac.directions)
+    assert runs == [1]
+
+
 def _swap_rows(axes, f, g, base, span):
     """Rows f and g trade axes on base + span(axes in span), where both hold
     their own; the region must hold both axes, so the rows stay matchings."""
@@ -1191,6 +1207,88 @@ def test_certified_cosets_decide_through_the_coset_graph():
     assert min_connecting_prefix(fac, fac.directions) == want
 
 
+# -- subset labels from the cosets -------------------------------------------------
+
+
+def _count_coset_graphs(monkeypatch) -> list:
+    """Record whether each ``_coset_graph`` call certified its cosets."""
+    calls = []
+    graph = analyze_mod._coset_graph
+
+    def counted(view):
+        comp = graph(view)
+        calls.append(comp is not None)
+        return comp
+
+    monkeypatch.setattr(analyze_mod, "_coset_graph", counted)
+    return calls
+
+
+# The version-1 fixture is a valid swapping build too, with 198 of its 1,024
+# vertices in U.
+SPARSE_INPUTS = ("swapping", "all-squares", "defaults", "version-1-fixture")
+
+
+@given(name=st.sampled_from(SPARSE_INPUTS), d=st.integers(7, 14), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_subset_labels_from_the_cosets_match_the_fold_and_bfs(name, d, data):
+    fac = _chain_input(name, d)
+    d = fac.d
+    k = data.draw(st.integers(1, d), label="k")
+    dirs = tuple(sorted(data.draw(st.permutations(fac.directions), label="order")[:k]))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_coset_graphs(mp)
+        labels = _label(fac, dirs)
+    # The coset path ran once; the fold is called only where it declines.
+    assert len(calls) == 1
+    assert labels.dtype == np.uint32
+    assert np.array_equal(labels, _union(map(fac.table, dirs))[0])
+    assert labels.tolist() == _bfs_labels([fac.table(x) for x in dirs])
+    if name == "defaults":
+        # U is empty: every coset is closed, and is its own component.
+        assert calls == [True]
+        mask = direction_mask(fac.ctx.space, dirs)
+        assert np.array_equal(labels, np.arange(1 << d) & ~mask)
+
+
+def test_most_subsets_of_the_swapping_setting_are_labelled_from_their_cosets(monkeypatch):
+    fac = _chain_input("swapping", 12)
+    calls = _count_coset_graphs(monkeypatch)
+    rng = random.Random(2)
+    for k in range(4, 13):
+        dirs = tuple(sorted(rng.sample(fac.directions, k)))
+        assert _label(fac, dirs).tolist() == _bfs_labels([fac.table(x) for x in dirs])
+    assert len(calls) == 9 and sum(calls) >= 7
+
+
+@pytest.mark.parametrize(
+    "name", ["greedy", "rotated-rows", "unmatched-edge", "double-assigned"]
+)
+def test_subset_labels_of_dense_or_invalid_inputs_fold(name, monkeypatch):
+    fac = _chain_input(name, 10)
+    calls = _count_coset_graphs(monkeypatch)
+    rng = random.Random(3)
+    for k in (1, 3, fac.d // 2, fac.d - 1, fac.d):
+        dirs = tuple(sorted(rng.sample(fac.directions, k)))
+        labels = _label(fac, dirs)
+        assert np.array_equal(labels, _union(map(fac.table, dirs))[0])
+        assert labels.tolist() == _bfs_labels([fac.table(x) for x in dirs])
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "craft", [_class_missing, _cube_swap_miss_two, _isolated_vertex, _isolated_edge]
+)
+def test_subset_labels_of_uncertified_cosets_fold(craft, monkeypatch):
+    axes, k = craft()
+    fac = _crafted(axes)
+    calls = _count_coset_graphs(monkeypatch)
+    dirs = fac.directions[:k]
+    labels = _label(fac, dirs)
+    assert calls == [False]
+    assert labels.tolist() == _bfs_labels([fac.table(x) for x in dirs])
+
+
 # -- closed cosets ---------------------------------------------------------------
 
 
@@ -1225,6 +1323,9 @@ def test_closed_cosets_match_a_dense_count_and_are_components(d):
             want = _dense_closed_cosets(fac, dirs)
             assert (closed, cosets) == (len(want), 1 << (d - size))
             assert vertex == (want[0] if want else None)
+            mask = direction_mask(fac.ctx.space, dirs)
+            for u in rng.sample(range(1 << d), 8):
+                assert in_closed_coset(fac, dirs, u) == (u & ~mask in want)
             if vertex is not None and size < d:
                 # The reported coset is one whole component of the union.
                 labels = np.array(_bfs_labels([fac.table(x) for x in dirs]))
@@ -1233,6 +1334,26 @@ def test_closed_cosets_match_a_dense_count_and_are_components(d):
                 coset = np.flatnonzero((np.arange(1 << d) & ~mask) == vertex)
                 assert np.array_equal(np.flatnonzero(labels == vertex), coset)
                 assert bfs_components(fac, dirs).sizes.count(1 << size) >= closed
+
+
+@pytest.mark.parametrize("d", [8, 9, 10, 11, 12])
+def test_rmin_witness_coset_is_closed_exactly_when_it_is_a_component(d):
+    ctx = build_context(d)
+    all_squares = ConstructionParams(pg=0, rg=6, rh=3, cube_dim=4)
+    for params, seed in ((SWAPPING, 0), (all_squares, 1)):
+        fac = _swapping(ctx, params, seed)
+        res = rmin(fac)
+        closed = in_closed_coset(fac, res.witness, res.vertex)
+        mask = direction_mask(fac.ctx.space, res.witness)
+        assert closed == (res.vertex & ~mask in _dense_closed_cosets(fac, res.witness))
+        if not closed_cosets(fac, res.witness)[0]:
+            assert not closed
+        # In a valid factorisation a coset is closed exactly when it is one
+        # whole component of the union.
+        labels = np.array(_bfs_labels([fac.table(x) for x in res.witness]))
+        component = np.flatnonzero(labels == labels[res.vertex])
+        coset = np.flatnonzero((np.arange(1 << d) & ~mask) == res.vertex & ~mask)
+        assert closed == np.array_equal(component, coset)
 
 
 def test_closed_cosets_of_the_directional_baseline():

@@ -727,8 +727,12 @@ def test_analyze_several_ops_report_what_each_alone_reports(tmp_path, capsys, mo
         alone.append(json.loads(path.read_text()))
     capsys.readouterr()
     labellings = []
-    union = analyze_mod._union
-    monkeypatch.setattr(analyze_mod, "_union", lambda t: labellings.append(1) or union(t))
+    keep = construct_mod.Factorisation.subset_labels
+    monkeypatch.setattr(
+        construct_mod.Factorisation,
+        "subset_labels",
+        lambda fac, key, label: keep(fac, key, lambda: labellings.append(1) or label()),
+    )
     path = tmp_path / "all.json"
     argv = ["analyze", *args, *(x for op in ops for x in ("--op", op)), "--out", str(path)]
     rc, shown = run_json(capsys, *argv)
@@ -766,7 +770,8 @@ def test_rmin_directional(capsys):
     rc, rep = run_json(capsys, "rmin", "--d", "3")
     assert rc == 0
     assert rep["r"] == 3
-    assert rep["witness"] == {"factors": [1, 2], "vertex": 4}
+    # Every coset of the directional baseline is closed.
+    assert rep["witness"] == {"factors": [1, 2], "vertex": 4, "closed_coset": True}
     assert rep["subsets_checked"] == 3
     assert set(rep["timings"]) == {"build", "search"}
 
@@ -781,9 +786,11 @@ def test_rmin_out_is_the_same_twice_and_reports_the_witness(tmp_path, capsys):
     rep = json.loads(paths[0].read_text())
     assert rep == {k: v for k, v in shown.items() if k != "timings"}
     params = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
-    res = rmin(build_explicit(build_context(12), params, RandomTape(0)))
+    fac = build_explicit(build_context(12), params, RandomTape(0))
+    res = rmin(fac)
     assert (rep["r"], rep["subsets_checked"]) == (res.r, res.subsets_checked)
-    assert rep["witness"] == {"factors": list(res.witness), "vertex": res.vertex}
+    closed = analyze_mod.in_closed_coset(fac, res.witness, res.vertex)
+    assert rep["witness"] == {"factors": list(res.witness), "vertex": res.vertex, "closed_coset": closed}
 
 
 def test_rmin_guard(capsys):
