@@ -18,16 +18,18 @@ The shortcut reads only U, the vertices with a slot off its own axis
 (``Factorisation.moved``): a coset u + span(N) that keeps all the slots of
 the factors N inside it is a whole component of their union, and one that
 loses few enough edges is still connected inside, so that the graph of the
-cosets decides the rest.  The rules need a valid factorisation and a sparse
-U, settled once per factorisation (``_CosetRules``); otherwise the fold runs
-alone.  ``min_connecting_prefix`` settles each prefix of a chain by the
-rules of ``_coset_verdicts`` (a closed coset proves it disconnected,
-certified cosets and their coset graph decide it exactly) and hands the
-chain to the fold at the first prefix they leave open.  The four subset
-analyses (``union_components``, ``small_cube_connectivity``,
-``tf_connectivity``, ``is_connected``) label a subset from its coset graph
-when every coset is certified (``_coset_graph``), else by the fold; both
-give the same minimum-vertex labels.  They share one memo entry per
+cosets decides the rest.  ``_CosetView`` alone numbers the cosets, finds
+the closed ones and certifies the rest.  The rules need a valid
+factorisation and a sparse U, settled once per factorisation
+(``_CosetRules``); otherwise the fold runs alone.  ``min_connecting_prefix``
+settles each prefix of a chain by the rules listed in its docstring (a
+closed coset proves it disconnected, certified cosets and their coset graph
+decide it exactly) and hands the chain to the fold at the first prefix they
+leave open.  The four subset analyses (``union_components``,
+``small_cube_connectivity``, ``tf_connectivity``, ``is_connected``) label a
+subset from its coset graph when every coset is certified
+(``_CosetView.graph``), else by the fold; both give the same minimum-vertex
+labels.  They share one memo entry per
 factorisation (``Factorisation.subset_labels``, through ``_labels``): the
 sorted distinct directions of the last subset labelled and its read-only
 label array, 4·2^d bytes (1 MB at d = 18, 16 MB at d = 22).  ``analyze``
@@ -49,7 +51,6 @@ build its explicit twin: build it once and pass it to every analysis.
 from __future__ import annotations
 
 import random
-import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import groupby
@@ -221,15 +222,10 @@ def _validate(fac: Factorisation) -> ValidationReport:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Component count and sorted sizes of a factor union.
-
-    ``elapsed`` times the labelling and the size count; when the subset's
-    labels come from the factorisation's memo it covers the size count only.
-    """
+    """Component count and sorted sizes of a factor union."""
 
     count: int
     sizes: tuple[int, ...]
-    elapsed: float
 
 
 def _hook(comp: np.ndarray, roots: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,53 +319,30 @@ def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
 
 def _label(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
     """The dirs' labels from their cosets where the coset rules apply and
-    certify every coset (``_coset_graph``), else from the fold.
+    certify every coset (``_CosetView.graph``), else from the fold.
 
     A component of certified cosets has as its smallest vertex the smallest
-    vertex of its smallest coset, that coset's number deposited on the bits
-    off M, so both ways give the same labels.
+    vertex of its smallest coset, so both ways give the same labels.
     """
     if fac.cached(_CosetRules).moved is not None:
-        view = _subset_view(fac, dirs)
-        comp = _coset_graph(view)
+        view = _CosetView(fac, dirs)
+        comp = view.graph()
         if comp is not None:
-            smallest = _xor_table([1 << p for p in view.off]).take(comp)
-            return _spread(smallest, fac.d, view.mask)
+            return view.spread(comp)
     return _union(map(fac.table, dirs))[0]
-
-
-def _spread(values: np.ndarray, d: int, mask: int) -> np.ndarray:
-    """The 2^d array whose entry u is ``values[c]``, c the bits of u off
-    ``mask`` packed low.
-
-    No index is built: the result is seen with one axis per run of bits in
-    or off the mask, from the top bit down, and values, seen the same way
-    with length 1 along the runs in the mask, is broadcast into it.
-    """
-    runs = [
-        (inside, 1 << len(list(bits)))
-        for inside, bits in groupby(range(d - 1, -1, -1), lambda p: mask >> p & 1)
-    ]
-    out = np.empty(1 << d, values.dtype)
-    out.reshape([n for _, n in runs])[...] = values.reshape([1 if inside else n for inside, n in runs])
-    return out
 
 
 def union_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
     """Components of the union of the chosen factors, from their vertex labels."""
-    dirs = _dirs(fac.ctx, spec)
-    t0 = time.perf_counter()
-    sizes = np.bincount(_labels(fac, dirs))
+    sizes = np.bincount(_labels(fac, _dirs(fac.ctx, spec)))
     sizes = np.sort(sizes[sizes > 0])
-    return ComponentReport(len(sizes), tuple(sizes.tolist()), time.perf_counter() - t0)
+    return ComponentReport(len(sizes), tuple(sizes.tolist()))
 
 
 def bfs_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
     """Independent breadth-first oracle for the same components, in explicit mode."""
-    dirs = _dirs(fac.ctx, spec)
-    t0 = time.perf_counter()
     n = 1 << fac.d
-    tables = [fac.table(x) for x in dirs]
+    tables = [fac.table(x) for x in _dirs(fac.ctx, spec)]
     seen = bytearray(n)
     sizes = []
     for start in range(n):
@@ -387,7 +360,7 @@ def bfs_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
                     seen[v] = 1
                     q.append(v)
         sizes.append(size)
-    return ComponentReport(len(sizes), tuple(sorted(sizes)), time.perf_counter() - t0)
+    return ComponentReport(len(sizes), tuple(sorted(sizes)))
 
 
 def _one_component_per_key(keys: np.ndarray, labels: np.ndarray) -> dict[int, bool]:
@@ -654,24 +627,29 @@ def is_connected(fac: Factorisation, spec: Iterable[int]) -> bool:
 
 
 class _CosetView:
-    """A set N of factor rows, grown a row at a time, seen from U alone.
+    """A set N of factors, grown a factor at a time, seen from U alone.
 
-    ``mask`` (M) has the bit of each row's own axis, k rows in all.  At the
-    j-th vertex u of U, ``acc[j]`` is the OR of ``1 << axes[f, u]`` over the
-    rows f of N.  u is *dirty* when that OR differs from M: a slot of N at u
-    leaves the axes of M.  Outside U every slot is on its own axis, so only
+    ``mask`` (M) has the bit of each factor's own axis, k factors in all.  At
+    the j-th vertex u of U, ``acc[j]`` is the OR of ``1 << axes[f, u]`` over
+    the rows f of N.  u is *dirty* when that OR differs from M: a slot of N at
+    u leaves the axes of M.  Outside U every slot is on its own axis, so only
     vertices of U can be dirty.  ``coset[j]`` numbers u's coset u + span(M),
     the bits of u off M packed low, so that the 2^(d-k) cosets are numbered
-    in the order of their smallest vertices.  A coset with no dirty vertex is
-    *closed*: every slot of N there stays inside it.
+    in the order of their smallest vertices, each the coset's number
+    deposited on the bits off M.  A coset with no dirty vertex is *closed*:
+    every slot of N there stays inside it.  The numbering is read and
+    written by the methods below alone.
     """
 
-    def __init__(self, axes: np.ndarray, us: np.ndarray):
-        self.axes, self.us = axes, us
-        self.acc = np.zeros(us.size, np.uint32)
-        self.coset = us.astype(np.uint32)
+    def __init__(self, fac: Factorisation, dirs: Iterable[int] = ()):
+        self.axes, self.us, self.index = fac.axes, fac.moved, fac.ctx.space.index
+        self.acc = np.zeros(self.us.size, np.uint32)
+        self.coset = self.us.astype(np.uint32)
         self.mask = 0
         self.k = 0
+        self._dirty: Optional[np.ndarray] = None
+        for x in dirs:
+            self.add(x)
 
     @property
     def cosets(self) -> int:
@@ -683,8 +661,9 @@ class _CosetView:
         ``off[r]`` of its vertices."""
         return [p for p in range(len(self.axes)) if not self.mask >> p & 1]
 
-    def add(self, i: int) -> None:
-        """Grow N by the row i."""
+    def add(self, x: int) -> None:
+        """Grow N by the factor of direction x."""
+        i = self.index[x]
         self.acc |= np.left_shift(1, self.axes[i].take(self.us), dtype=np.uint32)
         # Axis i's place among the bits off M, which drops out of the number.
         low = i - (self.mask & ((1 << i) - 1)).bit_count()
@@ -692,18 +671,108 @@ class _CosetView:
         self.coset = (c & ((1 << low) - 1)) | (c >> (low + 1) << low)
         self.mask |= 1 << i
         self.k += 1
+        self._dirty = None
 
     def dirty(self) -> np.ndarray:
-        """Indices into U of the dirty vertices."""
-        return np.flatnonzero(self.acc != self.mask)
+        """Indices into U of the dirty vertices, found once per N."""
+        if self._dirty is None:
+            self._dirty = np.flatnonzero(self.acc != self.mask)
+        return self._dirty
 
+    def hits(self) -> np.ndarray:
+        """The number of dirty vertices in each coset; the closed cosets
+        have none."""
+        return np.bincount(self.coset.take(self.dirty()), minlength=self.cosets)
 
-def _subset_view(fac: Factorisation, dirs: Iterable[int]) -> _CosetView:
-    """The chosen factors seen from U (``_CosetView``)."""
-    view = _CosetView(fac.axes, fac.moved)
-    for x in dirs:
-        view.add(fac.ctx.space.index[x])
-    return view
+    def number(self, u: int) -> int:
+        """The number of u's coset."""
+        return sum(1 << r for r, p in enumerate(self.off) if u >> p & 1)
+
+    def vertex(self, c: int) -> int:
+        """The smallest vertex of coset c."""
+        return sum(1 << p for r, p in enumerate(self.off) if c >> r & 1)
+
+    def spread(self, comp: np.ndarray) -> np.ndarray:
+        """The 2^d array whose entry u is the smallest vertex of coset
+        ``comp[c]``, c the number of u's coset.
+
+        No index is built: the result is seen with one axis per run of bits
+        in or off M, from the top bit down, and the smallest vertices, seen
+        the same way with length 1 along the runs in M, are broadcast into
+        it.
+        """
+        d = len(self.axes)
+        values = _xor_table([1 << p for p in self.off]).take(comp)
+        runs = [
+            (inside, 1 << len(list(bits)))
+            for inside, bits in groupby(range(d - 1, -1, -1), lambda p: self.mask >> p & 1)
+        ]
+        out = np.empty(1 << d, values.dtype)
+        out.reshape([n for _, n in runs])[...] = values.reshape([1 if inside else n for inside, n in runs])
+        return out
+
+    def graph(self) -> Optional[np.ndarray]:
+        """The smallest coset number in each coset's component of N's union,
+        when every coset is certified connected inside; else None.  A valid
+        factorisation only.
+
+        Let miss(u) = popcount(M & ~OR(u)), the edges of u's subcube Q_k
+        missing from N's union, and R_c half its sum over the coset c, the
+        number of missing edges.  c is *certified* when R_c < k, the edge
+        connectivity of Q_k (a closed coset has R_c = 0); or when every
+        miss < k, the misses of the m_c vertices with miss >= 2 (*multi*)
+        sum below 2(k - 1), so that m_c <= k - 2, and R_c < 2^(k-1) - m_c.
+        Either way c is connected inside.  For suppose a cut splits c.  By
+        the edge-isoperimetric inequality (Harper, 1964) it has all k edges
+        at one vertex, which no miss < k allows, or at least 2(k - 1) edges,
+        more than the multi vertices miss; so some cut edge, along an axis
+        i, has no multi end, and both its ends miss that edge alone.  Across
+        any other axis both ends keep their edges, so the parallel i-edge
+        there is cut too, unless a multi vertex blocks it.  At most k - 2
+        positions of Q_(k-1) are blocked, fewer than its vertex
+        connectivity, so every unblocked position, at least 2^(k-1) - m_c of
+        them, has its i-edge cut, which R_c rules out.
+
+        When every coset is certified, N's components are unions of cosets
+        joined by the coset graph.  Its edges are the slots at dirty
+        vertices that leave M, and ``_hook`` joins its 2^(d-k) nodes.  Every
+        node is a root there, so the labelling it leaves is flat.
+        """
+        k, n, m = self.k, self.cosets, np.uint32(self.mask)
+        dirty = self.dirty()
+        cd = self.coset.take(dirty)
+        acc = self.acc.take(dirty)
+        miss = np.bitwise_count(~acc & m)
+        twice_r = np.bincount(cd, weights=miss, minlength=n)
+        ok = twice_r < 2 * k
+        if not ok.all():
+            multi = np.flatnonzero(miss >= 2)
+            cm, mm = cd.take(multi), miss.take(multi)
+            ok |= (
+                (np.bincount(cm[mm >= k], minlength=n) == 0)
+                & (np.bincount(cm, weights=mm, minlength=n) < 2 * (k - 1))
+                & (twice_r < 2 * ((1 << (k - 1)) - np.bincount(cm, minlength=n)))
+            )
+            if not ok.all():
+                return None
+        comp = np.arange(n, dtype=np.uint32)
+        if n == 1:
+            return comp
+        # One coset-graph edge per slot off M: peel the lowest bit off each
+        # OR; the bit's place among the bits off M is the neighbour's.
+        off, src, ends, nbrs = acc & ~m, cd, [cd[:0]], [cd[:0]]
+        while True:
+            has = np.flatnonzero(off)
+            if not has.size:
+                break
+            off, src = off.take(has), src.take(has)
+            low = off & (~off + 1)
+            ends.append(src)
+            nbrs.append(src ^ np.left_shift(1, np.bitwise_count((low - 1) & ~m), dtype=np.uint32))
+            off ^= low
+        a, b = np.concatenate(ends), np.concatenate(nbrs)
+        _hook(comp, np.arange(n), np.maximum(a, b), np.minimum(a, b))
+        return comp
 
 
 def closed_cosets(fac: Factorisation, spec: Iterable[int]) -> tuple[int, int, Optional[int]]:
@@ -716,120 +785,21 @@ def closed_cosets(fac: Factorisation, spec: Iterable[int]) -> tuple[int, int, Op
     component of N's union in a valid factorisation.  Read from U alone
     (``_CosetView``).
     """
-    view = _subset_view(fac, _dirs(fac.ctx, spec))
-    hits = np.bincount(view.coset.take(view.dirty()), minlength=view.cosets)
-    closed = np.flatnonzero(hits == 0)
+    view = _CosetView(fac, _dirs(fac.ctx, spec))
+    closed = np.flatnonzero(view.hits() == 0)
     if not closed.size:
         return 0, view.cosets, None
-    # Deposit the first closed coset's number on the bits off M.
-    c = int(closed[0])
-    vertex = sum(1 << p for r, p in enumerate(view.off) if c >> r & 1)
-    return closed.size, view.cosets, vertex
+    return closed.size, view.cosets, view.vertex(int(closed[0]))
 
 
 def in_closed_coset(fac: Factorisation, spec: Iterable[int], u: int) -> bool:
     """True when u's coset u + span(M) under the chosen factors is closed,
     that is, holds no dirty vertex (see ``closed_cosets``)."""
-    view = _subset_view(fac, _dirs(fac.ctx, spec))
-    c = sum(1 << r for r, p in enumerate(view.off) if u >> p & 1)
-    return not (view.coset.take(view.dirty()) == c).any()
-
-
-def _coset_graph(view: _CosetView) -> Optional[np.ndarray]:
-    """The smallest coset number in each coset's component of N's union,
-    read from U alone, when every coset is certified connected inside; else
-    None.  A valid factorisation only.
-
-    With M, k and the cosets as in ``_CosetView``, let miss(u) =
-    popcount(M & ~OR(u)), the edges of u's subcube Q_k missing from N's
-    union, and R_c half its sum over the coset c, the number of missing
-    edges.  c is *certified* when R_c < k, the edge connectivity of Q_k (a
-    closed coset has R_c = 0); or when every miss < k, the misses of the m_c
-    vertices with miss >= 2 (*multi*) sum below 2(k - 1), so that
-    m_c <= k - 2, and R_c < 2^(k-1) - m_c.  Either way c is connected
-    inside.  For suppose a cut splits c.  By the edge-isoperimetric
-    inequality (Harper, 1964) it has all k edges at one vertex, which no
-    miss < k allows, or at least 2(k - 1) edges, more than the multi
-    vertices miss; so some cut edge, along an axis i, has no multi end, and
-    both its ends miss that edge alone.  Across any other axis both ends
-    keep their edges, so the parallel i-edge there is cut too, unless a
-    multi vertex blocks it.  At most k - 2 positions of Q_(k-1) are blocked,
-    fewer than its vertex connectivity, so every unblocked position, at
-    least 2^(k-1) - m_c of them, has its i-edge cut, which R_c rules out.
-
-    When every coset is certified, N's components are unions of cosets
-    joined by the coset graph.  Its edges are the slots at dirty vertices
-    that leave M, and ``_hook`` joins its 2^(d-k) nodes.  Every node is a
-    root there, so the labelling it leaves is flat.
-    """
-    k, n, m = view.k, view.cosets, np.uint32(view.mask)
-    dirty = view.dirty()
-    cd = view.coset.take(dirty)
-    acc = view.acc.take(dirty)
-    miss = np.bitwise_count(~acc & m)
-    twice_r = np.bincount(cd, weights=miss, minlength=n)
-    ok = twice_r < 2 * k
-    if not ok.all():
-        multi = np.flatnonzero(miss >= 2)
-        cm, mm = cd.take(multi), miss.take(multi)
-        ok |= (
-            (np.bincount(cm[mm >= k], minlength=n) == 0)
-            & (np.bincount(cm, weights=mm, minlength=n) < 2 * (k - 1))
-            & (twice_r < 2 * ((1 << (k - 1)) - np.bincount(cm, minlength=n)))
-        )
-        if not ok.all():
-            return None
-    comp = np.arange(n, dtype=np.uint32)
-    if n == 1:
-        return comp
-    # One coset-graph edge per slot off M: peel the lowest bit off each
-    # OR; the bit's place among the bits off M is the neighbour's.
-    off, src, ends, nbrs = acc & ~m, cd, [cd[:0]], [cd[:0]]
-    while True:
-        has = np.flatnonzero(off)
-        if not has.size:
-            break
-        off, src = off.take(has), src.take(has)
-        low = off & (~off + 1)
-        ends.append(src)
-        nbrs.append(src ^ np.left_shift(1, np.bitwise_count((low - 1) & ~m), dtype=np.uint32))
-        off ^= low
-    a, b = np.concatenate(ends), np.concatenate(nbrs)
-    _hook(comp, np.arange(n), np.maximum(a, b), np.minimum(a, b))
-    return comp
-
-
-def _coset_verdicts(
-    axes: np.ndarray, us: np.ndarray, rows: Iterable[int]
-) -> Iterator[tuple[str, Optional[bool]]]:
-    """Whether the union of each prefix of ``rows`` is connected, and the
-    rule that settled it, read from U alone; a valid factorisation only.
-
-    For prefix N, with k = |N| (``_CosetView``):
-
-    * ``closed``: while k < d, if the dirty vertices leave some coset
-      untouched, that coset is a whole component, so N is disconnected.
-    * ``certified``: otherwise, when every coset is certified connected
-      inside, N's union is connected exactly when the coset graph is
-      (``_coset_graph``).
-    * otherwise ``("fold", None)`` ends the walk: only the fold can tell.
-    """
-    view = _CosetView(axes, us)
-    d = len(axes)
-    for i in rows:
-        view.add(i)
-        n = view.cosets
-        if view.k < d:
-            dirty = view.dirty()
-            all_hit = dirty.size >= n and np.bincount(view.coset.take(dirty), minlength=n).all()
-            if not all_hit:
-                yield "closed", False
-                continue
-        comp = _coset_graph(view)
-        if comp is None:
-            yield "fold", None
-            return
-        yield "certified", not comp.any()
+    dirs = _dirs(fac.ctx, spec)
+    if u < 0 or u >> fac.d:
+        raise ValueError(f"vertex {u} does not fit in d={fac.d} bits")
+    view = _CosetView(fac, dirs)
+    return not view.hits()[view.number(u)]
 
 
 class _CosetRules:
@@ -863,11 +833,22 @@ def settled_prefixes(fac: Factorisation) -> dict[str, int]:
 def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
     """Smallest prefix length of ``order`` whose factor union is connected.
 
-    Each prefix is settled from U by the coset rules of ``_coset_verdicts``
-    where they apply.  From the first prefix they leave open, the fold
-    (``_prefix_labels``) decides that one and every later one, so the chain
-    never takes more merges than the fold alone.  Needs an explicit
-    factorisation: pass an implicit one's explicit twin.
+    Where the coset rules apply (``_CosetRules``), each prefix N, with
+    k = |N|, is settled from U (``_CosetView``) by the first rule that
+    holds:
+
+    * ``closed``: while k < d, if the dirty vertices leave some coset
+      untouched, that coset is a whole component, so N is disconnected.
+      Fewer dirty vertices than cosets always leave one untouched.
+    * ``certified``: when every coset is certified connected inside, N's
+      union is connected exactly when the coset graph is
+      (``_CosetView.graph``).
+    * ``fold``: otherwise the fold (``_prefix_labels``) decides this prefix
+      and every later one, so the chain never takes more merges than the
+      fold alone.
+
+    ``settled_prefixes`` counts the prefixes each rule settles.  Needs an
+    explicit factorisation: pass an implicit one's explicit twin.
     """
     dirs = _dirs(fac.ctx, order)
     if len(dirs) != len(tuple(order)) or len(dirs) != fac.d:
@@ -875,12 +856,18 @@ def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
     rules = fac.cached(_CosetRules)
     k = 0
     if rules.moved is not None:
-        rows = [fac.ctx.space.index[x] for x in order]
-        for k, (rule, connected) in enumerate(_coset_verdicts(fac.axes, rules.moved, rows), 1):
-            if connected is None:
+        view = _CosetView(fac)
+        for x in order:
+            view.add(x)
+            k = view.k
+            if k < fac.d and (view.dirty().size < view.cosets or not view.hits().all()):
+                rules.settled["closed"] += 1
+                continue
+            comp = view.graph()
+            if comp is None:
                 break
-            rules.settled[rule] += 1
-            if connected:
+            rules.settled["certified"] += 1
+            if not comp.any():
                 return k
     for r, (_, roots) in enumerate(_prefix_labels(map(fac.table, order)), 1):
         if r >= k:

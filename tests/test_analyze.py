@@ -30,7 +30,7 @@ from cubefactors.construct import (
 )
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
-    _coset_verdicts,
+    _CosetView,
     _label,
     _labels,
     _signature_bits,
@@ -1116,6 +1116,37 @@ def _hit_every_coset(axes, k, avoid):
         _swap_rows(axes, 1, q, base, (1, q))
 
 
+def _prefix_rules(fac, order):
+    """The rule that settled each prefix ``min_connecting_prefix`` walks, in
+    order, from the ``settled_prefixes`` deltas between the view's steps."""
+    marks = []
+    add = _CosetView.add
+
+    def step(view, x):
+        marks.append(settled_prefixes(fac))
+        add(view, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_CosetView, "add", step)
+        min_connecting_prefix(fac, order)
+    marks.append(settled_prefixes(fac))
+    rules = []
+    for a, b in zip(marks, marks[1:]):
+        rules += [rule for rule in a for _ in range(b[rule] - a[rule])]
+    return rules
+
+
+def _view_verdict(fac, dirs):
+    """The rule for the union of dirs and its verdict, read from their view:
+    a closed coset splits it, certified cosets decide it through the coset
+    graph, and else only the fold can tell."""
+    view = _CosetView(fac, dirs)
+    if view.k < fac.d and not view.hits().all():
+        return "closed", False
+    comp = view.graph()
+    return ("fold", None) if comp is None else ("certified", not comp.any())
+
+
 def _class_missing():
     # Rows 0 and 4 trade axes on the cosets 0 and e4 of M = {0..3}: neither
     # holds an edge along axis 0 in the union of rows 0..3 (R = 2^(k-1) = 8,
@@ -1167,13 +1198,14 @@ def test_cosets_no_certificate_covers_go_to_the_fold(craft):
     fac = _crafted(axes)
     assert validate(fac).ok and 2 * fac.moved.size < 1 << fac.d
     order = list(fac.directions)
-    verdicts = list(_coset_verdicts(fac.axes, fac.moved, range(fac.d)))
+    verdicts = [_view_verdict(fac, order[:r]) for r in range(1, k + 1)]
     assert verdicts == [("closed", False)] * (k - 1) + [("fold", None)]
     want = _fold_prefix(fac, order)
+    assert _prefix_rules(fac, order) == ["closed"] * (k - 1) + ["fold"] * (want - k + 1)
+    assert settled_prefixes(fac) == {"closed": k - 1, "certified": 0, "fold": want - k + 1}
     assert min_connecting_prefix(fac, order) == want
     assert bfs_components(fac, order[:want]).count == 1
     assert bfs_components(fac, order[: want - 1]).count > 1
-    assert settled_prefixes(fac) == {"closed": k - 1, "certified": 0, "fold": want - k + 1}
 
 
 def test_a_coset_with_several_multi_vertices_is_certified():
@@ -1187,9 +1219,10 @@ def test_a_coset_with_several_multi_vertices_is_certified():
         _swap_rows(axes, 2, 6, v, (2, 6))
     _hit_every_coset(axes, 5, {0})
     fac = _crafted(axes)
-    verdicts = list(_coset_verdicts(fac.axes, fac.moved, range(fac.d)))
-    assert verdicts[4][0] == "certified"
-    assert min_connecting_prefix(fac, fac.directions) == _fold_prefix(fac, fac.directions)
+    order = list(fac.directions)
+    assert _view_verdict(fac, order[:5])[0] == "certified"
+    assert _prefix_rules(fac, order)[4] == "certified"
+    assert min_connecting_prefix(fac, order) == _fold_prefix(fac, order)
 
 
 def test_certified_cosets_decide_through_the_coset_graph():
@@ -1199,28 +1232,32 @@ def test_certified_cosets_decide_through_the_coset_graph():
     axes = _directional_axes(9)
     _hit_every_coset(axes, 4, set())
     fac = _crafted(axes)
-    verdicts = list(_coset_verdicts(fac.axes, fac.moved, range(fac.d)))
-    want = _fold_prefix(fac, fac.directions)
+    order = list(fac.directions)
+    verdicts = [_view_verdict(fac, order[:r]) for r in range(1, fac.d + 1)]
+    want = _fold_prefix(fac, order)
     assert verdicts[3] == ("certified", False)
     for r, (rule, connected) in enumerate(verdicts, 1):
         assert rule in ("closed", "certified") and connected == (r >= want)
-    assert min_connecting_prefix(fac, fac.directions) == want
+    # The chain settles its prefixes up to the first connected one by the
+    # same rules.
+    assert _prefix_rules(fac, order) == [rule for rule, _ in verdicts[:want]]
+    assert min_connecting_prefix(fac, order) == want
 
 
 # -- subset labels from the cosets -------------------------------------------------
 
 
 def _count_coset_graphs(monkeypatch) -> list:
-    """Record whether each ``_coset_graph`` call certified its cosets."""
+    """Record whether each ``_CosetView.graph`` call certified its cosets."""
     calls = []
-    graph = analyze_mod._coset_graph
+    graph = _CosetView.graph
 
     def counted(view):
         comp = graph(view)
         calls.append(comp is not None)
         return comp
 
-    monkeypatch.setattr(analyze_mod, "_coset_graph", counted)
+    monkeypatch.setattr(_CosetView, "graph", counted)
     return calls
 
 
@@ -1354,6 +1391,15 @@ def test_rmin_witness_coset_is_closed_exactly_when_it_is_a_component(d):
         component = np.flatnonzero(labels == labels[res.vertex])
         coset = np.flatnonzero((np.arange(1 << d) & ~mask) == res.vertex & ~mask)
         assert closed == np.array_equal(component, coset)
+
+
+def test_in_closed_coset_refuses_a_vertex_outside_the_cube():
+    fac = _swapping(build_context(8), SWAPPING, 0)
+    for u in (1 << 8, -1):
+        with pytest.raises(ValueError, match=f"vertex {u} does not fit in d=8 bits"):
+            in_closed_coset(fac, [1, 2], u)
+    # A Python bool, which json.dumps writes.
+    assert type(in_closed_coset(fac, [1, 2], (1 << 8) - 1)) is bool
 
 
 def test_closed_cosets_of_the_directional_baseline():
