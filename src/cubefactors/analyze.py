@@ -334,7 +334,11 @@ def _label(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
 
 def union_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
     """Components of the union of the chosen factors, from their vertex labels."""
-    sizes = np.bincount(_labels(fac, _dirs(fac.ctx, spec)))
+    labels = _labels(fac, _dirs(fac.ctx, spec))
+    # np.bincount would first copy the uint32 labels to 2^d intp; ufunc.at
+    # reads them in place.
+    sizes = np.zeros(int(labels.max()) + 1, np.intp)
+    np.add.at(sizes, labels, 1)
     sizes = np.sort(sizes[sizes > 0])
     return ComponentReport(len(sizes), tuple(sizes.tolist()))
 

@@ -70,6 +70,15 @@ class CodeContext:
         return words
 
     @cached_property
+    def _codeword_bytes(self) -> tuple[bytes, ...]:
+        """``_vertex_bytes`` of every codeword, in the order of ``_codeword_array``.
+
+        Made on first use, like the array, and kept for the tape's batch
+        draws over the whole code.
+        """
+        return tuple(map(_vertex_bytes, self._codeword_array.tolist()))
+
+    @cached_property
     def _phi_array(self) -> np.ndarray:
         check_explicit(self.d)
         table = _xor_table(self.space.directions)
@@ -82,6 +91,14 @@ class CodeContext:
         idx = np.arange(1 << self.d, dtype=np.uint32)
         idx.flags.writeable = False
         return idx
+
+
+def _vertex_bytes(vertex: int) -> bytes:
+    """Big-endian bytes of a vertex, as few as hold it (one for vertex 0).
+
+    The vertex part of every ``RandomTape`` message.
+    """
+    return vertex.to_bytes((vertex.bit_length() + 7) // 8 or 1, "big")
 
 
 def build_context(d: int) -> CodeContext:

@@ -29,20 +29,21 @@ import json
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from hashlib import blake2b
-from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import code as code_mod
-from .code import CodeContext, codewords_near
+from .code import CodeContext, _vertex_bytes, codewords_near
 from .cube import (
     CubeSpace,
     Edge,
     _binary_values,
+    _text_rows,
     _xor_table,
     check_explicit,
     direction_mask,
@@ -121,11 +122,6 @@ class ConstructionParams:
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
-def _vertex_bytes(vertex: int) -> bytes:
-    """Big-endian bytes of a vertex, as few as hold it (one for vertex 0)."""
-    return vertex.to_bytes((vertex.bit_length() + 7) // 8 or 1, "big")
-
-
 def _uniform_limit(n: int) -> int:
     """Largest multiple of n not above 2^64: words below it are uniform mod n."""
     return _WORD_MAX - _WORD_MAX % n
@@ -154,16 +150,23 @@ class RandomTape:
     def _word(self, tag: int, vertex: int, counter: int) -> int:
         return self._hash(bytes([tag]) + counter.to_bytes(4, "big") + _vertex_bytes(vertex))
 
-    def _first_words(self, tag: int, vertex_bytes: Iterable[bytes]) -> np.ndarray:
-        """``_word(tag, v, 0)`` of many vertices, given as ``_vertex_bytes``, in uint64."""
-        head = self._keyed.copy()
-        head.update(bytes([tag]) + bytes(4))
+    def _first_words(self, tags: Sequence[int], vertex_bytes: Iterable[bytes]) -> np.ndarray:
+        """``_word(tag, v, 0)`` of many vertices, given as ``_vertex_bytes``,
+        for every tag in one pass over them: row t of the uint64 result
+        holds the words of ``tags[t]``."""
+        heads = []
+        for tag in tags:
+            head = self._keyed.copy()
+            head.update(bytes([tag]) + bytes(4))
+            heads.append(head)
         digests = []
         for vb in vertex_bytes:
-            h = head.copy()
-            h.update(vb)
-            digests.append(h.digest())
-        return np.frombuffer(b"".join(digests), ">u8").astype(np.uint64)
+            for head in heads:
+                h = head.copy()
+                h.update(vb)
+                digests.append(h.digest())
+        words = np.frombuffer(b"".join(digests), ">u8").reshape(-1, len(tags))
+        return words.T.astype(np.uint64)
 
     def _below(self, tag: int, vertex: int, n: int, counter: int) -> tuple[int, int]:
         # Rejection sampling keeps the draw exactly uniform on range(n).
@@ -201,16 +204,34 @@ class RandomTape:
 
 @dataclass(frozen=True, eq=False)
 class SwapPlan:
-    """Sampled swap sites: membership sets, direction draws, surviving squares."""
+    """Sampled swap sites: membership sets, direction draws, surviving squares.
 
+    ``pairs`` holds every codeword's (p, q) draw as two direction positions,
+    one row per codeword in the order of ``ctx._codeword_array``; it is made
+    read-only here.
+    """
+
+    ctx: CodeContext
     params: ConstructionParams
     seed: int
     gprime: tuple[int, ...]
     g: tuple[int, ...]
     h: tuple[int, ...]
-    pq: dict[int, tuple[int, int]]
+    pairs: np.ndarray
     r6: dict[int, tuple[int, ...]]
     active_squares: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.pairs.shape != (len(self.ctx._codeword_array), 2):
+            raise ValueError("pairs must hold one row of two positions per codeword")
+        self.pairs.flags.writeable = False
+
+    @cached_property
+    def pq(self) -> Mapping[int, tuple[int, int]]:
+        """Read-only map from each codeword to its (p, q) draw as direction
+        labels, derived from ``pairs`` on first use."""
+        labels = np.array(self.ctx.space.directions)[self.pairs].tolist()
+        return MappingProxyType(dict(zip(self.ctx._codeword_array.tolist(), map(tuple, labels))))
 
 
 def _draw_pq(ctx: CodeContext, tape: RandomTape, u: int) -> tuple[int, int]:
@@ -271,57 +292,53 @@ def _near_any(words: np.ndarray, centres: np.ndarray, lo: int, hi: int) -> np.nd
 def sample_plan(ctx: CodeContext, params: ConstructionParams, tape: RandomTape) -> SwapPlan:
     """Draw all swap sites for an explicit build, in bulk over the code array.
 
-    The draws are the implicit queries' per-codeword draws, one batch of
-    keyed hashes per tag; the conflict rule runs as array operations over H.
+    The draws are the implicit queries' per-codeword draws: one pass of
+    keyed hashes over the code gives every coin and (p, q) word, and the
+    conflict rule runs as array operations over H.
     """
     check_explicit(ctx.d)
     _check_construction_dims(ctx, params)
     d = ctx.d
     cw = ctx._codeword_array
-    words = cw.tolist()
-    vbytes = [_vertex_bytes(u) for u in words]
+    coin_words, pq_words = tape._first_words((_TAG_GPRIME, _TAG_PQ), ctx._codeword_bytes)
     thr = params.coin_threshold(d)
 
     if thr < _WORD_MAX:
-        coins = tape._first_words(_TAG_GPRIME, vbytes) < np.uint64(thr)
+        coins = coin_words < np.uint64(thr)
     else:
-        coins = np.ones(len(words), dtype=bool)
+        coins = np.ones(len(cw), dtype=bool)
     gp = cw[coins]
     # Distinct codewords differ, so distance >= 1 leaves out only v itself.
     gprime = tuple(gp.tolist())
     g = tuple(gp[~_near_any(gp, gp, 1, params.rg)].tolist())
     h_at = np.flatnonzero(~_near_any(cw, gp, 0, params.rh))
-    ip, iq = _pair_positions(tape, d, words, vbytes)
-    dirs = np.array(ctx.space.directions, dtype=np.uint32)
-    pq = dict(zip(words, zip(dirs[ip].tolist(), dirs[iq].tolist())))
+    pairs = _pair_positions(tape, d, cw, pq_words)
     r6 = {v: _draw_r6(ctx, tape, v, params.cube_dim) for v in g}
 
     active = h_at
     if params.conflict_check:
-        active = h_at[~_vetoed(ctx, cw, ip, iq, h_at)]
+        active = h_at[~_vetoed(ctx, cw, pairs, h_at)]
     return SwapPlan(
-        params, tape.seed, gprime, g, tuple(cw[h_at].tolist()), pq, r6,
+        ctx, params, tape.seed, gprime, g, tuple(cw[h_at].tolist()), pairs, r6,
         tuple(cw[active].tolist()),
     )
 
 
 def _pair_positions(
-    tape: RandomTape, d: int, words: Sequence[int], vbytes: Sequence[bytes]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``tape.pair_positions(u, d)`` of every codeword u, as two int64 position arrays."""
+    tape: RandomTape, d: int, cw: np.ndarray, first: np.ndarray
+) -> np.ndarray:
+    """``tape.pair_positions(u, d)`` of every codeword u, as (len(cw), 2)
+    int64 positions, from each codeword's first (p, q) word."""
     n = d * (d - 1)
-    first = tape._first_words(_TAG_PQ, vbytes)
     i, j = np.divmod((first % np.uint64(n)).astype(np.int64), d - 1)
     j += j >= i
     # A first word at or above the limit was rejected; redraw exactly.
     for k in np.flatnonzero(first >= np.uint64(_uniform_limit(n))).tolist():
-        i[k], j[k] = tape.pair_positions(words[k], d)
-    return i, j
+        i[k], j[k] = tape.pair_positions(int(cw[k]), d)
+    return np.stack((i, j), axis=1)
 
 
-def _vetoed(
-    ctx: CodeContext, cw: np.ndarray, ip: np.ndarray, iq: np.ndarray, at: np.ndarray
-) -> np.ndarray:
+def _vetoed(ctx: CodeContext, cw: np.ndarray, pairs: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The conflict rule for the squares of the codewords ``cw[at]``.
 
     Array form of ``_conflict_partner`` and ``_squares_conflict``: u's far
@@ -332,13 +349,13 @@ def _vetoed(
     dirs = np.array(ctx.space.directions)
     pos_of = np.full(1 << ctx.k, -1)
     pos_of[dirs] = np.arange(ctx.d)
-    u, p, q = cw[at].astype(np.int64), ip[at], iq[at]
+    u, (p, q) = cw[at].astype(np.int64), pairs[at].T
     s = pos_of[dirs[p] ^ dirs[q]]
     has = np.flatnonzero(s >= 0)
     u, p, q, s = u[has], p[has], q[has], s[has]
     w = u ^ (1 << p) ^ (1 << q) ^ (1 << s)
     wi = np.searchsorted(cw, w)
-    far_w = w ^ (1 << ip[wi]) ^ (1 << iq[wi])
+    far_w = w ^ (1 << pairs[wi, 0]) ^ (1 << pairs[wi, 1])
     vetoed = np.zeros(len(at), dtype=bool)
     vetoed[has] = np.bitwise_count(far_w ^ u) == 1
     return vetoed
@@ -598,25 +615,28 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
     d = ctx.d
     claims = [_square_claims(ctx, plan)]
     claims += [_cube_claims(ctx, v, plan.r6[v]) for v in plan.g]
-    per_site = [8] * len(plan.active_squares) + [len(c[0]) for c in claims[1:]]
-    sites = np.repeat(np.arange(len(per_site)), per_site)
     vertex, dir_pos, axis = (np.concatenate(col) for col in zip(*claims))
 
-    # A stable sort keeps each slot's claims in claim order, and site numbers
-    # grow along it, so a slot's first claim by a second site is where its
-    # site number changes.
-    key = vertex * d + dir_pos
-    order = np.argsort(key, kind="stable")
-    k, s = key[order], sites[order]
-    clash = (k[1:] == k[:-1]) & (s[1:] != s[:-1])
-    if clash.any():
-        first = int(order[1:][clash].min())
-        raise OverlapError(
-            f"overlapping swap regions: factor slot (vertex={vertex[first]}, "
-            f"direction index {dir_pos[first]}) written twice"
-        )
+    # The flat index of each claimed slot in the (d, 2^d) axis array.
+    slot = dir_pos << d | vertex
+    ordered = np.sort(slot)
+    if (ordered[1:] == ordered[:-1]).any():
+        # Some slot is claimed twice.  A stable sort keeps each slot's claims
+        # in claim order, and site numbers grow along it, so a slot's first
+        # claim by a second site is where its site number changes.
+        per_site = [8] * len(plan.active_squares) + [len(c[0]) for c in claims[1:]]
+        sites = np.repeat(np.arange(len(per_site)), per_site)
+        order = np.argsort(slot, kind="stable")
+        k, s = slot[order], sites[order]
+        clash = (k[1:] == k[:-1]) & (s[1:] != s[:-1])
+        if clash.any():
+            first = int(order[1:][clash].min())
+            raise OverlapError(
+                f"overlapping swap regions: factor slot (vertex={vertex[first]}, "
+                f"direction index {dir_pos[first]}) written twice"
+            )
     axes = _directional_axes(d)
-    axes[dir_pos, vertex] = axis
+    axes.reshape(-1)[slot] = axis
 
     tape = RandomTape(plan.seed)
     return Factorisation(
@@ -628,12 +648,15 @@ def _square_claims(ctx: CodeContext, plan: SwapPlan) -> tuple[np.ndarray, ...]:
     """(vertex, dir_pos, axis) of the active squares' claims, 8 per square.
 
     Square u claims, corner by corner for u, u+p, u+q, u+p+q, its slot in
-    factor p (axis q) and then in factor q (axis p).
+    factor p (axis q) and then in factor q (axis p).  Its (p, q) positions
+    are u's row of ``plan.pairs``.
     """
-    n = len(plan.active_squares)
+    cw = ctx._codeword_array
     u = np.array(plan.active_squares, dtype=np.int64)
-    labels = chain.from_iterable(map(plan.pq.__getitem__, plan.active_squares))
-    pos = np.fromiter(map(ctx.space.index.__getitem__, labels), np.int64, 2 * n).reshape(n, 2)
+    at = np.searchsorted(cw, u)
+    if not np.array_equal(cw.take(at, mode="clip"), u):
+        raise ValueError("every active square must be at a codeword")
+    pos = plan.pairs[at]
     bp, bq = 1 << pos[:, :1], 1 << pos[:, 1:]
     corners = u[:, None] ^ np.hstack([np.zeros_like(bp), bp, bq, bp | bq])
     axis = np.tile(pos[:, ::-1], 4)
@@ -834,7 +857,12 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         if fac.mode != "explicit":
             return
-        labels = np.array(ctx.space.directions)
+        # Each direction label's digits, right-aligned in a fixed width; the
+        # NUL bytes that pad a shorter label are dropped from the line.
+        width = len(str(max(ctx.space.directions)))
+        label_text = np.frombuffer(
+            b"".join(str(x).rjust(width, "\0").encode() for x in ctx.space.directions), np.uint8
+        ).reshape(ctx.d, width)
         us = fac.moved
         for i, (x, row) in enumerate(zip(ctx.space.directions, fac.axes)):
             # A moved edge is listed from its end with a 0 on its axis; an
@@ -843,9 +871,15 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
             off = to != i
             moved, to = us[off], to[off]
             keep = (to < ctx.d) & (moved >> to & 1 == 0)
-            los, axes = moved[keep], labels[to[keep]]
-            edges = [[format(lo, f"0{ctx.d}b"), a] for lo, a in zip(los.tolist(), axes.tolist())]
-            fh.write(json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n")
+            edges = ""
+            # A baseline file's lines have no edge, and need no formatting.
+            if keep.any():
+                rows = _text_rows(ctx.d, [b'["', moved[keep], b'",', bytes(width), b"],"])
+                rows[:, -2 - width:-2] = label_text[to[keep]]
+                text = rows.ravel()
+                # The last row's comma is dropped.
+                edges = text[text != 0].tobytes()[:-1].decode("ascii")
+            fh.write(f'{{"factor":{x},"edges":[{edges}]}}\n')
 
 
 @contextmanager

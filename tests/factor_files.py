@@ -1,5 +1,6 @@
-"""Test helpers: a factorisation's partner rows, and a per-edge writer of
-factorisation files kept as an oracle."""
+"""Test helpers: a factorisation's partner rows, a per-edge writer of
+factorisation files kept as an oracle, and the pair draws of hand-built
+swap plans."""
 
 import json
 
@@ -11,6 +12,19 @@ from cubefactors.cube import vertex_text
 def partner_rows(fac):
     """The (d, 2^d) partners of an explicit factorisation, one row per factor."""
     return np.stack([fac.table(x) for x in fac.directions])
+
+
+def hand_pairs(ctx, pq):
+    """The ``SwapPlan.pairs`` in which each codeword u of ``pq`` draws the
+    direction labels ``pq[u]`` and every other codeword the first two
+    directions."""
+    cw = ctx._codeword_array
+    pairs = np.tile(np.array([0, 1]), (len(cw), 1))
+    for u, (p, q) in pq.items():
+        at = int(np.searchsorted(cw, u))
+        assert cw[at] == u, f"{u} is not a codeword"
+        pairs[at] = ctx.space.index[p], ctx.space.index[q]
+    return pairs
 
 
 def _per_edge_save(fac, path, version=1):

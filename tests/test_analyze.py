@@ -61,6 +61,7 @@ from cubefactors.analyze import (
     untouched_path_histogram,
     validate,
 )
+from factor_files import hand_pairs
 
 CTX7 = build_context(7)
 FAC7 = directional(CTX7)
@@ -69,7 +70,7 @@ SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
 
 
 def _crafted_square(ctx, u, p, q):
-    plan = SwapPlan(ConstructionParams(), 0, (), (), (u,), {u: (p, q)}, {}, (u,))
+    plan = SwapPlan(ctx, ConstructionParams(), 0, (), (), (u,), hand_pairs(ctx, {u: (p, q)}), {}, (u,))
     return apply_explicit(ctx, plan)
 
 

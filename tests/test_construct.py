@@ -30,7 +30,7 @@ from cubefactors.construct import (
 )
 from cubefactors.cube import edge_at, hamming_distance, vertex_text
 from cubefactors.analyze import union_components, validate
-from factor_files import _per_edge_save, partner_rows
+from factor_files import _per_edge_save, hand_pairs, partner_rows
 
 CTX7 = build_context(7)
 CTX10 = build_context(10)
@@ -311,6 +311,7 @@ def _oracle_plan(ctx, params, tape):
     gp = cw[coins]
     g = tuple(gp[~construct_mod._near_any(gp, gp, 1, params.rg)].tolist())
     h = tuple(cw[~construct_mod._near_any(cw, gp, 0, params.rh)].tolist())
+    pairs = np.array([tape.pair_positions(u, ctx.d) for u in words]).reshape(-1, 2)
     pq = {u: construct_mod._draw_pq(ctx, tape, u) for u in words}
     r6 = {v: construct_mod._draw_r6(ctx, tape, v, params.cube_dim) for v in g}
     active = []
@@ -321,7 +322,9 @@ def _oracle_plan(ctx, params, tape):
             if w is not None and _squares_conflict(ctx, u, w, *pq[w]):
                 continue
         active.append(u)
-    return SwapPlan(params, tape.seed, tuple(gp.tolist()), g, h, pq, r6, tuple(active))
+    plan = SwapPlan(ctx, params, tape.seed, tuple(gp.tolist()), g, h, pairs, r6, tuple(active))
+    assert plan.pq == pq
+    return plan
 
 
 def _oracle_partners(ctx, plan):
@@ -366,7 +369,7 @@ def _oracle_partners(ctx, plan):
     return partners
 
 
-_PLAN_FIELDS = ("params", "seed", "gprime", "g", "h", "pq", "r6", "active_squares")
+_PLAN_FIELDS = ("ctx", "params", "seed", "gprime", "g", "h", "pq", "r6", "active_squares")
 
 
 def _assert_bulk_matches_oracle(ctx, params, seed):
@@ -375,6 +378,7 @@ def _assert_bulk_matches_oracle(ctx, params, seed):
     ref = _oracle_plan(ctx, params, RandomTape(seed))
     for field in _PLAN_FIELDS:
         assert getattr(plan, field) == getattr(ref, field), field
+    assert np.array_equal(plan.pairs, ref.pairs)
     try:
         want = _oracle_partners(ctx, ref)
     except OverlapError as err:
@@ -445,8 +449,14 @@ def test_tape_words_match_a_freshly_keyed_hash():
         fresh = int.from_bytes(blake2b(msg, key=key, digest_size=8).digest(), "big")
         assert tape._word(tag, vertex, counter) == fresh
     vertices = [0, 1, 255, 256, 65535, 65536, 2**22 - 1]
-    batch = tape._first_words(1, [construct_mod._vertex_bytes(v) for v in vertices])
-    assert batch.tolist() == [tape._word(1, v, 0) for v in vertices]
+    vbytes = [construct_mod._vertex_bytes(v) for v in vertices]
+    assert tape._first_words((1,), vbytes).tolist() == [[tape._word(1, v, 0) for v in vertices]]
+    # sample_plan's pass: the coin and (p, q) tags of each vertex together.
+    tags = (construct_mod._TAG_GPRIME, construct_mod._TAG_PQ)
+    batch = tape._first_words(tags, vbytes)
+    assert batch.dtype == np.uint64 and batch.shape == (2, len(vertices))
+    for tag, row in zip(tags, batch.tolist()):
+        assert row == [tape._word(tag, v, 0) for v in vertices]
     label = b"fac:3:0"
     assert tape.derive_seed(label.decode()) == int.from_bytes(
         blake2b(bytes([3]) + label, key=key, digest_size=8).digest(), "big"
@@ -458,7 +468,8 @@ def test_tape_words_match_a_freshly_keyed_hash():
 
 def _square_plan(pq_map, active):
     return SwapPlan(
-        ConstructionParams(), 0, (), (), tuple(sorted(pq_map)), pq_map, {}, active
+        CTX7, ConstructionParams(), 0, (), (), tuple(sorted(pq_map)), hand_pairs(CTX7, pq_map),
+        {}, active,
     )
 
 
@@ -480,7 +491,7 @@ def test_single_square_swap():
 
 def test_single_cube_swap():
     params = ConstructionParams(cube_dim=3)
-    plan = SwapPlan(params, 0, (0,), (0,), (), {}, {0: (1, 2, 3)}, ())
+    plan = SwapPlan(CTX7, params, 0, (0,), (0,), (), hand_pairs(CTX7, {}), {0: (1, 2, 3)}, ())
     fac = apply_explicit(CTX7, plan)
     assert validate(fac).ok
     bits = [CTX7.space.bit_of(x) for x in (1, 2, 3)]
@@ -498,6 +509,39 @@ def test_overlapping_squares_raise():
     plan = _square_plan({0: (1, 2), 7: (2, 3)}, (0, 7))
     with pytest.raises(OverlapError, match="overlapping swap regions"):
         apply_explicit(CTX7, plan)
+
+
+def test_overlap_error_names_the_first_clash_in_claim_order():
+    # The squares share the slots (121, 2) and (125, 2).  Square 127 claims
+    # its corners 127, 123, 125, 121 in that order, so its first clash is at
+    # vertex 125, while 121 comes first in the order of the flat slot index.
+    plan = _square_plan({120: (3, 1), 127: (3, 2)}, (120, 127))
+    with pytest.raises(OverlapError) as want:
+        _oracle_partners(CTX7, plan)
+    with pytest.raises(OverlapError) as got:
+        apply_explicit(CTX7, plan)
+    assert str(got.value) == str(want.value)
+    assert "(vertex=125, direction index 2)" in str(got.value)
+    vertex, dir_pos, _ = construct_mod._square_claims(CTX7, plan)
+    slot = np.sort(dir_pos << CTX7.d | vertex)
+    assert slot[1:][slot[1:] == slot[:-1]][0] == 2 << CTX7.d | 121
+
+
+def test_active_square_off_the_code_is_refused():
+    plan = _square_plan({}, (1,))
+    with pytest.raises(ValueError, match="codeword"):
+        apply_explicit(CTX7, plan)
+
+
+def test_plan_pairs_are_read_only_and_sized_to_the_code():
+    plan = sample_plan(CTX10, SCALED, RandomTape(13))
+    assert plan.pairs.shape == (code_size(CTX10), 2)
+    with pytest.raises(ValueError):
+        plan.pairs[0, 0] = 1
+    with pytest.raises(TypeError):
+        plan.pq[0] = (1, 2)
+    with pytest.raises(ValueError, match="one row"):
+        SwapPlan(CTX10, SCALED, 0, (), (), (), hand_pairs(CTX7, {}), {}, ())
 
 
 # -- full construction ---------------------------------------------------------------
@@ -622,6 +666,20 @@ def test_implicit_queries_past_the_explicit_cap():
             assert imp.partner(v, x) == w
             moved += v != w ^ ctx.space.bit_of(x)
     assert moved > 0
+    # Queries read the code array here, never the explicit build's byte list.
+    assert "_codeword_bytes" not in vars(ctx)
+
+
+def test_implicit_queries_past_the_code_array_build_no_code_cache():
+    # Past 2^20 codewords the queries enumerate balls instead.
+    ctx = build_context(26)
+    params = ConstructionParams(pg=0.01, rg=3, rh=2, cube_dim=2)
+    imp = implicit_factorisation(ctx, params, RandomTape(3))
+    for u in np.random.default_rng(26).integers(0, 1 << 26, size=6).tolist():
+        for x in ctx.space.directions[:4]:
+            assert hamming_distance(imp.partner(u, x), u) == 1
+    assert "_codeword_array" not in vars(ctx)
+    assert "_codeword_bytes" not in vars(ctx)
 
 
 def test_factorisation_is_freed_without_the_cycle_collector():
