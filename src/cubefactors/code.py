@@ -33,6 +33,10 @@ __all__ = [
 
 DEFAULT_BALL_COST = 10**9
 _MATERIALIZE_LIMIT = 1 << 20
+# One node of the ball enumeration (a Python generator step, 0.4-0.5 us)
+# costs about as much as filtering 500 words of the code array (about 1 ns
+# a word at 2^13..2^20 codewords), measured on a 2-core x86-64 machine.
+_NODE_WORDS = 500
 
 
 @dataclass(frozen=True)
@@ -207,16 +211,23 @@ def codewords_in_ball(
 def codewords_near(ctx: CodeContext, u: int, radius: int) -> list[int]:
     """Same set as ``codewords_in_ball``, in increasing order.
 
-    While the code is materialised (up to 2^20 codewords) this is one
-    vectorised popcount filter over the cached array, at any radius; past
-    that it falls back to the recursive ball enumeration.
+    While the code is materialised (up to 2^20 codewords) this takes the
+    cheaper of two paths: one vectorised popcount filter over the cached
+    array, or the recursive ball enumeration, whose cost is its
+    C(d, <= radius - 1) inner nodes.  Past that it always enumerates.
     """
-    if code_size(ctx) > _MATERIALIZE_LIMIT:
+    n = code_size(ctx)
+    if n > _MATERIALIZE_LIMIT or _ball_cost(ctx.d, radius - 1) * _NODE_WORDS < n:
         return sorted(codewords_in_ball(ctx, u, radius))
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     words = ctx._codeword_array
     return words[np.bitwise_count(words ^ np.uint32(u)) <= radius].tolist()
+
+
+def _near_feasible(ctx: CodeContext, radius: int) -> bool:
+    """Whether ``codewords_near`` answers at this radius: always while the
+    code array exists, and past it while the ball's cost is within
+    ``DEFAULT_BALL_COST``."""
+    return code_size(ctx) <= _MATERIALIZE_LIMIT or _ball_cost(ctx.d, radius) <= DEFAULT_BALL_COST
 
 
 def phi_table(ctx: CodeContext) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 import numpy as np
 
 from . import code as code_mod
-from .code import CodeContext, _vertex_bytes, codewords_near
+from .code import DEFAULT_BALL_COST, CodeContext, _near_feasible, _vertex_bytes, codewords_near
 from .cube import (
     CubeSpace,
     Edge,
@@ -134,31 +134,37 @@ class RandomTape:
     bulk construction and implicit query-time replay see identical bits no
     matter in which order vertices are visited.  A word is the 8-byte BLAKE2b
     digest, keyed by the seed, of ``tag | counter | vertex bytes``.  The
-    keyed state is built once and copied before each message, which gives
-    the digest of a hash keyed afresh.
+    hash of each ``tag | counter`` prefix is kept once made and copied before
+    each vertex, which gives the digest of a hash keyed afresh.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & (_WORD_MAX - 1)
         self._keyed = blake2b(key=self.seed.to_bytes(8, "big"), digest_size=8)
+        # The hash of each (tag, counter) prefix, made on first use.
+        self._heads: dict[tuple[int, int], blake2b] = {}
 
-    def _hash(self, msg: bytes) -> int:
-        h = self._keyed.copy()
+    def _head(self, tag: int, counter: int) -> blake2b:
+        head = self._heads.get((tag, counter))
+        if head is None:
+            head = self._heads[tag, counter] = self._keyed.copy()
+            head.update(bytes([tag]) + counter.to_bytes(4, "big"))
+        return head
+
+    @staticmethod
+    def _digest(head: blake2b, msg: bytes) -> int:
+        h = head.copy()
         h.update(msg)
         return int.from_bytes(h.digest(), "big")
 
     def _word(self, tag: int, vertex: int, counter: int) -> int:
-        return self._hash(bytes([tag]) + counter.to_bytes(4, "big") + _vertex_bytes(vertex))
+        return self._digest(self._head(tag, counter), _vertex_bytes(vertex))
 
     def _first_words(self, tags: Sequence[int], vertex_bytes: Iterable[bytes]) -> np.ndarray:
         """``_word(tag, v, 0)`` of many vertices, given as ``_vertex_bytes``,
         for every tag in one pass over them: row t of the uint64 result
         holds the words of ``tags[t]``."""
-        heads = []
-        for tag in tags:
-            head = self._keyed.copy()
-            head.update(bytes([tag]) + bytes(4))
-            heads.append(head)
+        heads = [self._head(tag, 0) for tag in tags]
         digests = []
         for vb in vertex_bytes:
             for head in heads:
@@ -199,7 +205,7 @@ class RandomTape:
         return tuple(out)
 
     def derive_seed(self, label: str) -> int:
-        return self._hash(bytes([_TAG_DERIVE]) + label.encode())
+        return self._digest(self._keyed, bytes([_TAG_DERIVE]) + label.encode())
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +409,8 @@ class Factorisation:
         # Implicit mode's per-codeword draws and swap-rule facts.  None of
         # them refers back to self, so a factorisation is freed as soon as
         # it is dropped, axis array and all.
-        self._coin = coin = _Memo(lambda w: tape.coin(w, params.coin_threshold(ctx.d)))
+        thr = params.coin_threshold(ctx.d) if mode == "implicit" else None
+        self._coin = coin = _Memo(lambda w: tape.coin(w, thr))
         self._pq = pq = _Memo(lambda w: _draw_pq(ctx, tape, w))
         self._r6 = _Memo(lambda v: _draw_r6(ctx, tape, v, params.cube_dim))
         self._in_g = _Memo(partial(_isolated, ctx, params, coin))
@@ -517,15 +524,23 @@ class Factorisation:
     #
     # Every per-codeword draw and swap-rule fact is a pure function of (seed,
     # codeword), so each is computed at most once per factorisation.  A query
-    # tests the cheap geometry of a nearby site (its directions) before the
-    # site's membership, which needs a whole ball of coins.
+    # reads a nearby site's draws only when the site's reach covers the slot,
+    # and tests the geometry of its directions before the site's membership,
+    # which needs a whole ball of coins.
 
     def _implicit_partner(self, u: int, x: int) -> int:
         ctx = self.ctx
         bit_of = ctx.space.bit_of
+        bx = bit_of(x)
         claims: list[int] = []
 
+        # A swap claims (u, x) only if its directions span both x and the
+        # offset from its site to u: at most 2 of them for a square, m for
+        # a cube.  A site whose (u ^ site) | bit(x) has more bits is skipped
+        # before any of its draws.
         for w in codewords_near(ctx, u, 2):
+            if ((u ^ w) | bx).bit_count() > 2:
+                continue
             p, q = self._pq[w]
             if x != p and x != q:
                 continue
@@ -534,8 +549,9 @@ class Factorisation:
             if self._active[w]:
                 claims.append(u ^ bit_of(q if x == p else p))
 
-        for v in codewords_near(ctx, u, self.params.cube_dim):
-            if not self._coin[v]:
+        m = self.params.cube_dim
+        for v in codewords_near(ctx, u, m):
+            if ((u ^ v) | bx).bit_count() > m or not self._coin[v]:
                 continue
             r = self._r6[v]
             if x not in r or (u ^ v) & ~direction_mask(ctx.space, r):
@@ -688,8 +704,22 @@ def build_explicit(
 def implicit_factorisation(
     ctx: CodeContext, params: ConstructionParams, tape: RandomTape
 ) -> Factorisation:
-    """Query-time factorisation; no whole-cube axis array is ever built."""
+    """Query-time factorisation; no whole-cube axis array is ever built.
+
+    Past the code array a query enumerates Hamming balls of radius up to
+    the largest of rg, rh and cube_dim, so a radius whose ball costs more
+    than ``DEFAULT_BALL_COST`` is refused here rather than at a query.
+    """
     _check_construction_dims(ctx, params)
+    radius, name = max(
+        (params.rg, "rg"), (params.rh, "rh"), (params.cube_dim, "cube_dim"), key=itemgetter(0)
+    )
+    if not _near_feasible(ctx, radius):
+        raise ValueError(
+            f"implicit queries at d={ctx.d} would enumerate Hamming balls of "
+            f"radius {radius} ({name}), past the feasible bound "
+            f"(ball cost > {DEFAULT_BALL_COST})"
+        )
     return Factorisation(ctx, "construction", "implicit", params=params, tape=tape)
 
 

@@ -101,6 +101,22 @@ def test_construct_implicit_stub(tmp_path, capsys):
     assert load_factorisation(str(path)).mode == "implicit"
 
 
+def test_implicit_mode_refuses_an_infeasible_ball_up_front(tmp_path, capsys):
+    # The defaults' rg = 14 ball at d = 32 holds C(32, <= 14) > 1e9 vertices.
+    assert cli.main(["construct", "--d", "32", "--mode", "implicit"]) == 2
+    assert "d=32 would enumerate Hamming balls of radius 14 (rg)" in capsys.readouterr().err
+    # A stored stub of the same factorisation is refused when loaded.
+    path = tmp_path / "stub.jsonl"
+    assert cli.main(["construct", "--d", "31", "--mode", "implicit", "--out", str(path)]) == 0
+    header = json.loads(path.read_text())
+    ctx = build_context(32)
+    header.update(d=32, k=ctx.k, X=list(ctx.space.directions), params=ConstructionParams().as_dict(32))
+    path.write_text(json.dumps(header) + "\n")
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(path)]) == 2
+    assert "radius 14 (rg)" in capsys.readouterr().err
+
+
 # sha256 of these construct --out files, first as the per-vertex build wrote
 # them in version 1 (every edge listed), now written by the per-edge writer;
 # then as construct writes them in version 2 (only the edges off their own

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubefactors.code as code_mod
 from cubefactors.code import (
     adjacent_codeword,
     build_context,
@@ -209,6 +210,23 @@ def test_codewords_near_without_an_array():
             assert codewords_near(ctx, u, radius) == expected
             assert all(in_code(ctx, w) for w in expected)
     assert "_codeword_array" not in vars(ctx)
+
+
+@pytest.mark.parametrize("d", range(18, 26))
+def test_codewords_near_takes_either_path_with_the_same_words(d):
+    # Small radii enumerate the ball and larger ones scan the array; both
+    # sides of the crossover must return the ball's words in order.
+    ctx = build_context(d)
+    takes_ball = [
+        code_mod._ball_cost(d, radius - 1) * code_mod._NODE_WORDS < code_size(ctx)
+        for radius in range(7)
+    ]
+    assert any(takes_ball) and not all(takes_ball)
+    rng = random.Random(d)
+    words = ctx._codeword_array
+    for u in (rng.randrange(1 << d), int(words[rng.randrange(len(words))])):
+        for radius in range(7):
+            assert codewords_near(ctx, u, radius) == sorted(codewords_in_ball(ctx, u, radius))
 
 
 def test_codewords_near_rejects_a_negative_radius():

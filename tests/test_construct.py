@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cubefactors.code import adjacent_codeword, build_context, code_size, enumerate_code
+import cubefactors.code as code_mod
 import cubefactors.construct as construct_mod
 from cubefactors.construct import (
     ConstructionParams,
@@ -442,12 +443,17 @@ def test_rejected_pair_draws_fall_back_to_the_exact_draw(monkeypatch):
 def test_tape_words_match_a_freshly_keyed_hash():
     tape = RandomTape(2**63 + 5)
     key = tape.seed.to_bytes(8, "big")
-    for tag, vertex, counter in ((0, 0, 0), (1, 255, 0), (1, 256, 3), (2, 2**21 + 1, 7)):
-        msg = bytes([tag]) + counter.to_bytes(4, "big") + vertex.to_bytes(
-            (vertex.bit_length() + 7) // 8 or 1, "big"
-        )
-        fresh = int.from_bytes(blake2b(msg, key=key, digest_size=8).digest(), "big")
-        assert tape._word(tag, vertex, counter) == fresh
+    # Every tag and counter, each word through the prefix hash the tape keeps.
+    for tag in range(4):
+        for counter in range(10):
+            for vertex in (0, 255, 256, 2**21 + 1):
+                msg = bytes([tag]) + counter.to_bytes(4, "big") + vertex.to_bytes(
+                    (vertex.bit_length() + 7) // 8 or 1, "big"
+                )
+                fresh = int.from_bytes(blake2b(msg, key=key, digest_size=8).digest(), "big")
+                assert tape._word(tag, vertex, counter) == fresh
+                assert tape._word(tag, vertex, counter) == fresh
+    assert set(tape._heads) == {(tag, counter) for tag in range(4) for counter in range(10)}
     vertices = [0, 1, 255, 256, 65535, 65536, 2**22 - 1]
     vbytes = [construct_mod._vertex_bytes(v) for v in vertices]
     assert tape._first_words((1,), vbytes).tolist() == [[tape._word(1, v, 0) for v in vertices]]
@@ -680,6 +686,77 @@ def test_implicit_queries_past_the_code_array_build_no_code_cache():
             assert hamming_distance(imp.partner(u, x), u) == 1
     assert "_codeword_array" not in vars(ctx)
     assert "_codeword_bytes" not in vars(ctx)
+
+
+@pytest.mark.parametrize("d, seed", [(12, 6), (14, 6)])
+def test_implicit_queries_draw_only_the_cubes_that_reach_them(d, seed):
+    # A cube at v can claim the slot (u, x) only if (u ^ v) | bit(x) has at
+    # most cube_dim bits; no other G' point near u may have its directions
+    # drawn.
+    ctx = build_context(d)
+    exp = build_explicit(ctx, SWAPPING, RandomTape(seed))
+    imp = implicit_factorisation(ctx, SWAPPING, RandomTape(seed))
+    m = SWAPPING.cube_dim
+    assert exp.plan.g
+    rng = np.random.default_rng(d)
+
+    def reaches(v, u, x):
+        return ((u ^ v) | ctx.space.bit_of(x)).bit_count() <= m
+
+    def ask(queries):
+        for u, x in sorted(queries):
+            assert imp.partner(u, x) == int(exp.table(x)[u])
+        assert all(any(reaches(v, u, x) for u, x in queries) for v in imp._r6)
+
+    # Slots m steps from each G' point v along other directions than x: v
+    # lies within distance m of each, but its cube cannot reach them.
+    far = set()
+    for v in exp.plan.gprime:
+        for _ in range(4):
+            pos = rng.choice(d, size=m + 1, replace=False).tolist()
+            far.add((v ^ sum(1 << i for i in pos[:m]), ctx.space.directions[pos[m]]))
+    ask(far)
+    assert set(exp.plan.gprime) - set(imp._r6)
+    # Then the slots of every cube swap, and slots at random.
+    queries = set(far)
+    for v in exp.plan.g:
+        queries.update((v ^ ctx.space.bit_of(x), x) for x in exp.plan.r6[v])
+    queries.update(
+        (int(u), int(rng.choice(ctx.space.directions))) for u in rng.integers(0, 1 << d, size=100)
+    )
+    ask(queries)
+    assert set(exp.plan.g) <= set(imp._r6)
+
+
+@pytest.mark.parametrize("d", range(12, 19))
+def test_default_parameters_swap_nothing_at_sampled_slots(d):
+    ctx = build_context(d)
+    imp = implicit_factorisation(ctx, ConstructionParams(), RandomTape(d))
+    rng = np.random.default_rng(d)
+    for u in rng.integers(0, 1 << d, size=6).tolist():
+        # the codeword next to u (if any) along its first square direction,
+        # and u along a uniform direction
+        w, _ = adjacent_codeword(ctx, u) or (u, None)
+        for v, x in ((w, imp._pq[w][0]), (u, int(rng.choice(ctx.space.directions)))):
+            assert imp.partner(v, x) == v ^ ctx.space.bit_of(x)
+
+
+def test_implicit_refuses_a_ball_past_the_bound_before_any_query(monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("a Hamming ball was enumerated")
+
+    monkeypatch.setattr(code_mod, "codewords_in_ball", no_ball)
+    ctx = build_context(32)
+    # C(32, <= 14) is about 1.28e9, past the bound of 1e9.
+    with pytest.raises(ValueError, match=r"d=32 .* radius 14 \(rg\)"):
+        implicit_factorisation(ctx, ConstructionParams(), RandomTape(1))
+    with pytest.raises(ValueError, match=r"radius 15 \(cube_dim\)"):
+        implicit_factorisation(ctx, ConstructionParams(rg=3, rh=2, cube_dim=15), RandomTape(1))
+    implicit_factorisation(ctx, SWAPPING, RandomTape(1))
+    # C(31, <= 14) is about 7.7e8: the defaults still build up to d = 31.
+    for d in range(26, 32):
+        implicit_factorisation(build_context(d), ConstructionParams(), RandomTape(1))
+    assert "_codeword_array" not in vars(ctx)
 
 
 def test_factorisation_is_freed_without_the_cycle_collector():
