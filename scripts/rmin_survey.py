@@ -5,7 +5,10 @@ For each dimension and seed, builds a factorisation of the chosen kind and
 finds r, the least r such that every union of r factors is connected, with
 ``rmin``.  Each line gives r, a largest disconnected factor set (the witness),
 the smallest vertex outside vertex 0's component in its union, and how many
-unions the search labelled.  ``rmin`` is guarded to d <= 18.
+unions the search checked.  ``rmin`` is guarded to d <= 18.  At d = 18 one
+search of the construction with pg = 0.005, rg = 6, rh = 3 and cube_dim = 4
+(``cubefactors rmin`` sets all four) took 13-23 s for seeds 0-2 on a 2-core
+x86-64 machine.
 """
 
 import argparse

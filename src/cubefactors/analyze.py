@@ -5,38 +5,35 @@ signatures of small cubes) are asserted by the test-suite; quantities that
 are only known asymptotically (connectivity of random unions, disturbed path
 counts) are reported as statistics and never asserted here.
 
-Connectivity questions go through one component engine, with one shortcut
-in front of it.  The engine folds the chosen factors in one matching at a
-time (``_prefix_labels``): the first matching labels each vertex with the
-smaller end of its edge, and each further one is merged by hooking and
-pointer jumping (Shiloach and Vishkin, 1982) over the component roots alone
-(``_merge``, through ``_hook``).  Every vertex ends labelled with the
-smallest vertex of its component, and the fold stops at the first connected
-prefix.
+Connectivity questions go through one engine, ``_Union``: a factor set N,
+grown a factor at a time, that tells whether its union is connected and
+labels each vertex with the smallest vertex of its component.
+``min_connecting_prefix`` grows one along a chain and asks it after each
+factor, ``rmin`` copies its parent's at each node of its search, and the
+four subset analyses (``union_components``, ``small_cube_connectivity``,
+``tf_connectivity``, ``is_connected``) ask one for a subset's labels.
 
-The shortcut reads only U, the vertices with a slot off its own axis
+The engine first reads only U, the vertices with a slot off its own axis
 (``Factorisation.moved``): a coset u + span(N) that keeps all the slots of
 the factors N inside it is a whole component of their union, and one that
 loses few enough edges is still connected inside, so that the graph of the
 cosets decides the rest.  ``_CosetView`` alone numbers the cosets, finds
-the closed ones and certifies the rest.  The rules need a valid
+the closed ones and certifies the rest.  These rules need a valid
 factorisation and a sparse U, settled once per factorisation
-(``_CosetRules``); otherwise the fold runs alone.  ``min_connecting_prefix``
-settles each prefix of a chain by the rules listed in its docstring (a
-closed coset proves it disconnected, certified cosets and their coset graph
-decide it exactly) and hands the chain to the fold at the first prefix they
-leave open.  The four subset analyses (``union_components``,
-``small_cube_connectivity``, ``tf_connectivity``, ``is_connected``) label a
-subset from its coset graph when every coset is certified
-(``_CosetView.graph``), else by the fold; both give the same minimum-vertex
-labels.  They share one memo entry per
-factorisation (``Factorisation.subset_labels``, through ``_labels``): the
-sorted distinct directions of the last subset labelled and its read-only
-label array, 4·2^d bytes (1 MB at d = 18, 16 MB at d = 22).  ``analyze``
-with several ``--op`` asks them about one subset in one process.  A second
-subset replaces the entry, and the entry is freed with its factorisation.
-``rmin`` hands each subset's labels on to its extensions, and the prefix
-sweeps label their own chains; neither reads or writes the memo.
+(``_CosetRules``).  Where they leave N open, or do not apply, N is folded:
+the first matching labels each vertex with the smaller end of its edge,
+and each further one is merged by hooking and pointer jumping (Shiloach
+and Vishkin, 1982) over the component roots alone (``_merge``, through
+``_hook``).  A folded N carries its labels to its extensions, one merge
+each.  The rules are listed, in the order tried, in ``_Union``'s docstring.
+
+The subset analyses share one memo entry per factorisation
+(``Factorisation.subset_labels``, through ``_labels``): the sorted distinct
+directions of the last subset labelled and its read-only label array,
+4·2^d bytes (1 MB at d = 18, 16 MB at d = 22).  ``analyze`` with several
+``--op`` asks them about one subset in one process.  A second subset
+replaces the entry, and the entry is freed with its factorisation.
+``rmin`` and the chains neither read nor write the memo.
 ``closed_cosets`` counts the closed cosets of one subset, and
 ``in_closed_coset`` tells whether one vertex's coset is closed.
 
@@ -50,11 +47,12 @@ build its explicit twin: build it once and pass it to every analysis.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -279,33 +277,6 @@ def _merge(
     return comp.take(comp), roots
 
 
-def _prefix_labels(
-    tables: Iterable[np.ndarray],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Labels and roots of the union of each nonempty prefix of the matchings.
-
-    The first matching labels each vertex with the smaller end of its edge.
-    The walk ends after the first connected prefix, a single root, since
-    every longer prefix is connected too.
-    """
-    rest = iter(tables)
-    pt = next(rest)
-    idx = np.arange(pt.size, dtype=np.uint32)
-    comp = np.minimum(idx, pt)
-    roots = np.flatnonzero(comp == idx)
-    while True:
-        yield comp, roots
-        pt = next(rest, None)
-        if pt is None or roots.size == 1:
-            return
-        comp, roots = _merge(comp, roots, pt)
-
-
-def _union(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and roots of the union of the matchings."""
-    return deque(_prefix_labels(tables), maxlen=1)[0]
-
-
 def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
     """Minimum-vertex component label of every vertex in the dirs' union.
 
@@ -314,22 +285,7 @@ def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
     it once.  Reads the axis array, so an implicit factorisation is refused.
     """
     key = tuple(dirs)
-    return fac.subset_labels(key, lambda: _label(fac, key))
-
-
-def _label(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
-    """The dirs' labels from their cosets where the coset rules apply and
-    certify every coset (``_CosetView.graph``), else from the fold.
-
-    A component of certified cosets has as its smallest vertex the smallest
-    vertex of its smallest coset, so both ways give the same labels.
-    """
-    if fac.cached(_CosetRules).moved is not None:
-        view = _CosetView(fac, dirs)
-        comp = view.graph()
-        if comp is not None:
-            return view.spread(comp)
-    return _union(map(fac.table, dirs))[0]
+    return fac.subset_labels(key, lambda: _Union(fac, key).labels())
 
 
 def union_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
@@ -589,39 +545,41 @@ def rmin(fac: Factorisation) -> RResult:
     A subset of a disconnected set is disconnected, so r is one more than the
     size of a largest disconnected set.  A depth-first search walks the
     subsets of factor positions in increasing order, extending only those
-    whose union is disconnected.  Each node carries its union's labels and
-    roots, so each child costs one ``_merge``; the root is the empty set, with
-    every vertex its own root.  A branch is cut when even all the positions
-    left could not beat the largest disconnected set found so far.  Needs an
-    explicit factorisation: pass an implicit one's explicit twin.
+    whose union is disconnected.  Each node is a copy of its parent's
+    ``_Union`` grown by one factor, which settles it by the coset rules or
+    one more merge of its carried labels; the root is the empty set.  A
+    branch is cut when even all the positions left could not beat the
+    largest disconnected set found so far.  Needs an explicit factorisation:
+    pass an implicit one's explicit twin.
     """
     if fac.d > RMIN_MAX_D:
         raise ValueError(
-            f"rmin is guarded to d <= {RMIN_MAX_D} (got d={fac.d}); "
-            f"the exact search already takes minutes at d = {RMIN_MAX_D}"
+            f"rmin is guarded to d <= {RMIN_MAX_D} (got d={fac.d}); at d = 18 the "
+            "exact search took 13-23 s on a 2-core machine (swapping setting, seeds "
+            "0-2), and larger d is not yet timed"
         )
-    tables = [fac.table(x) for x in fac.directions]
     best: tuple[int, ...] = ()
-    vertex: Optional[int] = None
     checked = 0
 
-    def extend(chosen: tuple[int, ...], comp: np.ndarray, roots: np.ndarray) -> None:
-        nonlocal best, vertex, checked
+    def extend(chosen: tuple[int, ...], union: _Union) -> None:
+        nonlocal best, checked
         for j in range(chosen[-1] + 1 if chosen else 0, fac.d):
             if len(chosen) + fac.d - j <= len(best):
                 return
-            comp_j, roots_j = _merge(comp, roots, tables[j])
+            child = union.child()
+            child.add(fac.directions[j])
             checked += 1
-            if roots_j.size > 1:
+            if not child.connected():
                 if len(chosen) >= len(best):
-                    best, vertex = (*chosen, j), int(roots_j[1])
-                extend((*chosen, j), comp_j, roots_j)
+                    best = (*chosen, j)
+                extend((*chosen, j), child)
 
-    idx = fac.ctx._vertex_array
-    extend((), idx, idx)
+    extend((), _Union(fac))
     if len(best) == fac.d:
         raise AssertionError("full factor union must be connected")
     witness = tuple(fac.directions[j] for j in best) if best else None
+    # The smallest vertex outside vertex 0's component is its own label.
+    vertex = int(np.flatnonzero(_Union(fac, witness).labels())[0]) if witness else None
     return RResult(len(best) + 1, witness, vertex, checked)
 
 
@@ -668,7 +626,9 @@ class _CosetView:
     def add(self, x: int) -> None:
         """Grow N by the factor of direction x."""
         i = self.index[x]
-        self.acc |= np.left_shift(1, self.axes[i].take(self.us), dtype=np.uint32)
+        # A new array, not in place, so that a shallow copy grows apart.
+        bits = np.left_shift(1, self.axes[i].take(self.us), dtype=np.uint32)
+        self.acc = np.bitwise_or(self.acc, bits, out=bits)
         # Axis i's place among the bits off M, which drops out of the number.
         low = i - (self.mask & ((1 << i) - 1)).bit_count()
         c = self.coset
@@ -808,7 +768,7 @@ def in_closed_coset(fac: Factorisation, spec: Iterable[int], u: int) -> bool:
 
 class _CosetRules:
     """Whether the coset rules apply to one factorisation, kept by
-    ``fac.cached``; they settle chain prefixes and label subsets.
+    ``fac.cached``; ``_Union`` reads them.
 
     ``moved`` is U when the rules may run, else None.  They need a valid
     factorisation (``validate``) and a sparse U.  The construction moves
@@ -816,8 +776,8 @@ class _CosetRules:
     all of them, and there nearly every coset is dirty, the rules seldom
     settle anything, and validating U and trying them cost more than they
     save.  So a factorisation with half its vertices or more in U goes
-    straight to the fold.  ``settled`` counts the chain prefixes each rule
-    has settled.
+    straight to the fold.  ``settled`` counts the factor sets each rule has
+    settled (``_Union.connected``).
     """
 
     def __init__(self, fac: Factorisation):
@@ -828,18 +788,21 @@ class _CosetRules:
 
 
 def settled_prefixes(fac: Factorisation) -> dict[str, int]:
-    """How many chain prefixes ``min_connecting_prefix`` has settled on fac
-    by each rule: ``closed``, ``certified`` and ``fold``."""
+    """How many factor sets the engine (``_Union.connected``) has settled on
+    fac by each rule, ``closed``, ``certified`` and ``fold``: the chain
+    prefixes of ``min_connecting_prefix`` and the subsets ``rmin`` checks
+    alike."""
     settled = fac.cached(_CosetRules).settled
     return {rule: settled[rule] for rule in ("closed", "certified", "fold")}
 
 
-def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
-    """Smallest prefix length of ``order`` whose factor union is connected.
+class _Union:
+    """A set N of factors, grown a factor at a time, that tells whether its
+    union is connected and labels the union's components.
 
-    Where the coset rules apply (``_CosetRules``), each prefix N, with
-    k = |N|, is settled from U (``_CosetView``) by the first rule that
-    holds:
+    Where the coset rules apply (``_CosetRules``), N is seen from U
+    (``_CosetView``), and ``connected`` settles it, with k = |N|, by the
+    first rule that holds:
 
     * ``closed``: while k < d, if the dirty vertices leave some coset
       untouched, that coset is a whole component, so N is disconnected.
@@ -847,37 +810,94 @@ def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
     * ``certified``: when every coset is certified connected inside, N's
       union is connected exactly when the coset graph is
       (``_CosetView.graph``).
-    * ``fold``: otherwise the fold (``_prefix_labels``) decides this prefix
-      and every later one, so the chain never takes more merges than the
-      fold alone.
+    * ``fold``: otherwise N is folded from scratch once, and its labels and
+      roots are carried to every extension, one ``_merge`` each, so a chain
+      never takes more merges than the fold alone.
 
-    ``settled_prefixes`` counts the prefixes each rule settles.  Needs an
-    explicit factorisation: pass an implicit one's explicit twin.
+    A dense or invalid factorisation is folded from the empty set on.  The
+    first matching labels each vertex with the smaller end of its edge, and
+    a connected union takes no more merges.  ``labels`` reads the coset
+    graph when every coset is certified, else the fold; both give each
+    vertex the smallest vertex of its component.  ``settled_prefixes``
+    counts the sets each rule settles.
+    """
+
+    def __init__(self, fac: Factorisation, dirs: Iterable[int] = ()):
+        rules = fac.cached(_CosetRules)
+        self.fac, self.settled = fac, rules.settled
+        self.view = None if rules.moved is None else _CosetView(fac)
+        self.dirs: tuple[int, ...] = ()
+        self.folded: Optional[tuple[np.ndarray, np.ndarray]] = None
+        for x in dirs:
+            self.add(x)
+
+    def child(self) -> _Union:
+        """A copy to grow apart from this one."""
+        other = copy.copy(self)
+        other.view = copy.copy(self.view)
+        return other
+
+    def add(self, x: int) -> None:
+        """Grow N by the factor of direction x."""
+        self.dirs += (x,)
+        if self.view is not None:
+            self.view.add(x)
+        elif self.folded is None:
+            idx = self.fac.ctx._vertex_array
+            comp = np.minimum(idx, self.fac.table(x))
+            self.folded = comp, np.flatnonzero(comp == idx)
+        elif self.folded[1].size > 1:
+            self.folded = _merge(*self.folded, self.fac.table(x))
+
+    def _cosets(self) -> Optional[np.ndarray]:
+        """The coset graph's labels when every coset is certified, else None
+        with N folded."""
+        if self.view is not None:
+            comp = self.view.graph()
+            if comp is not None:
+                return comp
+            dirs, self.view, self.dirs = self.dirs, None, ()
+            for x in dirs:
+                self.add(x)
+        return None
+
+    def connected(self) -> bool:
+        """Whether N's union is connected, settled by the first rule that holds."""
+        view = self.view
+        if view is not None and view.k < len(view.axes) and (
+            view.dirty().size < view.cosets or not view.hits().all()
+        ):
+            rule, answer = "closed", False
+        else:
+            comp = self._cosets()
+            if comp is None:
+                rule, answer = "fold", self.folded[1].size == 1
+            else:
+                rule, answer = "certified", not comp.any()
+        self.settled[rule] += 1
+        return answer
+
+    def labels(self) -> np.ndarray:
+        """The smallest vertex of each vertex's component."""
+        comp = self._cosets()
+        return self.folded[0] if comp is None else self.view.spread(comp)
+
+
+def min_connecting_prefix(fac: Factorisation, order: Sequence[int]) -> int:
+    """Smallest prefix length of ``order`` whose factor union is connected.
+
+    One ``_Union`` grows along the chain and settles each prefix in turn;
+    ``settled_prefixes`` counts them by rule.  Needs an explicit
+    factorisation: pass an implicit one's explicit twin.
     """
     dirs = _dirs(fac.ctx, order)
     if len(dirs) != len(tuple(order)) or len(dirs) != fac.d:
         raise ValueError("order must be a permutation of the direction set")
-    rules = fac.cached(_CosetRules)
-    k = 0
-    if rules.moved is not None:
-        view = _CosetView(fac)
-        for x in order:
-            view.add(x)
-            k = view.k
-            if k < fac.d and (view.dirty().size < view.cosets or not view.hits().all()):
-                rules.settled["closed"] += 1
-                continue
-            comp = view.graph()
-            if comp is None:
-                break
-            rules.settled["certified"] += 1
-            if not comp.any():
-                return k
-    for r, (_, roots) in enumerate(_prefix_labels(map(fac.table, order)), 1):
-        if r >= k:
-            rules.settled["fold"] += 1
-            if roots.size == 1:
-                return r
+    union = _Union(fac)
+    for x in order:
+        union.add(x)
+        if union.connected():
+            return len(union.dirs)
     raise AssertionError("full factor union must be connected")
 
 

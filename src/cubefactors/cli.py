@@ -351,6 +351,8 @@ def cmd_rmin(ns: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     res = an.rmin(fac)
     timings = {"build": t1 - t0, "search": time.perf_counter() - t1}
+    # How many of the subsets checked each rule of the engine settled.
+    timings.update({f"subsets_{rule}": n for rule, n in an.settled_prefixes(fac).items()})
     witness = None
     if res.witness is not None:
         witness = {

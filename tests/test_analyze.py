@@ -31,12 +31,11 @@ from cubefactors.construct import (
 from cubefactors.cube import Edge, direction_mask, edge_at
 from cubefactors.analyze import (
     _CosetView,
-    _label,
+    _Union,
     _labels,
+    _merge,
     _signature_bits,
     _one_component_per_key,
-    _prefix_labels,
-    _union,
     RResult,
     ValidationReport,
     bfs_components,
@@ -642,6 +641,23 @@ def test_cube_swap_path_histogram_frozen():
 # -- minimum connecting subset size ---------------------------------------------------
 
 
+def _fold(tables):
+    """Labels and roots of the union of each nonempty prefix of the
+    matchings, each merged into the last by ``_merge``, from every vertex
+    its own root."""
+    comp = roots = None
+    for pt in tables:
+        if comp is None:
+            comp = roots = np.arange(pt.size, dtype=np.uint32)
+        comp, roots = _merge(comp, roots, pt)
+        yield comp, roots
+
+
+def _union(tables):
+    """Labels and roots of the union of the matchings, by ``_fold``."""
+    return list(_fold(tables))[-1]
+
+
 def _brute_force_r(fac):
     """r(M) by listing the subsets of each size, smallest size first, each size
     stopping at its first disconnected union: the search ``rmin`` replaced,
@@ -737,6 +753,75 @@ def test_r_of_definition_spot_check():
         union_components(fac, sub).count == 1
         for sub in combinations(ctx.space.directions, 3)
     )
+
+
+def _carried_rmin(fac):
+    """r(M) by the search ``rmin`` made before the coset rules: each node
+    carries its union's labels and roots, so each child costs one
+    ``_merge``, and the witness vertex is the best set's second root.  Kept
+    as the oracle of the walk, the witness and the count."""
+    tables = [fac.table(x) for x in fac.directions]
+    best: tuple[int, ...] = ()
+    vertex = None
+    checked = 0
+
+    def extend(chosen, comp, roots):
+        nonlocal best, vertex, checked
+        for j in range(chosen[-1] + 1 if chosen else 0, fac.d):
+            if len(chosen) + fac.d - j <= len(best):
+                return
+            comp_j, roots_j = _merge(comp, roots, tables[j])
+            checked += 1
+            if roots_j.size > 1:
+                if len(chosen) >= len(best):
+                    best, vertex = (*chosen, j), int(roots_j[1])
+                extend((*chosen, j), comp_j, roots_j)
+
+    idx = fac.ctx._vertex_array
+    extend((), idx, idx)
+    if len(best) == fac.d:
+        raise AssertionError("full factor union must be connected")
+    witness = tuple(fac.directions[j] for j in best) if best else None
+    return RResult(len(best) + 1, witness, vertex, checked)
+
+
+ALL_SQUARES = ConstructionParams(pg=0, rg=6, rh=3, cube_dim=4)
+
+
+def _oracle_inputs(d):
+    """The builds the r search is checked on at d: swapping seeds 0-2 (less
+    any the construction refuses), all squares, directional, greedy and the
+    directional rows rotated by one."""
+    ctx = build_context(d)
+    for seed in range(3):
+        try:
+            yield f"swapping-{seed}", build_explicit(ctx, SWAPPING, RandomTape(seed))
+        except OverlapError:
+            pass
+    yield "all-squares", _swapping(ctx, ALL_SQUARES, 0)
+    yield "directional", directional(ctx)
+    yield "greedy", random_greedy_factorisation(ctx, RandomTape(d))
+    yield "rotated-rows", _crafted(np.roll(_directional_axes(d), 1, axis=0))
+
+
+@pytest.mark.parametrize("d", range(8, 14))
+def test_rmin_matches_the_carried_merge_search(d):
+    for name, fac in _oracle_inputs(d):
+        res = rmin(fac)
+        assert res == _carried_rmin(fac), name
+        # Every subset checked was settled by exactly one rule; the dense
+        # builds never reach the coset rules.
+        settled = settled_prefixes(fac)
+        assert sum(settled.values()) == res.subsets_checked, name
+        if name in ("greedy", "rotated-rows"):
+            assert settled["fold"] == res.subsets_checked, name
+
+
+def test_rmin_of_a_swapping_build_at_d14_is_pinned():
+    fac = build_explicit(build_context(14), SWAPPING, RandomTape(0))
+    res = rmin(fac)
+    assert res == RResult(8, (1, 2, 3, 4, 6, 9, 13), 3728, 3449)
+    assert res == _carried_rmin(fac)
 
 
 # -- connectivity and prefixes -----------------------------------------------------
@@ -906,13 +991,11 @@ def test_min_connecting_prefix_matches_bfs_on_random_matchings(d, seed, data):
     want = next(
         (r for r in range(1, d + 1) if len(set(_bfs_labels(order[:r]))) == 1), None
     )
-    # The walk stops at the first connected prefix, or runs out unconnected.
-    roots = [roots.size for _, roots in _prefix_labels(order)]
-    assert all(size > 1 for size in roots[:-1])
-    if want is None:
-        assert len(roots) == d and roots[-1] > 1
-    else:
-        assert len(roots) == want and roots[-1] == 1
+    # Each prefix keeps one root per component, so the first prefix left
+    # with one root is the first connected one, or none is.
+    roots = [roots.size for _, roots in _fold(order)]
+    assert roots == [len(set(_bfs_labels(order[:r]))) for r in range(1, d + 1)]
+    assert want == next((r for r, size in enumerate(roots, 1) if size == 1), None)
 
 
 def test_analyses_refuse_implicit_without_building(monkeypatch):
@@ -990,7 +1073,7 @@ def test_connectivity_profile_directional_and_deterministic():
 
 def _fold_prefix(fac, order):
     """The fold's answer alone: the first connected prefix, or None."""
-    walk = enumerate(_prefix_labels(map(fac.table, order)), 1)
+    walk = enumerate(_fold(map(fac.table, order)), 1)
     return next((r for r, (_, roots) in walk if roots.size == 1), None)
 
 
@@ -1078,6 +1161,22 @@ def test_coset_rules_run_only_on_sparse_valid_factorisations():
         assert sum(settled.values()) == sum(profile), name
 
 
+def test_a_connected_fold_takes_no_more_merges(monkeypatch):
+    # A dense build is folded from its first factor on: the first matching
+    # is labelled without a merge, and none follows the first connected
+    # prefix.
+    fac = _chain_input("greedy", 10)
+    order = list(fac.directions)
+    want = _fold_prefix(fac, order)
+    assert want < fac.d
+    merges = []
+    merge = analyze_mod._merge
+    monkeypatch.setattr(analyze_mod, "_merge", lambda *args: merges.append(1) or merge(*args))
+    union = _Union(fac, order)
+    assert len(merges) == want - 1
+    assert union.connected() and not union.labels().any()
+
+
 def test_validate_runs_once_per_factorisation(monkeypatch):
     fac = _swapping(build_context(10), SWAPPING, 0)
     runs = []
@@ -1119,21 +1218,21 @@ def _hit_every_coset(axes, k, avoid):
 
 def _prefix_rules(fac, order):
     """The rule that settled each prefix ``min_connecting_prefix`` walks, in
-    order, from the ``settled_prefixes`` deltas between the view's steps."""
-    marks = []
-    add = _CosetView.add
+    order, from the ``settled_prefixes`` delta across each question it asks
+    its ``_Union``."""
+    rules = []
+    connected = _Union.connected
 
-    def step(view, x):
-        marks.append(settled_prefixes(fac))
-        add(view, x)
+    def asked(union):
+        before = settled_prefixes(fac)
+        answer = connected(union)
+        after = settled_prefixes(fac)
+        rules.extend(rule for rule in before for _ in range(after[rule] - before[rule]))
+        return answer
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_CosetView, "add", step)
+        mp.setattr(_Union, "connected", asked)
         min_connecting_prefix(fac, order)
-    marks.append(settled_prefixes(fac))
-    rules = []
-    for a, b in zip(marks, marks[1:]):
-        rules += [rule for rule in a for _ in range(b[rule] - a[rule])]
     return rules
 
 
@@ -1276,7 +1375,7 @@ def test_subset_labels_from_the_cosets_match_the_fold_and_bfs(name, d, data):
     dirs = tuple(sorted(data.draw(st.permutations(fac.directions), label="order")[:k]))
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_coset_graphs(mp)
-        labels = _label(fac, dirs)
+        labels = _Union(fac, dirs).labels()
     # The coset path ran once; the fold is called only where it declines.
     assert len(calls) == 1
     assert labels.dtype == np.uint32
@@ -1295,7 +1394,7 @@ def test_most_subsets_of_the_swapping_setting_are_labelled_from_their_cosets(mon
     rng = random.Random(2)
     for k in range(4, 13):
         dirs = tuple(sorted(rng.sample(fac.directions, k)))
-        assert _label(fac, dirs).tolist() == _bfs_labels([fac.table(x) for x in dirs])
+        assert _Union(fac, dirs).labels().tolist() == _bfs_labels([fac.table(x) for x in dirs])
     assert len(calls) == 9 and sum(calls) >= 7
 
 
@@ -1308,7 +1407,7 @@ def test_subset_labels_of_dense_or_invalid_inputs_fold(name, monkeypatch):
     rng = random.Random(3)
     for k in (1, 3, fac.d // 2, fac.d - 1, fac.d):
         dirs = tuple(sorted(rng.sample(fac.directions, k)))
-        labels = _label(fac, dirs)
+        labels = _Union(fac, dirs).labels()
         assert np.array_equal(labels, _union(map(fac.table, dirs))[0])
         assert labels.tolist() == _bfs_labels([fac.table(x) for x in dirs])
     assert calls == []
@@ -1322,7 +1421,7 @@ def test_subset_labels_of_uncertified_cosets_fold(craft, monkeypatch):
     fac = _crafted(axes)
     calls = _count_coset_graphs(monkeypatch)
     dirs = fac.directions[:k]
-    labels = _label(fac, dirs)
+    labels = _Union(fac, dirs).labels()
     assert calls == [False]
     assert labels.tolist() == _bfs_labels([fac.table(x) for x in dirs])
 

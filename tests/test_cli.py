@@ -789,7 +789,10 @@ def test_rmin_directional(capsys):
     # Every coset of the directional baseline is closed.
     assert rep["witness"] == {"factors": [1, 2], "vertex": 4, "closed_coset": True}
     assert rep["subsets_checked"] == 3
-    assert set(rep["timings"]) == {"build", "search"}
+    # The two smaller sets hold closed cosets; the full set is one coset.
+    timings = rep["timings"]
+    assert set(timings) == {"build", "search", "subsets_closed", "subsets_certified", "subsets_fold"}
+    assert (timings["subsets_closed"], timings["subsets_certified"], timings["subsets_fold"]) == (2, 1, 0)
 
 
 def test_rmin_out_is_the_same_twice_and_reports_the_witness(tmp_path, capsys):
