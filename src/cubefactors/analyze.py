@@ -37,12 +37,11 @@ replaces the entry, and the entry is freed with its factorisation.
 ``closed_cosets`` counts the closed cosets of one subset, and
 ``in_closed_coset`` tells whether one vertex's coset is closed.
 
-Every analysis of factor unions reads the axis array, or whole partner rows
-derived from it (``table``), so they take an explicit factorisation.  An
-implicit one is refused by ``Factorisation.axes``, whose error says how to
-build its explicit twin: build it once and pass it to every analysis.
-``untouched_parallel_paths`` and ``untouched_path_histogram`` ask only
-``partner`` queries and take either mode.
+Every analysis of factor unions, the parallel-path counts too, reads the
+axis array or whole partner rows derived from it (``table``), so they take
+an explicit factorisation.  An implicit one is refused by
+``Factorisation.axes``, whose error says how to build its explicit twin:
+build it once and pass it to every analysis.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import gf2
-from .code import CodeContext, code_size, in_code, phi_table
+from .code import CodeContext, in_code, phi_table
 from .construct import Factorisation
-from .cube import Edge, _xor_table, direction_mask, edge_at
+from .cube import Edge, _xor_table, direction_mask
 
 __all__ = [
     "ValidationReport",
@@ -468,6 +467,21 @@ def psi_criterion(ctx: CodeContext, spec: Iterable[int], cube_id: int) -> bool:
 # -- parallel paths -------------------------------------------------------------
 
 
+def _disturbed(fac: Factorisation, words: np.ndarray, j: int) -> np.ndarray:
+    """How many of the d-1 parallel paths around the edge (w, w + e_j) are
+    disturbed, for each codeword w of words.  The path through position
+    i != j, w -> w + e_i -> v + e_i -> v with v = w + e_j, is untouched when
+    slot i at w, slot j at w + e_i and slot i at v hold their own axis."""
+    axes = fac.axes
+    own = np.arange(fac.d, dtype=np.uint8)[:, None]
+    at_w = words ^ np.left_shift(1, own, dtype=np.uint32)
+    at_v = words ^ np.uint32(1 << j)
+    kept = (axes.take(words, 1) == own) & (axes[j, at_w] == j) & (axes.take(at_v, 1) == own)
+    # Row j is the edge itself, not one of its paths.
+    kept[j] = True
+    return fac.d - np.count_nonzero(kept, axis=0)
+
+
 def untouched_parallel_paths(fac: Factorisation, e: Edge) -> int:
     """How many of the d-1 parallel 3-edge paths around e are fully untouched.
 
@@ -477,47 +491,19 @@ def untouched_parallel_paths(fac: Factorisation, e: Edge) -> int:
     """
     ctx = fac.ctx
     lo, hi = e.endpoints(ctx.space)
-    if in_code(ctx, lo):
-        u, v = lo, hi
-    elif in_code(ctx, hi):
-        u, v = hi, lo
-    else:
+    u = lo if in_code(ctx, lo) else hi
+    if not in_code(ctx, u):
         raise ValueError("edge has no endpoint in the code")
-    y = e.direction
-    count = 0
-    for x in fac.directions:
-        if x == y:
-            continue
-        bx = ctx.space.bit_of(x)
-        if (
-            fac.partner(u, x) == u ^ bx
-            and fac.partner(u ^ bx, y) == v ^ bx
-            and fac.partner(v, x) == v ^ bx
-        ):
-            count += 1
-    return count
+    j = ctx.space.index[e.direction]
+    return fac.d - 1 - int(_disturbed(fac, np.array([u], np.uint32), j)[0])
 
 
-def untouched_path_histogram(
-    fac: Factorisation, edges: Optional[Sequence[Edge]] = None
-) -> dict[int, int]:
-    """Histogram of disturbed-path counts over code-incident edges.
-
-    The code is read from the context's codeword array, which has no
-    explicit-mode cap, so an implicit factorisation past the cap is answered
-    through its partner queries.
-    """
-    ctx = fac.ctx
-    if edges is None:
-        edges = [
-            edge_at(ctx.space, w, y)
-            for w in ctx._codeword_array.tolist()
-            for y in fac.directions
-        ]
-    hist: Counter[int] = Counter()
-    for e in edges:
-        hist[fac.d - 1 - untouched_parallel_paths(fac, e)] += 1
-    return dict(sorted(hist.items()))
+def untouched_path_histogram(fac: Factorisation) -> dict[int, int]:
+    """Histogram of disturbed-path counts over the d·2^(d-k) code-incident
+    edges, read from the axis array one edge direction at a time."""
+    words = fac.ctx._codeword_array
+    hist = sum(np.bincount(_disturbed(fac, words, j), minlength=fac.d) for j in range(fac.d))
+    return {k: int(n) for k, n in enumerate(hist) if n}
 
 
 # -- minimum connecting subset size ----------------------------------------------

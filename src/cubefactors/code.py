@@ -118,6 +118,8 @@ def build_context(d: int) -> CodeContext:
 
 def phi(ctx: CodeContext, u: int) -> int:
     """Syndrome of a vertex: XOR of direction labels at its set coordinates."""
+    if u < 0 or u >> ctx.d:
+        raise ValueError(f"vertex {u} does not fit in d={ctx.d} bits")
     s = 0
     dirs = ctx.space.directions
     while u:
@@ -169,12 +171,16 @@ def enumerate_code(ctx: CodeContext) -> Iterator[int]:
 
 
 def _ball_cost(d: int, radius: int) -> int:
-    return sum(comb(d, i) for i in range(min(radius, d) + 1))
+    """C(d, <= radius), summed only until it passes ``DEFAULT_BALL_COST``."""
+    cost = 0
+    for i in range(min(radius, d) + 1):
+        cost += comb(d, i)
+        if cost > DEFAULT_BALL_COST:
+            break
+    return cost
 
 
-def codewords_in_ball(
-    ctx: CodeContext, u: int, radius: int, *, max_cost: int = DEFAULT_BALL_COST
-) -> Iterator[int]:
+def codewords_in_ball(ctx: CodeContext, u: int, radius: int) -> Iterator[int]:
     """Codewords at Hamming distance <= radius from u.
 
     Enumerates coordinate subsets of size <= radius with syndrome pruning;
@@ -182,10 +188,10 @@ def codewords_in_ball(
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if _ball_cost(ctx.d, radius) > max_cost:
+    if _ball_cost(ctx.d, radius) > DEFAULT_BALL_COST:
         raise ValueError(
             f"radius {radius} exceeds feasible bound at d={ctx.d} "
-            f"(ball cost > {max_cost})"
+            f"(ball cost > {DEFAULT_BALL_COST})"
         )
     target = phi(ctx, u)
     dirs = ctx.space.directions
@@ -223,11 +229,12 @@ def codewords_near(ctx: CodeContext, u: int, radius: int) -> list[int]:
     return words[np.bitwise_count(words ^ np.uint32(u)) <= radius].tolist()
 
 
-def _near_feasible(ctx: CodeContext, radius: int) -> bool:
-    """Whether ``codewords_near`` answers at this radius: always while the
-    code array exists, and past it while the ball's cost is within
-    ``DEFAULT_BALL_COST``."""
-    return code_size(ctx) <= _MATERIALIZE_LIMIT or _ball_cost(ctx.d, radius) <= DEFAULT_BALL_COST
+def _near_feasible(d: int, radius: int) -> bool:
+    """Whether ``codewords_near`` answers at this radius in dimension d: while
+    the code array exists, or past it while the ball costs at most
+    ``DEFAULT_BALL_COST``.  2^(d-k) is compared by exponent: d may be huge."""
+    in_array = d - d.bit_length() < _MATERIALIZE_LIMIT.bit_length()
+    return in_array or _ball_cost(d, radius) <= DEFAULT_BALL_COST
 
 
 def phi_table(ctx: CodeContext) -> np.ndarray:

@@ -704,23 +704,24 @@ def build_explicit(
 def implicit_factorisation(
     ctx: CodeContext, params: ConstructionParams, tape: RandomTape
 ) -> Factorisation:
-    """Query-time factorisation; no whole-cube axis array is ever built.
-
-    Past the code array a query enumerates Hamming balls of radius up to
-    the largest of rg, rh and cube_dim, so a radius whose ball costs more
-    than ``DEFAULT_BALL_COST`` is refused here rather than at a query.
-    """
+    """Query-time factorisation; no whole-cube axis array is ever built."""
     _check_construction_dims(ctx, params)
+    _check_query_radius(ctx.d, params)
+    return Factorisation(ctx, "construction", "implicit", params=params, tape=tape)
+
+
+def _check_query_radius(d: int, params: ConstructionParams) -> None:
+    """Refuse the largest query radius, of rg (never below rh), cube_dim and 2
+    (squares), if its ball past the code array costs over ``DEFAULT_BALL_COST``."""
     radius, name = max(
-        (params.rg, "rg"), (params.rh, "rh"), (params.cube_dim, "cube_dim"), key=itemgetter(0)
+        (params.rg, "rg"), (params.cube_dim, "cube_dim"), (2, "squares"), key=itemgetter(0)
     )
-    if not _near_feasible(ctx, radius):
+    if not _near_feasible(d, radius):
         raise ValueError(
-            f"implicit queries at d={ctx.d} would enumerate Hamming balls of "
+            f"implicit queries at d={d} would enumerate Hamming balls of "
             f"radius {radius} ({name}), past the feasible bound "
             f"(ball cost > {DEFAULT_BALL_COST})"
         )
-    return Factorisation(ctx, "construction", "implicit", params=params, tape=tape)
 
 
 def random_greedy_factorisation(ctx: CodeContext, tape: RandomTape) -> Factorisation:
@@ -1007,6 +1008,8 @@ def load_factorisation(path: str) -> Factorisation:
             if version not in (1, 2):
                 raise ValueError(f"unsupported version {version!r}")
             d = header["d"]
+            if type(d) is not int:
+                raise ValueError(f"d must be an integer, got {d!r}")
             dirs = tuple(header["X"])
             kind = header["kind"]
             mode = header["mode"]
@@ -1014,18 +1017,22 @@ def load_factorisation(path: str) -> Factorisation:
                 raise ValueError(f"unknown mode {mode!r}")
             seed = header["seed"]
             raw_params = header["params"]
+            params = ConstructionParams.from_dict(raw_params) if raw_params else None
+            tape = RandomTape(seed) if seed is not None else None
+            # A context grows with d: refuse a d the mode cannot answer first.
+            if mode == "explicit":
+                check_explicit(d)
+            elif params is None or tape is None:
+                raise ValueError("implicit stub needs params and seed")
+            else:
+                _check_query_radius(d, params)
             ctx = code_mod.build_context(d)
             if ctx.space.directions != dirs:
                 raise ValueError("direction set does not match d")
-            params = ConstructionParams.from_dict(raw_params) if raw_params else None
-            tape = RandomTape(seed) if seed is not None else None
-            if mode == "implicit" and (params is None or tape is None):
-                raise ValueError("implicit stub needs params and seed")
 
         if mode == "implicit":
             return implicit_factorisation(ctx, params, tape)
 
-        check_explicit(d)
         space = ctx.space
         if version == 2:
             # Listed edges overwrite the directional baseline.

@@ -2,6 +2,7 @@ import gc
 import pathlib
 import random
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -608,6 +609,89 @@ def test_cube_id_validation():
 # -- parallel paths ----------------------------------------------------------------
 
 
+def _partner_parallel_paths(fac, e):
+    """``untouched_parallel_paths`` as it was before it read the axis array:
+    three ``partner`` queries per parallel path."""
+    ctx = fac.ctx
+    lo, hi = e.endpoints(ctx.space)
+    if in_code(ctx, lo):
+        u, v = lo, hi
+    elif in_code(ctx, hi):
+        u, v = hi, lo
+    else:
+        raise ValueError("edge has no endpoint in the code")
+    y = e.direction
+    count = 0
+    for x in fac.directions:
+        if x == y:
+            continue
+        bx = ctx.space.bit_of(x)
+        if (
+            fac.partner(u, x) == u ^ bx
+            and fac.partner(u ^ bx, y) == v ^ bx
+            and fac.partner(v, x) == v ^ bx
+        ):
+            count += 1
+    return count
+
+
+def _partner_path_histogram(fac):
+    """``untouched_path_histogram`` as it was before it read the axis array:
+    one ``_partner_parallel_paths`` per code-incident edge."""
+    ctx = fac.ctx
+    edges = [
+        edge_at(ctx.space, w, y)
+        for w in ctx._codeword_array.tolist()
+        for y in fac.directions
+    ]
+    hist = Counter()
+    for e in edges:
+        hist[fac.d - 1 - _partner_parallel_paths(fac, e)] += 1
+    return dict(sorted(hist.items()))
+
+
+def _path_inputs(d):
+    """The builds the parallel-path counts are checked on at d: swapping and
+    all squares, seeds 0-2 (less any the construction refuses), directional,
+    greedy, a crafted square at vertex 0, and at d = 7 the pg = 0.05 cube swap."""
+    ctx = build_context(d)
+    for name, params in (("swapping", SWAPPING), ("all-squares", ALL_SQUARES)):
+        for seed in range(3):
+            try:
+                yield f"{name}-{seed}", build_explicit(ctx, params, RandomTape(seed))
+            except OverlapError:
+                pass
+    yield "directional", directional(ctx)
+    yield "greedy", random_greedy_factorisation(ctx, RandomTape(d))
+    yield "crafted-square", _crafted_square(ctx, 0, *ctx.space.directions[:2])
+    if d == 7:
+        yield "cube-swap", build_explicit(ctx, ConstructionParams(pg=0.05), RandomTape(5))
+
+
+@pytest.mark.parametrize("d", range(7, 13))
+def test_path_counts_match_the_partner_queries(d):
+    rng = random.Random(d)
+    for name, fac in _path_inputs(d):
+        hist = untouched_path_histogram(fac)
+        assert hist == _partner_path_histogram(fac), name
+        assert sum(hist.values()) == d * code_size(fac.ctx)
+        words = fac.ctx._codeword_array.tolist()
+        for w in rng.sample(words, min(len(words), 8)):
+            for y in fac.directions:
+                e = edge_at(fac.ctx.space, w, y)
+                assert untouched_parallel_paths(fac, e) == _partner_parallel_paths(fac, e), name
+
+
+def test_path_counts_read_unmatched_slots_as_disturbed():
+    # A slot left unmatched (255, as a version-1 file with a missing edge
+    # leaves it) is off its own axis: both counts see it as the queries do.
+    # The six edges at codeword 0 off axis 0 lose their path through axis 0.
+    axes = _directional_axes(7)
+    axes[0, 0] = axes[0, 1] = 255
+    fac = _crafted(axes)
+    assert untouched_path_histogram(fac) == _partner_path_histogram(fac) == {0: 106, 1: 6}
+
+
 def test_directional_paths_all_untouched():
     for w in (0, 0b0000111):
         for y in (1, 4, 7):
@@ -618,6 +702,12 @@ def test_directional_paths_all_untouched():
 def test_paths_require_code_endpoint():
     with pytest.raises(ValueError, match="no endpoint in the code"):
         untouched_parallel_paths(FAC7, Edge(1, 2))
+
+
+def test_paths_refuse_an_edge_outside_the_cube():
+    for lo in (1 << 7, 1 << 20, -2):
+        with pytest.raises(ValueError, match=f"vertex {lo} does not fit in d=7 bits"):
+            untouched_parallel_paths(FAC7, Edge(lo, 1))
 
 
 def test_square_swap_disturbs_nearby_parallel_paths():
@@ -1024,6 +1114,8 @@ def test_analyses_refuse_implicit_without_building(monkeypatch):
         lambda: min_connecting_prefix(imp, imp.directions),
         lambda: connectivity_profile(imp, 5, random.Random(2)),
         lambda: touched_edge_count(imp),
+        lambda: untouched_path_histogram(imp),
+        lambda: untouched_parallel_paths(imp, Edge(0, 1)),
     ):
         with pytest.raises(ValueError, match=refused):
             call()

@@ -137,8 +137,20 @@ def test_codewords_in_ball_examples():
 
 
 def test_codewords_in_ball_feasibility_guard():
-    with pytest.raises(ValueError, match="exceeds feasible bound"):
-        list(codewords_in_ball(CTX7, 0, 3, max_cost=10))
+    # C(40, <= 9) = 3.7e8 nodes is within the bound and C(40, <= 10) = 1.2e9
+    # is past it.  The call itself raises: no node is enumerated first.
+    ctx = build_context(40)
+    codewords_in_ball(ctx, 0, 9)
+    for radius in (10, 14):
+        with pytest.raises(ValueError, match=f"radius {radius} exceeds feasible bound at d=40"):
+            codewords_in_ball(ctx, 0, radius)
+
+
+@pytest.mark.parametrize("u", [-1, 1 << 7, 1 << 9])
+@pytest.mark.parametrize("entry", [phi, in_code, adjacent_codeword])
+def test_vertices_outside_the_cube_are_refused(entry, u):
+    with pytest.raises(ValueError, match=f"vertex {u} does not fit in d=7 bits"):
+        entry(CTX7, u)
 
 
 def test_ball_enumeration_matches_filter_oracle():
