@@ -28,7 +28,7 @@ and Vishkin, 1982) over the component roots alone (``_merge``, through
 each.  The rules are listed, in the order tried, in ``_Union``'s docstring.
 
 The subset analyses share one memo entry per factorisation
-(``Factorisation.subset_labels``, through ``_labels``): the sorted distinct
+(``_labels``, through ``fac.cached``): the sorted distinct
 directions of the last subset labelled and its read-only label array,
 4·2^d bytes (1 MB at d = 18, 16 MB at d = 22).  ``analyze`` with several
 ``--op`` asks them about one subset in one process.  A second subset
@@ -51,7 +51,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -130,11 +130,8 @@ def _consistent(axes: np.ndarray, blk: np.ndarray) -> bool:
         # blk is in range, so "clip" never clips; it spares the copy of
         # ``out`` that the default mode makes.
         row.take(blk, out=a, mode="clip")
-        # A slot naming no axis of the cube sets a bit outside the axes, or none.
         np.left_shift(1, a, out=word, dtype=np.intp)
         seen |= word
-        # Such a slot's partner may lie outside the cube, where "clip" keeps
-        # it: its wrong bit fails the column anyway.
         row.take(np.bitwise_xor(word, blk, out=word), out=across, mode="clip")
         diff |= np.bitwise_xor(across, a, out=across)
     return not diff.any() and not np.bitwise_xor(seen, (1 << len(axes)) - 1, out=seen).any()
@@ -143,13 +140,12 @@ def _consistent(axes: np.ndarray, blk: np.ndarray) -> bool:
 def _first_fault(axes: np.ndarray, blk: np.ndarray, rows: int) -> Optional[tuple[int, int]]:
     """(row, vertex) of the first fault in the first ``rows`` rows, at a vertex
     of blk or at an own-axis slot beside a moved slot of blk."""
-    d = len(axes)
     seen = np.zeros(blk.size, np.uint32)
     for i in range(rows):
         row = axes[i]
         a = row.take(blk)
         bit = np.left_shift(1, a, dtype=np.uint32)
-        bad = (a >= d) | (row.take(blk ^ bit, mode="clip") != a) | (seen & bit != 0)
+        bad = (row.take(blk ^ bit) != a) | (seen & bit != 0)
         seen |= bit
         # An own-axis slot fails exactly when its partner across i is moved.
         beside = blk[(a != i) & (row.take(blk ^ 1 << i) == i)] ^ 1 << i
@@ -160,10 +156,10 @@ def _first_fault(axes: np.ndarray, blk: np.ndarray, rows: int) -> Optional[tuple
 
 
 def validate(fac: Factorisation) -> ValidationReport:
-    """Check that the factors are fixed-point-free matchings partitioning all edges.
+    """Check that the factors are perfect matchings partitioning all edges.
 
-    A row is a perfect matching of the cube exactly when every slot names an
-    axis below d (any other value, such as 255, leaves a fixed point) and
+    Every slot names an axis below d (``Factorisation`` refuses any other),
+    so a row is a perfect matching of the cube exactly when
     ``axes[i, u ^ 2^axes[i, u]] == axes[i, u]``; the d rows then partition
     the edges exactly when every vertex sees each axis once.
 
@@ -179,8 +175,8 @@ def validate(fac: Factorisation) -> ValidationReport:
 
     The first faulty vertex of the first faulty row is reported.  It is
     looked for in the failing blocks alone, among their vertices and the
-    own-axis slots beside their moved ones, and classified by three scalar
-    checks, in the order below.  The report is kept with the factorisation
+    own-axis slots beside their moved ones, and classified by the scalar
+    check below.  The report is kept with the factorisation
     (``fac.cached``), whose axis array is read-only.  Needs an explicit
     factorisation: pass an implicit one's explicit twin.
     """
@@ -203,9 +199,7 @@ def _validate(fac: Factorisation) -> ValidationReport:
         return ValidationReport(True)
     i, u = first
     row = axes[i]
-    if row[u] >= d:
-        message = "factor has a fixed point"
-    elif row[u ^ 1 << int(row[u])] != row[u]:
+    if row[u ^ 1 << int(row[u])] != row[u]:
         message = "factor is not an involution"
     else:
         # The edge sits in the first earlier row with the same axis.
@@ -276,15 +270,28 @@ def _merge(
     return comp.take(comp), roots
 
 
+def _label_memo(fac: Factorisation) -> dict:
+    """``_labels``' memo (``fac.cached``): the last subset key and its labels.
+    It refers to no factorisation, so it is freed with the one keeping it."""
+    return {}
+
+
 def _labels(fac: Factorisation, dirs: Sequence[int]) -> np.ndarray:
     """Minimum-vertex component label of every vertex in the dirs' union.
 
-    Kept by ``fac.subset_labels`` under ``tuple(dirs)`` (callers pass
-    ``_dirs``' sorted distinct tuple), so the analyses of one subset label
-    it once.  Reads the axis array, so an implicit factorisation is refused.
+    Kept under ``tuple(dirs)`` (callers pass ``_dirs``' sorted distinct
+    tuple) for the last subset asked for, so the analyses of one subset
+    label it once; every caller of one key gets the same read-only array.
+    Reads the axis array, so an implicit factorisation is refused.
     """
     key = tuple(dirs)
-    return fac.subset_labels(key, lambda: _Union(fac, key).labels())
+    memo = fac.cached(_label_memo)
+    if key not in memo:
+        # The last subset's labels are dropped before the new ones are made.
+        memo.clear()
+        memo[key] = _Union(fac, key).labels()
+        memo[key].flags.writeable = False
+    return memo[key]
 
 
 def union_components(fac: Factorisation, spec: Iterable[int]) -> ComponentReport:
@@ -467,19 +474,23 @@ def psi_criterion(ctx: CodeContext, spec: Iterable[int], cube_id: int) -> bool:
 # -- parallel paths -------------------------------------------------------------
 
 
-def _disturbed(fac: Factorisation, words: np.ndarray, j: int) -> np.ndarray:
-    """How many of the d-1 parallel paths around the edge (w, w + e_j) are
-    disturbed, for each codeword w of words.  The path through position
-    i != j, w -> w + e_i -> v + e_i -> v with v = w + e_j, is untouched when
-    slot i at w, slot j at w + e_i and slot i at v hold their own axis."""
+def _disturbed(fac: Factorisation, words: np.ndarray, js: Iterable[int]) -> Iterator[np.ndarray]:
+    """For each position j of js, how many of the d-1 parallel paths around
+    the edge (w, w + e_j) are disturbed, for each codeword w of words.  The
+    path through position i != j, w -> w + e_i -> v + e_i -> v with
+    v = w + e_j, is untouched when slot i at w, slot j at w + e_i and slot i
+    at v hold their own axis; the first of them is read once for every j."""
     axes = fac.axes
     own = np.arange(fac.d, dtype=np.uint8)[:, None]
     at_w = words ^ np.left_shift(1, own, dtype=np.uint32)
-    at_v = words ^ np.uint32(1 << j)
-    kept = (axes.take(words, 1) == own) & (axes[j, at_w] == j) & (axes.take(at_v, 1) == own)
-    # Row j is the edge itself, not one of its paths.
-    kept[j] = True
-    return fac.d - np.count_nonzero(kept, axis=0)
+    own_at_w = axes.take(words, 1) == own
+    for j in js:
+        kept = axes[j, at_w] == j
+        kept &= own_at_w
+        kept &= axes.take(words ^ np.uint32(1 << j), 1) == own
+        # Row j is the edge itself, not one of its paths.
+        kept[j] = True
+        yield fac.d - np.count_nonzero(kept, axis=0)
 
 
 def untouched_parallel_paths(fac: Factorisation, e: Edge) -> int:
@@ -495,14 +506,14 @@ def untouched_parallel_paths(fac: Factorisation, e: Edge) -> int:
     if not in_code(ctx, u):
         raise ValueError("edge has no endpoint in the code")
     j = ctx.space.index[e.direction]
-    return fac.d - 1 - int(_disturbed(fac, np.array([u], np.uint32), j)[0])
+    return fac.d - 1 - int(next(_disturbed(fac, np.array([u], np.uint32), [j]))[0])
 
 
 def untouched_path_histogram(fac: Factorisation) -> dict[int, int]:
     """Histogram of disturbed-path counts over the d·2^(d-k) code-incident
     edges, read from the axis array one edge direction at a time."""
-    words = fac.ctx._codeword_array
-    hist = sum(np.bincount(_disturbed(fac, words, j), minlength=fac.d) for j in range(fac.d))
+    counts = _disturbed(fac, fac.ctx._codeword_array, range(fac.d))
+    hist = sum(np.bincount(n, minlength=fac.d) for n in counts)
     return {k: int(n) for k, n in enumerate(hist) if n}
 
 

@@ -222,6 +222,8 @@ def codewords_near(ctx: CodeContext, u: int, radius: int) -> list[int]:
     array, or the recursive ball enumeration, whose cost is its
     C(d, <= radius - 1) inner nodes.  Past that it always enumerates.
     """
+    if u < 0 or u >> ctx.d:
+        raise ValueError(f"vertex {u} does not fit in d={ctx.d} bits")
     n = code_size(ctx)
     if n > _MATERIALIZE_LIMIT or _ball_cost(ctx.d, radius - 1) * _NODE_WORDS < n:
         return sorted(codewords_in_ball(ctx, u, radius))

@@ -372,11 +372,11 @@ class Factorisation:
 
     Explicit mode holds one read-only (d, 2^d) uint8 axis array.  Row i is
     the factor labelled ``directions[i]``: it matches u across the axis at
-    position ``axes[i, u]`` (255: unmatched, left by a version-1 file with a
-    missing edge), and ``table(directions[i])`` derives its partners.  See
-    ``analyze.validate`` for when that is a factorisation.  Implicit mode
-    holds only the context, parameters and tape, and answers partner queries
-    by replaying the swap rules for the few codewords near the query.
+    position ``axes[i, u]``, which is below d, and ``table(directions[i])``
+    derives its partners.  See ``analyze.validate`` for when that is a
+    factorisation.  Implicit mode holds only the context, parameters and
+    tape, and answers partner queries by replaying the swap rules for the
+    few codewords near the query.
     """
 
     def __init__(
@@ -396,6 +396,10 @@ class Factorisation:
                 raise ValueError("explicit mode needs an axis array")
             if axes.shape != (ctx.d, 1 << ctx.d) or axes.dtype != np.uint8:
                 raise ValueError("axis array must be uint8 of shape (d, 2^d)")
+            if axes.max() >= ctx.d:
+                i, u = np.argwhere(axes >= ctx.d)[0]
+                at = f"direction {ctx.space.directions[i]} at vertex {vertex_text(ctx.space, u)}"
+                raise ValueError(f"slot of {at} names axis {axes[i, u]}, not below d={ctx.d}")
             axes.flags.writeable = False
         if mode == "implicit" and (params is None or tape is None):
             raise ValueError("implicit mode needs params and a tape")
@@ -415,8 +419,6 @@ class Factorisation:
         self._r6 = _Memo(lambda v: _draw_r6(ctx, tape, v, params.cube_dim))
         self._in_g = _Memo(partial(_isolated, ctx, params, coin))
         self._active = _Memo(partial(_square_survives, ctx, params, coin, pq))
-        # The one entry ``subset_labels`` keeps: a subset's key and its labels.
-        self._subset_labels: Optional[tuple[tuple[int, ...], np.ndarray]] = None
         # What ``cached`` keeps, by the function that made it.
         self._cached: dict[Callable[["Factorisation"], Any], Any] = {}
 
@@ -451,7 +453,6 @@ class Factorisation:
 
     def table(self, x: int) -> np.ndarray:
         """Factor x's partner of every vertex, derived from its row of axes."""
-        # numpy shifts by 32 or more to 0: an unmatched slot is a fixed point.
         shift = np.left_shift(1, self._axis_row(x), dtype=np.uint32)
         return np.bitwise_xor(shift, self.ctx._vertex_array, out=shift)
 
@@ -476,30 +477,12 @@ class Factorisation:
             self._cached[make] = make(self)
         return self._cached[make]
 
-    def subset_labels(
-        self, key: tuple[int, ...], label: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        """The labels ``label()`` computes for the subset ``key``, kept for
-        the last key asked for.
-
-        Asking again for that key returns the kept array; another key
-        replaces it, so one entry is kept at most, and it is freed with the
-        factorisation.  The array is read-only, since every caller of one
-        key gets the same one.
-        """
-        if self._subset_labels is None or self._subset_labels[0] != key:
-            labels = label()
-            labels.flags.writeable = False
-            self._subset_labels = (key, labels)
-        return self._subset_labels[1]
-
     def partner(self, u: int, x: int) -> int:
         """The vertex matched to u by factor x."""
         if u < 0 or u >> self.d:
             raise ValueError(f"vertex {u} does not fit in d={self.d} bits")
         if self.mode == "explicit":
-            # One slot, with table's 32-bit shift.
-            return u ^ (1 << int(self._axis_row(x)[u])) & 0xFFFFFFFF
+            return u ^ 1 << int(self._axis_row(x)[u])
         return self._implicit_partner(u, x)
 
     def untouched(self, e: Edge) -> bool:
@@ -867,8 +850,8 @@ def plan_summary(plan: SwapPlan) -> dict:
 #
 # JSON lines.  Line 1 is a header; explicit factorisations follow with one
 # line per factor, in direction order, listing canonical edges as
-# [lo_text, direction].  A version-2 line lists only the factor's edges off
-# its own axis; a version-1 line listed every edge of the factor.
+# [lo_text, direction].  A line lists only the factor's edges off its own
+# axis.  Version 1, whose lines listed every edge of the factor, is refused.
 
 
 def save_factorisation(fac: Factorisation, path: str) -> None:
@@ -896,12 +879,12 @@ def save_factorisation(fac: Factorisation, path: str) -> None:
         ).reshape(ctx.d, width)
         us = fac.moved
         for i, (x, row) in enumerate(zip(ctx.space.directions, fac.axes)):
-            # A moved edge is listed from its end with a 0 on its axis; an
-            # unmatched slot lists nothing.  Only the slots at U are read.
+            # A moved edge is listed from its end with a 0 on its axis; only
+            # the slots at U are read.
             to = row.take(us)
             off = to != i
             moved, to = us[off], to[off]
-            keep = (to < ctx.d) & (moved >> to & 1 == 0)
+            keep = moved >> to & 1 == 0
             edges = ""
             # A baseline file's lines have no edge, and need no formatting.
             if keep.any():
@@ -1005,7 +988,15 @@ def load_factorisation(path: str) -> Factorisation:
             if header["type"] != "factorisation":
                 raise ValueError(f"type {header['type']!r} is not 'factorisation'")
             version = header["version"]
-            if version not in (1, 2):
+            # A bool or a float would equal the int 1 or 2.
+            if type(version) is not int:
+                raise ValueError(f"version must be an integer, got {version!r}")
+            if version == 1:
+                raise ValueError(
+                    "version 1 is no longer read; rebuild the file from its header's kind, "
+                    "seed and params with build_factorisation and save_factorisation"
+                )
+            if version != 2:
                 raise ValueError(f"unsupported version {version!r}")
             d = header["d"]
             if type(d) is not int:
@@ -1034,15 +1025,9 @@ def load_factorisation(path: str) -> Factorisation:
             return implicit_factorisation(ctx, params, tape)
 
         space = ctx.space
-        if version == 2:
-            # Listed edges overwrite the directional baseline.
-            axes = _directional_axes(d)
-        else:
-            # Every slot starts unmatched (255), so an edge no line lists
-            # shows up as a fixed point.
-            axes = np.full((d, 1 << d), 255, dtype=np.uint8)
-        # A version-2 file names every factor once: a missing line would
-        # otherwise read as a factor with no moved edge.
+        # Listed edges overwrite the directional baseline, so a file names
+        # every factor once: a missing line would read as one with no moved edge.
+        axes = _directional_axes(d)
         line_of: dict[int, int] = {}
         n = 1
         for n, line in enumerate(fh, start=2):
@@ -1055,12 +1040,12 @@ def load_factorisation(path: str) -> Factorisation:
                 # 1.0 and true would find the label 1.
                 if space.index.get(x) is None or type(x) is not int:
                     raise ValueError(f"unknown factor {x}")
-                if version == 2 and x in line_of:
+                if x in line_of:
                     raise ValueError(f"factor {x} is listed again (first at line {line_of[x]})")
                 line_of[x] = n
                 lo, pos = _read_edges(space, obj["edges"])
                 _set_edges(space, axes[space.index[x]], x, lo, pos)
-        if version == 2 and len(line_of) < d:
+        if len(line_of) < d:
             x = next(x for x in space.directions if x not in line_of)
             raise ValueError(
                 f"parse error at line {n + 1}: the file ends with no line for factor {x}"

@@ -1,11 +1,12 @@
 """Test helpers: a factorisation's partner rows, a per-edge writer of
-factorisation files kept as an oracle, and the pair draws of hand-built
-swap plans."""
+factorisation files kept as an oracle, the pair draws of hand-built swap
+plans, and a count of the subset labellings the analyses make."""
 
 import json
 
 import numpy as np
 
+import cubefactors.analyze as analyze_mod
 from cubefactors.cube import vertex_text
 
 
@@ -27,13 +28,12 @@ def hand_pairs(ctx, pq):
     return pairs
 
 
-def _per_edge_save(fac, path, version=1):
-    """Write fac edge by edge: every edge of each factor in version 1, only
-    the edges off the factor's own axis in version 2."""
+def _per_edge_save(fac, path):
+    """Write fac edge by edge, listing the edges off each factor's own axis."""
     ctx = fac.ctx
     header = {
         "type": "factorisation",
-        "version": version,
+        "version": 2,
         "d": ctx.d,
         "k": ctx.k,
         "X": list(ctx.space.directions),
@@ -54,8 +54,23 @@ def _per_edge_save(fac, path, version=1):
             edges = []
             for lo, diff in zip(los.tolist(), diffs.tolist()):
                 direction = ctx.space.directions[int(diff).bit_length() - 1]
-                if version == 1 or direction != x:
+                if direction != x:
                     edges.append([vertex_text(ctx.space, int(lo)), direction])
             fh.write(
                 json.dumps({"factor": x, "edges": edges}, separators=(",", ":")) + "\n"
             )
+
+
+def count_label_misses(monkeypatch):
+    """The keys of the subsets labelled from scratch, from the cosets or the
+    fold: every miss of the label memos made from now on, as it takes in
+    the labels."""
+    calls = []
+
+    class Counted(dict):
+        def __setitem__(self, key, labels):
+            calls.append(key)
+            super().__setitem__(key, labels)
+
+    monkeypatch.setattr(analyze_mod, "_label_memo", lambda fac: Counted())
+    return calls

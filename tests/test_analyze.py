@@ -1,5 +1,4 @@
 import gc
-import pathlib
 import random
 import weakref
 from collections import Counter
@@ -25,7 +24,6 @@ from cubefactors.construct import (
     build_factorisation,
     directional,
     implicit_factorisation,
-    load_factorisation,
     random_greedy_factorisation,
     touched_edge_count,
 )
@@ -61,7 +59,7 @@ from cubefactors.analyze import (
     untouched_path_histogram,
     validate,
 )
-from factor_files import hand_pairs
+from factor_files import count_label_misses, hand_pairs
 
 CTX7 = build_context(7)
 FAC7 = directional(CTX7)
@@ -110,15 +108,6 @@ def test_validate_accepts_valid_factorisations():
     assert validate(build_explicit(build_context(10), SCALED, RandomTape(13))).ok
 
 
-def test_validate_detects_fixed_point():
-    axes = _directional_axes(3)
-    axes[2] = 255  # factor 3 unmatched at every vertex
-    rep = validate(_crafted(axes))
-    assert not rep.ok
-    assert (rep.vertex, rep.factor) == (0, 3)
-    assert rep.message == "factor has a fixed point"
-
-
 def test_validate_detects_broken_involution():
     axes = _directional_axes(3)
     axes[0, 1] = 1  # vertex 1 leaves factor 1's edge 0-1 for the edge 1-3
@@ -137,24 +126,23 @@ def test_validate_detects_double_assignment():
     assert rep.message == "edge already assigned to factor 1"
 
 
-def test_validate_reports_slot_values_that_name_no_axis():
-    # d..254 name no axis of the cube and 255 marks an unmatched slot: each
-    # is reported as a fixed point, never gathered outside the row.
+def test_slot_values_that_name_no_axis_are_refused():
+    # d..255 name no axis of the cube: an axis array holding one is refused
+    # when its factorisation is made, so validate never sees one.
     for value in range(3, 256):
         axes = _directional_axes(3)
         axes[1, 5] = value
-        want = ValidationReport(False, 5, 2, "factor has a fixed point")
-        assert validate(_crafted(axes)) == want, value
+        with pytest.raises(ValueError, match=f"^slot of direction 2 at vertex 101 names axis {value}, "):
+            _crafted(axes)
         axes = np.full((3, 8), value, dtype=np.uint8)
-        want = ValidationReport(False, 0, 1, "factor has a fixed point")
-        assert validate(_crafted(axes)) == want, value
+        with pytest.raises(ValueError, match=f"^slot of direction 1 at vertex 000 names axis {value}, "):
+            _crafted(axes)
 
 
 def _locate_violation(fac):
     """The per-slot scan that validate replaced, kept as an oracle.
 
-    It reads the partner rows that ``table`` derives: a slot naming no axis
-    of the cube gives a partner outside it, or the vertex itself.
+    It reads the partner rows that ``table`` derives.
     """
     d, n = fac.d, 1 << fac.d
     owner = {}
@@ -162,8 +150,6 @@ def _locate_violation(fac):
         pt = fac.table(x)
         for u in range(n):
             v = int(pt[u])
-            if v == u or v >= n:
-                return ValidationReport(False, u, x, "factor has a fixed point")
             if int(pt[v]) != u:
                 return ValidationReport(False, u, x, "factor is not an involution")
             if u < v:
@@ -189,20 +175,15 @@ def _overwrite_slot(a, rng):
     a[rng.randrange(len(a)), rng.randrange(a.shape[1])] = rng.randrange(len(a))
 
 
-def _unmatched_slot(a, rng):
-    # Any value from d up names no axis; 255 is the one the loader writes.
-    a[rng.randrange(len(a)), rng.randrange(a.shape[1])] = rng.randrange(len(a), 256)
-
-
 def _move_edge(a, rng):
-    # Edge u-v leaves row r, whose ends there become unmatched, and joins
-    # row s, which pairs the two ends it displaced across the edge's axis.
+    # Edge u-v leaves row r, whose ends there go back to r's own axis, and
+    # joins row s, which pairs the two ends it displaced across the edge's axis.
     r, s = rng.sample(range(len(a)), 2)
     u = rng.randrange(a.shape[1])
     e = int(a[r, u])
     v = u ^ 1 << e
     us, vs = u ^ 1 << int(a[s, u]), v ^ 1 << int(a[s, v])
-    a[r, u] = a[r, v] = 255
+    a[r, u] = a[r, v] = r
     a[s, us] = a[s, vs] = e
     a[s, u] = a[s, v] = e
 
@@ -282,7 +263,7 @@ def _check_against_oracle(d):
         assert touched_edge_count(sources[-1]) > 0
     assert touched_edge_count(sources[2]) > 0
     corruptions = [
-        _overwrite_slot, _unmatched_slot, _move_edge, _half_square_switch,
+        _overwrite_slot, _move_edge, _half_square_switch,
         _duplicate_row, _random_writes, _move_beside_own_slot,
         _own_axis_to_earlier_moved_pair,
     ]
@@ -303,7 +284,6 @@ def _check_against_oracle(d):
                 messages.add(rep.message.split(" factor ")[0])
     assert applied == set(corruptions)
     assert messages >= {
-        "factor has a fixed point",
         "factor is not an involution",
         "edge already assigned to",
     }
@@ -683,12 +663,14 @@ def test_path_counts_match_the_partner_queries(d):
 
 
 def test_path_counts_read_unmatched_slots_as_disturbed():
-    # A slot left unmatched (255, as a version-1 file with a missing edge
-    # leaves it) is off its own axis: both counts see it as the queries do.
-    # The six edges at codeword 0 off axis 0 lose their path through axis 0.
+    # Row 0 leaves its edge 0-1 unmatched, both ends naming axis 1 instead:
+    # a slot off its own axis that no valid factorisation holds there.  Both
+    # counts see it as the queries do: the six edges at codeword 0 off axis
+    # 0 lose their path through axis 0.
     axes = _directional_axes(7)
-    axes[0, 0] = axes[0, 1] = 255
+    axes[0, 0] = axes[0, 1] = 1
     fac = _crafted(axes)
+    assert not validate(fac).ok
     assert untouched_path_histogram(fac) == _partner_path_histogram(fac) == {0: 106, 1: 6}
 
 
@@ -937,23 +919,10 @@ def test_is_connected_matches_bfs():
 # -- the per-factorisation label memo -----------------------------------------------
 
 
-def _count_labellings(monkeypatch) -> list:
-    """Record each subset labelled from scratch: every call of the labeller
-    handed to ``Factorisation.subset_labels``, from the cosets or the fold."""
-    calls = []
-    keep = Factorisation.subset_labels
-
-    def counted(fac, key, label):
-        return keep(fac, key, lambda: calls.append(key) or label())
-
-    monkeypatch.setattr(Factorisation, "subset_labels", counted)
-    return calls
-
-
 def test_subset_analyses_agree_with_bfs_when_the_memo_switches_subsets(monkeypatch):
     fac = build_explicit(build_context(10), SCALED, RandomTape(13))
     assert touched_edge_count(fac) > 0
-    calls = _count_labellings(monkeypatch)
+    calls = count_label_misses(monkeypatch)
     a, b = (1, 3, 4, 5), (2, 3, 5, 7, 8, 14)
     for n, dirs in enumerate((a, b, a), 1):
         label = _bfs_labels([fac.table(x) for x in dirs])
@@ -975,7 +944,7 @@ def test_subset_analyses_agree_with_bfs_when_the_memo_switches_subsets(monkeypat
 
 def test_label_memo_is_keyed_by_the_sorted_distinct_directions(monkeypatch):
     fac = build_explicit(build_context(10), SCALED, RandomTape(13))
-    calls = _count_labellings(monkeypatch)
+    calls = count_label_misses(monkeypatch)
     small_cube_connectivity(fac, (2, 1, 2))
     tf_connectivity(fac, [1, 2])
     labels = _labels(fac, (1, 2))
@@ -991,19 +960,17 @@ def test_label_memo_is_keyed_by_the_sorted_distinct_directions(monkeypatch):
     assert len(calls) == 1
 
 
-def test_subset_labels_keeps_one_entry():
+def test_subset_labels_keeps_one_entry(monkeypatch):
     fac = directional(build_context(7))
-    made = []
-
-    def label(value):
-        made.append(value)
-        return np.full(4, value)
-
-    first = fac.subset_labels((1,), lambda: label(1))
-    assert fac.subset_labels((1,), lambda: label(9)) is first
-    second = fac.subset_labels((2,), lambda: label(2))
-    assert fac.subset_labels((1,), lambda: label(3)).tolist() == [3] * 4
-    assert made == [1, 2, 3]
+    made = count_label_misses(monkeypatch)
+    first = _labels(fac, (1,))
+    assert _labels(fac, (1,)) is first
+    second = _labels(fac, (2,))
+    # Another key replaced the entry, so the first subset is labelled again.
+    third = _labels(fac, (1,))
+    assert third is not first and np.array_equal(third, first)
+    assert made == [(1,), (2,), (1,)]
+    assert list(fac.cached(analyze_mod._label_memo)) == [(1,)]
     assert not first.flags.writeable and not second.flags.writeable
 
 
@@ -1180,11 +1147,17 @@ def _swapping(ctx, params, seed):
 
 
 def _with_unmatched_edge(fac):
-    # A version-1 file missing one moved edge loads with 255 at both its ends.
+    # Row i takes back its own axis on the first square it swapped, whose two
+    # moved edges, on axis j, are then in no factor.  Row i stays a matching,
+    # and its two edges of the square sit in row j too.
     axes = fac.axes.copy()
-    i, u = np.argwhere(axes != np.arange(fac.d)[:, None])[0]
-    axes[i, [u, u ^ 1 << int(axes[i, u])]] = 255
-    return _crafted(axes)
+    for i, u in np.argwhere(axes != np.arange(fac.d)[:, None]):
+        j = int(axes[i, u])
+        square = [u, u ^ 1 << i, u ^ 1 << j, u ^ 1 << i ^ 1 << j]
+        if (axes[i, square] == j).all():
+            axes[i, square] = i
+            return _crafted(axes)
+    raise AssertionError("no swapped square")
 
 
 def _double_assigned(fac):
@@ -1200,17 +1173,16 @@ CHAIN_INPUTS = {
     "defaults": lambda ctx: build_explicit(ctx, ConstructionParams(), RandomTape(1)),
     "greedy": lambda ctx: random_greedy_factorisation(ctx, RandomTape(ctx.d)),
     "rotated-rows": lambda ctx: _crafted(np.roll(_directional_axes(ctx.d), 1, axis=0)),
-    "version-1-fixture": lambda ctx: load_factorisation(V1_FIXTURE),
+    "readme-d10": lambda ctx: build_explicit(build_context(10), SCALED, RandomTape(13)),
     "unmatched-edge": lambda ctx: _with_unmatched_edge(_swapping(ctx, SWAPPING, 0)),
     "double-assigned": lambda ctx: _double_assigned(_swapping(ctx, SWAPPING, 0)),
 }
-V1_FIXTURE = str(pathlib.Path(__file__).parent / "data" / "v1-readme-d10.jsonl")
 _chain_inputs: dict = {}
 
 
 def _chain_input(name, d):
-    # greedy builds take seconds from d = 13 on, and the fixture is d = 10.
-    d = 10 if name == "version-1-fixture" else min(d, 11) if name == "greedy" else d
+    # greedy builds take seconds from d = 13 on, and the readme build is d = 10.
+    d = 10 if name == "readme-d10" else min(d, 11) if name == "greedy" else d
     if (name, d) not in _chain_inputs:
         _chain_inputs[name, d] = CHAIN_INPUTS[name](build_context(d))
     return _chain_inputs[name, d]
@@ -1453,9 +1425,9 @@ def _count_coset_graphs(monkeypatch) -> list:
     return calls
 
 
-# The version-1 fixture is a valid swapping build too, with 198 of its 1,024
+# The readme-d10 build is a valid swapping build too, with 198 of its 1,024
 # vertices in U.
-SPARSE_INPUTS = ("swapping", "all-squares", "defaults", "version-1-fixture")
+SPARSE_INPUTS = ("swapping", "all-squares", "defaults", "readme-d10")
 
 
 @given(name=st.sampled_from(SPARSE_INPUTS), d=st.integers(7, 14), data=st.data())

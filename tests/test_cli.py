@@ -1,7 +1,6 @@
 import filecmp
 import hashlib
 import json
-import pathlib
 
 import numpy as np
 
@@ -20,10 +19,11 @@ from cubefactors.construct import (
     build_explicit,
     build_factorisation,
     load_factorisation,
+    random_greedy_factorisation,
     touched_edge_count,
 )
 from cubefactors.cube import parse_vertex, vertex_text
-from factor_files import _per_edge_save, partner_rows
+from factor_files import _per_edge_save, count_label_misses, partner_rows
 
 SCALED = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=6)
 
@@ -118,31 +118,26 @@ def test_implicit_mode_refuses_an_infeasible_ball_up_front(tmp_path, capsys):
     assert "radius 14 (rg)" in capsys.readouterr().err
 
 
-# sha256 of these construct --out files, first as the per-vertex build wrote
-# them in version 1 (every edge listed), now written by the per-edge writer;
-# then as construct writes them in version 2 (only the edges off their own
-# axis).  The determinism contract says the same flags give the same bytes,
+# sha256 of these construct --out files, as construct writes them in version
+# 2 (only the edges off their own axis) and as the per-edge writer writes
+# them.  The determinism contract says the same flags give the same bytes,
 # whatever the implementation of the build.
 GOLDEN_CONSTRUCT = {
     "default-d12": (
         ["--d", "12"],
-        "98f430df713be01f3b7efb85cb9ead4de85dd21e6f9e3831dcccc415dd0e2b8a",
         "f01440b80a9602bde44e4c499cac43474b12859f90261781a2d1150adce2ea17",
     ),
     "swapping-d12": (
         ["--d", "12", "--pg", "0.005", "--rg", "6", "--rh", "3", "--cube-dim", "4"],
-        "76fb0fc7fbed8f60138b766cffc3df702b1f7cc952c8531be619b6c0e83121c9",
         "82fa82ae220661c80aa164bb0e10357c2a67368fc4357456bcd7a0ed6ed0e076",
     ),
     "swapping-d16": (
         ["--d", "16", "--pg", "0.005", "--rg", "6", "--rh", "3", "--cube-dim", "4"],
-        "4ee5b31ac36d678845b4e2da3ec2c116d10d4b1568fa43d64c4953477106e266",
         "df5a3d0afbacf2a703651a1707b272aea58005ed25a25dec12c606635353f704",
     ),
     "readme-d10": (
         ["--d", "10", "--seed", "13", "--pg", "0.05", "--rg", "6", "--rh", "4",
          "--cube-dim", "6"],
-        "1ce2974be191a25cd7b82587d7d24d78a30693bc4127d997c6feb50a9af9adcf",
         "db84d8365bce33afdc74d88d92b6b1b7407bff8930e1b55eeabfad1816a96acc",
     ),
 }
@@ -184,30 +179,39 @@ def _sha256(path):
 
 @pytest.mark.parametrize("name", list(GOLDEN_CONSTRUCT))
 def test_construct_out_bytes_are_pinned(tmp_path, capsys, name):
-    args, v1_digest, v2_digest = GOLDEN_CONSTRUCT[name]
-    path, v1 = tmp_path / "fac.jsonl", tmp_path / "v1.jsonl"
+    args, digest = GOLDEN_CONSTRUCT[name]
+    path, ref = tmp_path / "fac.jsonl", tmp_path / "ref.jsonl"
     assert cli.main(["construct", *args, "--out", str(path)]) == 0
     capsys.readouterr()
-    assert _sha256(path) == v2_digest
+    assert _sha256(path) == digest
     fac = _golden_build(name)
-    _per_edge_save(fac, str(v1))
-    assert _sha256(v1) == v1_digest
-    rows = partner_rows(load_factorisation(str(path)))
-    assert np.array_equal(partner_rows(load_factorisation(str(v1))), rows)
-    assert np.array_equal(rows, partner_rows(fac))
+    _per_edge_save(fac, str(ref))
+    assert _sha256(ref) == digest
+    assert np.array_equal(partner_rows(load_factorisation(str(path))), partner_rows(fac))
 
 
 README_D10 = GOLDEN_CONSTRUCT["readme-d10"][0]
-V1_FIXTURE = pathlib.Path(__file__).parent / "data" / "v1-readme-d10.jsonl"
 
 
-def test_version_1_fixture_still_loads_and_verifies(capsys):
-    # construct --out of the readme-d10 flags as version 1 wrote it
-    assert _sha256(V1_FIXTURE) == GOLDEN_CONSTRUCT["readme-d10"][1]
-    fac = build_explicit(build_context(10), SCALED, RandomTape(13))
-    assert np.array_equal(partner_rows(load_factorisation(str(V1_FIXTURE))), partner_rows(fac))
-    rc, rep = run_json(capsys, "verify", "--in", str(V1_FIXTURE))
-    assert rc == 0 and rep["ok"] is True
+def test_version_1_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "fac.jsonl"
+    assert cli.main(["construct", *README_D10, "--out", str(path)]) == 0
+    capsys.readouterr()
+    head, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    old = tmp_path / "v1.jsonl"
+    old.write_bytes(json.dumps({**header, "version": 1}).encode() + b"\n" + rest)
+    assert cli.main(["verify", "--in", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error at line 1: version 1 is no longer read; ")
+    # The header names what rebuilds the file, byte for byte.
+    fac = build_factorisation(
+        build_context(header["d"]), header["kind"],
+        ConstructionParams.from_dict(header["params"]), RandomTape(header["seed"]),
+    )
+    rebuilt = tmp_path / "rebuilt.jsonl"
+    construct_mod.save_factorisation(fac, str(rebuilt))
+    assert filecmp.cmp(str(rebuilt), str(path), shallow=False)
 
 
 def test_default_d16_file_lists_no_edge(tmp_path, capsys):
@@ -354,15 +358,17 @@ def test_verify_accepts_good_file(tmp_path, capsys):
     }
 
 
-def _construct_v1(path, *args):
-    """construct --out at path, rewritten as a version-1 file listing every edge."""
-    assert cli.main(["construct", *args, "--out", str(path)]) == 0
-    _per_edge_save(load_factorisation(str(path)), str(path))
+def _greedy_file(path):
+    """A d = 7 greedy factorisation as the writer saves it: nearly every edge
+    is off its own axis, so the line of factor 1 lists edges."""
+    fac = random_greedy_factorisation(build_context(7), RandomTape(0))
+    construct_mod.save_factorisation(fac, str(path))
+    assert json.loads(path.read_text().splitlines()[1])["edges"][0] == ["0000000", 7]
 
 
 def test_verify_flags_corrupted_file(tmp_path, capsys):
     path = tmp_path / "fac.jsonl"
-    _construct_v1(path, "--d", "7")
+    assert cli.main(["construct", *README_D10, "--out", str(path)]) == 0
     capsys.readouterr()
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
@@ -372,8 +378,10 @@ def test_verify_flags_corrupted_file(tmp_path, capsys):
     rc, rep = run_json(capsys, "verify", "--in", str(path))
     assert rc == 1
     assert rep["ok"] is False
-    assert rep["violation"]["message"] == "factor has a fixed point"
-    assert rep["violation"]["vertex_text"] is not None
+    # The dropped edge's end 74 is back on factor 1's own axis, whose
+    # partner there still matches elsewhere.
+    assert rep["violation"]["message"] == "factor is not an involution"
+    assert rep["violation"]["vertex_text"] == vertex_text(build_context(10).space, 74)
     # A faulty file says nothing of what was built.
     assert "touched_edges" not in rep and "baseline_only" not in rep
 
@@ -388,20 +396,35 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("type", "report"), ("version", 7), ("mode", "banana")]
+    "field, value, message",
+    [
+        ("type", "report", "type 'report' is not 'factorisation'"),
+        ("version", 7, "unsupported version 7"),
+        ("mode", "banana", "unknown mode 'banana'"),
+        # true and 2.0 equal an int version as numbers, but only the int 2 is read.
+        ("version", True, "version must be an integer, got True"),
+        ("version", 2.0, "version must be an integer, got 2.0"),
+        ("version", "2", "version must be an integer, got '2'"),
+        ("version", 1, "version 1 is no longer read; rebuild the file from its header's "
+         "kind, seed and params with build_factorisation and save_factorisation"),
+        ("version", 3, "unsupported version 3"),
+    ],
+    ids=["type-report", "version-7", "mode-banana", "version-true", "version-2.0",
+         "version-string", "version-1", "version-3"],
 )
-def test_verify_refuses_a_bad_header_field(tmp_path, capsys, field, value):
+def test_verify_refuses_a_bad_header_field(tmp_path, capsys, field, value, message):
     path = tmp_path / "fac.jsonl"
-    assert cli.main(["construct", "--d", "8", "--out", str(path)]) == 0
+    assert cli.main(["construct", *README_D10, "--out", str(path)]) == 0
     capsys.readouterr()
     head, rest = path.read_bytes().split(b"\n", 1)
     header = json.loads(head)
     header[field] = value
     path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    with pytest.raises(ValueError, match="^parse error at line 1: "):
+        load_factorisation(str(path))
     rc = cli.main(["verify", "--in", str(path)])
-    err = capsys.readouterr().err
     assert rc == 2
-    assert "parse error at line 1" in err and repr(value) in err
+    assert capsys.readouterr().err == f"error: parse error at line 1: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -505,7 +528,7 @@ def _set_first_edge(value):
 )
 def test_verify_reports_malformed_factor_lines(tmp_path, capsys, mutate, message):
     path = tmp_path / "fac.jsonl"
-    _construct_v1(path, "--d", "7")
+    _greedy_file(path)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
     mutate(obj)
@@ -521,10 +544,10 @@ def test_verify_reports_malformed_factor_lines(tmp_path, capsys, mutate, message
 
 def test_verify_rejects_edges_sharing_a_vertex(tmp_path, capsys):
     path = tmp_path / "fac.jsonl"
-    _construct_v1(path, "--d", "7")
+    _greedy_file(path)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
-    # lo = 0000000 across direction 2 meets the listed edge 0000000-0000001
+    # lo = 0000000 across direction 2 meets the listed edge at 0000000 across 7
     obj["edges"].append(["0000000", 2])
     lines[1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
@@ -775,13 +798,7 @@ def test_analyze_several_ops_report_what_each_alone_reports(tmp_path, capsys, mo
         assert cli.main(["analyze", *args, "--op", op, "--out", str(path)]) == 0
         alone.append(json.loads(path.read_text()))
     capsys.readouterr()
-    labellings = []
-    keep = construct_mod.Factorisation.subset_labels
-    monkeypatch.setattr(
-        construct_mod.Factorisation,
-        "subset_labels",
-        lambda fac, key, label: keep(fac, key, lambda: labellings.append(1) or label()),
-    )
+    labellings = count_label_misses(monkeypatch)
     path = tmp_path / "all.json"
     argv = ["analyze", *args, *(x for op in ops for x in ("--op", op)), "--out", str(path)]
     rc, shown = run_json(capsys, *argv)
@@ -791,7 +808,7 @@ def test_analyze_several_ops_report_what_each_alone_reports(tmp_path, capsys, mo
         assert set(rep.pop("timings")) == {rep["operation"]}
     assert shown == alone
     # components, small-cubes and tf label the subset once between them.
-    assert labellings == [1]
+    assert len(labellings) == 1
 
 
 def test_analyze_closed_cosets(capsys):

@@ -241,6 +241,19 @@ def test_codewords_near_takes_either_path_with_the_same_words(d):
             assert codewords_near(ctx, u, radius) == sorted(codewords_in_ball(ctx, u, radius))
 
 
+@pytest.mark.parametrize("path", ["array", "ball"])
+def test_codewords_near_refuses_a_vertex_outside_the_cube(monkeypatch, path):
+    # Both paths refuse as phi does: the array path would otherwise match a
+    # vertex past d bits against the codewords, or overflow uint32.
+    ctx = build_context(10)
+    if path == "ball":
+        monkeypatch.setattr(code_mod, "_MATERIALIZE_LIMIT", 0)
+    assert codewords_near(ctx, 0, 3) == sorted(codewords_in_ball(ctx, 0, 3))
+    for u in (-1, 1 << 10, 1 << 12, 1 << 40):
+        with pytest.raises(ValueError, match=f"^vertex {u} does not fit in d=10 bits$"):
+            codewords_near(ctx, u, 3)
+
+
 def test_codewords_near_rejects_a_negative_radius():
     with pytest.raises(ValueError, match="radius"):
         codewords_near(CTX7, 0, -1)

@@ -149,17 +149,17 @@ def test_axis_array_derives_tables_and_implicit_has_none():
         imp.table(1)
 
 
-def test_an_unmatched_slot_is_a_fixed_point(tmp_path):
-    axes = construct_mod._directional_axes(7)
-    axes[2, 5] = 255
-    fac = Factorisation(CTX7, "crafted", "explicit", axes)
-    x = CTX7.space.directions[2]
-    assert fac.partner(5, x) == 5 and fac.table(x)[5] == 5
-    assert fac.partner(4, x) == 0 and fac.table(x)[4] == 0
-    # The writer lists moved edges only, and an unmatched slot holds none.
-    path = tmp_path / "fac.jsonl"
-    save_factorisation(fac, str(path))
-    assert path.read_text().splitlines()[3] == '{"factor":%d,"edges":[]}' % x
+def test_a_slot_naming_no_axis_is_refused():
+    # Every slot of a factorisation names an axis below d; the error names
+    # the first such slot's direction and vertex.
+    for value in (7, 255):
+        axes = construct_mod._directional_axes(7)
+        axes[2, 5] = axes[4, 9] = value
+        with pytest.raises(
+            ValueError, match=f"^slot of direction 3 at vertex 0000101 names axis {value}, "
+        ):
+            Factorisation(CTX7, "crafted", "explicit", axes)
+    assert Factorisation(CTX7, "crafted", "explicit", construct_mod._directional_axes(7))
 
 
 def _saved_and_loaded(fac, tmp_path):
@@ -845,10 +845,11 @@ def test_save_load_implicit_stub(tmp_path):
 
 
 def test_load_reports_line_numbers(tmp_path):
-    fac = directional(CTX7)
+    fac = build_explicit(CTX10, SCALED, RandomTape(13))
     path = tmp_path / "fac.jsonl"
     _per_edge_save(fac, str(path))
     lines = path.read_text().splitlines()
+    assert json.loads(lines[2])["edges"]
     lines[2] = lines[2][:-1]  # truncate one JSON object
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="parse error at line 3"):
@@ -866,18 +867,22 @@ def test_load_rejects_empty_and_bad_header(tmp_path):
 
 
 def test_load_missing_edges_fail_validation(tmp_path):
-    fac = directional(CTX7)
+    # A moved edge left out of its line puts its two ends back on the
+    # factor's own axis, where their partners hold other slots.
+    fac = build_explicit(CTX10, SCALED, RandomTape(13))
     path = tmp_path / "fac.jsonl"
     _per_edge_save(fac, str(path))
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
+    assert obj["edges"][0] == ["0001001010", 14]
     obj["edges"] = obj["edges"][1:]
     lines[1] = json.dumps(obj, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     loaded = load_factorisation(str(path))
     rep = validate(loaded)
     assert not rep.ok
-    assert rep.message == "factor has a fixed point"
+    assert (rep.vertex, rep.factor) == (74, 1)
+    assert rep.message == "factor is not an involution"
 
 
 @pytest.mark.parametrize(
@@ -895,7 +900,7 @@ def test_save_matches_per_edge_writer(tmp_path, make):
     fac = make()
     ours, ref = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
     save_factorisation(fac, str(ours))
-    _per_edge_save(fac, str(ref), version=2)
+    _per_edge_save(fac, str(ref))
     assert ours.read_bytes() == ref.read_bytes()
     if fac.mode == "explicit":
         loaded = load_factorisation(str(ours))
@@ -904,9 +909,6 @@ def test_save_matches_per_edge_writer(tmp_path, make):
         lines = [json.loads(line) for line in ours.read_text().splitlines()[1:]]
         assert [obj["factor"] for obj in lines] == list(fac.directions)
         assert sum(len(obj["edges"]) for obj in lines) == touched_edge_count(fac)
-        # a version-1 file of the same factorisation loads to the same array
-        _per_edge_save(fac, str(ref))
-        assert np.array_equal(partner_rows(load_factorisation(str(ref))), partner_rows(loaded))
 
 
 def test_swapping_file_has_two_digit_labels(tmp_path):
@@ -1050,30 +1052,31 @@ def _load_or_error(path):
         return str(exc)
 
 
-# What the json path made of each corrupted first factor line of a version-1
-# file: the parse error at line 2, or JSON for the error json.loads itself
+# What the json path made of each corrupted first factor line of a writer
+# file, whose first entry is (lo, label): the parse error at line 2, made by
+# a function of lo where it names lo, or JSON for the error json.loads itself
 # gives on the line, or SAME when the file loads to the original partner
-# array, or FIXED when the factor's row is left as fixed points.
-JSON, SAME, FIXED = "json", "same", "fixed"
+# array, or OWN when the factor's row is left on its own axis.
+JSON, SAME, OWN = "json", "same", "own"
 
 
 @pytest.mark.parametrize(
     "corrupt, expected",
     [
-        (_digit_two, "expected a 10-digit binary string, got '0000200000'"),
+        (_digit_two, lambda lo: f"expected a 10-digit binary string, got '{lo[:4]}2{lo[5:]}'"),
         (_with_label(b"99"), "direction 99 not in X"),
         (_with_label(b"123"), "direction 123 not in X"),
         (_with_label(b"012"), JSON),
         (_with_label(b""), JSON),
         (lambda line: line.replace(b'["00', b'["', 1),
-         "expected a 10-digit binary string, got '00000000'"),
+         lambda lo: f"expected a 10-digit binary string, got '{lo[2:]}'"),
         (_truncated(2 + 5), JSON),
         (_truncated(2 + 10 + 2), JSON),
-        (_second_edge_at_lo, "factor 1 lists two edges at vertex 0000000000"),
+        (_second_edge_at_lo, lambda lo: f"factor 1 lists two edges at vertex {lo}"),
         (_duplicated, SAME),
         (lambda line: line.replace(b'{"factor":', b'{"factor":0', 1), JSON),
         (lambda line: b'{"factor":99' + line[line.index(b","):], "unknown factor 99"),
-        (lambda line: line[: line.index(b"[") + 1] + b"]}", FIXED),
+        (lambda line: line[: line.index(b"[") + 1] + b"]}", OWN),
         (lambda line: line[:-1], JSON),
         (lambda line: line + b" ", SAME),
         (lambda line: line[:-2] + b"5" + line[-2:], JSON),
@@ -1085,19 +1088,21 @@ JSON, SAME, FIXED = "json", "same", "fixed"
 @INPUTS_D10
 def test_corrupted_writer_lines_match_the_json_path(tmp_path, make, corrupt, expected):
     fac = make()
-    path = tmp_path / "v1.jsonl"
-    _per_edge_save(fac, str(path))
-    lines = path.read_bytes().split(b"\n")[:-1]
+    lines = _writer_lines(fac, tmp_path)
+    lo = json.loads(lines[1])["edges"][0][0]
+    assert lo.startswith("00")
     lines[1] = corrupt(lines[1])
     got = _load_or_error(_write_lines(tmp_path, lines))
     if expected == JSON:
         with pytest.raises(json.JSONDecodeError) as exc:
             json.loads(lines[1])
         expected = str(exc.value)
-    if expected in (SAME, FIXED):
+    elif callable(expected):
+        expected = expected(lo)
+    if expected in (SAME, OWN):
         want = partner_rows(fac)
-        if expected == FIXED:
-            want[0] = np.arange(1 << 10)
+        if expected == OWN:
+            want[0] = np.arange(1 << 10) ^ 1
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
     else:
         assert got == "parse error at line 2: " + expected
