@@ -126,7 +126,16 @@ def test_validate_detects_double_assignment():
     assert rep.message == "edge already assigned to factor 1"
 
 
-def test_slot_values_that_name_no_axis_are_refused():
+def test_validate_detects_fixed_point():
+    # A factor unmatched at every vertex (the old 255 fill) is refused when
+    # its factorisation is made, so validate never meets a fixed point.
+    axes = _directional_axes(3)
+    axes[2] = 255
+    with pytest.raises(ValueError, match="^slot of direction 3 at vertex 000 names axis 255, "):
+        _crafted(axes)
+
+
+def test_validate_reports_slot_values_that_name_no_axis():
     # d..255 name no axis of the cube: an axis array holding one is refused
     # when its factorisation is made, so validate never sees one.
     for value in range(3, 256):
