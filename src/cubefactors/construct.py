@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial
 from hashlib import blake2b
+from itertools import compress
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -160,19 +161,16 @@ class RandomTape:
     def _word(self, tag: int, vertex: int, counter: int) -> int:
         return self._digest(self._head(tag, counter), _vertex_bytes(vertex))
 
-    def _first_words(self, tags: Sequence[int], vertex_bytes: Iterable[bytes]) -> np.ndarray:
+    def _first_words(self, tag: int, vertex_bytes: Iterable[bytes]) -> np.ndarray:
         """``_word(tag, v, 0)`` of many vertices, given as ``_vertex_bytes``,
-        for every tag in one pass over them: row t of the uint64 result
-        holds the words of ``tags[t]``."""
-        heads = [self._head(tag, 0) for tag in tags]
+        as a 1-D uint64 array in their order."""
+        head = self._head(tag, 0)
         digests = []
         for vb in vertex_bytes:
-            for head in heads:
-                h = head.copy()
-                h.update(vb)
-                digests.append(h.digest())
-        words = np.frombuffer(b"".join(digests), ">u8").reshape(-1, len(tags))
-        return words.T.astype(np.uint64)
+            h = head.copy()
+            h.update(vb)
+            digests.append(h.digest())
+        return np.frombuffer(b"".join(digests), ">u8").astype(np.uint64)
 
     def _below(self, tag: int, vertex: int, n: int, counter: int) -> tuple[int, int]:
         # Rejection sampling keeps the draw exactly uniform on range(n).
@@ -212,9 +210,12 @@ class RandomTape:
 class SwapPlan:
     """Sampled swap sites: membership sets, direction draws, surviving squares.
 
-    ``pairs`` holds every codeword's (p, q) draw as two direction positions,
-    one row per codeword in the order of ``ctx._codeword_array``; it is made
-    read-only here.
+    ``pairs`` has one row per codeword, in the order of ``ctx._codeword_array``,
+    and is made read-only here.  A drawn row holds the codeword's (p, q) draw
+    as two direction positions; a row of -1s is a codeword whose draw was
+    never made.  Every active square must have a drawn row, and so must the
+    conflict partner of each when ``params.conflict_check`` is on: those are
+    the draws that ``apply_explicit`` writes and that decided the squares.
     """
 
     ctx: CodeContext
@@ -231,13 +232,32 @@ class SwapPlan:
         if self.pairs.shape != (len(self.ctx._codeword_array), 2):
             raise ValueError("pairs must hold one row of two positions per codeword")
         self.pairs.flags.writeable = False
+        at = self._active_at
+        if (self.pairs[at, 0] < 0).any():
+            raise ValueError("every active square needs a drawn (p, q) row")
+        if self.params.conflict_check:
+            _, wi = _conflict_partners(self.ctx, self.pairs, at)
+            if (self.pairs[wi, 0] < 0).any():
+                raise ValueError("every active square's conflict partner needs a drawn (p, q) row")
+
+    @cached_property
+    def _active_at(self) -> np.ndarray:
+        """The row of each active square in ``pairs``."""
+        cw = self.ctx._codeword_array
+        u = np.array(self.active_squares, dtype=np.int64)
+        at = np.searchsorted(cw, u)
+        if not np.array_equal(cw.take(at, mode="clip"), u):
+            raise ValueError("every active square must be at a codeword")
+        return at
 
     @cached_property
     def pq(self) -> Mapping[int, tuple[int, int]]:
-        """Read-only map from each codeword to its (p, q) draw as direction
-        labels, derived from ``pairs`` on first use."""
-        labels = np.array(self.ctx.space.directions)[self.pairs].tolist()
-        return MappingProxyType(dict(zip(self.ctx._codeword_array.tolist(), map(tuple, labels))))
+        """Read-only map from each drawn codeword to its (p, q) draw as
+        direction labels, derived from ``pairs`` on first use."""
+        drawn = np.flatnonzero(self.pairs[:, 0] >= 0)
+        labels = np.array(self.ctx.space.directions)[self.pairs[drawn]].tolist()
+        words = self.ctx._codeword_array[drawn].tolist()
+        return MappingProxyType(dict(zip(words, map(tuple, labels))))
 
 
 def _draw_pq(ctx: CodeContext, tape: RandomTape, u: int) -> tuple[int, int]:
@@ -295,73 +315,118 @@ def _near_any(words: np.ndarray, centres: np.ndarray, lo: int, hi: int) -> np.nd
     return near
 
 
+def _near_code(ctx: CodeContext, centres: np.ndarray, radius: int) -> np.ndarray:
+    """Mask of the codewords within distance ``radius`` of at least one centre,
+    each centre a codeword.
+
+    C is linear, so w lies within the radius of a centre g exactly when
+    w ^ g is a codeword of weight at most the radius.  While the centres
+    times those low-weight codewords are no more entries than the code,
+    every g ^ e is marked in the sorted code array; past that, a dense
+    centre set settles most words early in ``_near_any``.
+    """
+    cw = ctx._codeword_array
+    low = cw[np.bitwise_count(cw) <= radius]
+    if len(centres) * len(low) > len(cw):
+        return _near_any(cw, centres, 0, radius)
+    near = np.zeros(len(cw), dtype=bool)
+    near[np.searchsorted(cw, (centres[:, None] ^ low).ravel())] = True
+    return near
+
+
 def sample_plan(ctx: CodeContext, params: ConstructionParams, tape: RandomTape) -> SwapPlan:
     """Draw all swap sites for an explicit build, in bulk over the code array.
 
-    The draws are the implicit queries' per-codeword draws: one pass of
-    keyed hashes over the code gives every coin and (p, q) word, and the
+    The draws are the implicit queries' per-codeword draws.  One pass of
+    keyed hashes over the code gives every coin; (p, q) words are then
+    hashed only for the codewords of H and, with the conflict check, for
+    the conflict partners of their squares, which the conflict rule reads.
+    Every other row of ``pairs`` is left undrawn, so with the default
+    parameters, where H is empty, no (p, q) word is hashed at all.  The
     conflict rule runs as array operations over H.
     """
     check_explicit(ctx.d)
     _check_construction_dims(ctx, params)
     d = ctx.d
     cw = ctx._codeword_array
-    coin_words, pq_words = tape._first_words((_TAG_GPRIME, _TAG_PQ), ctx._codeword_bytes)
     thr = params.coin_threshold(d)
 
     if thr < _WORD_MAX:
-        coins = coin_words < np.uint64(thr)
+        coins = tape._first_words(_TAG_GPRIME, ctx._codeword_bytes) < np.uint64(thr)
     else:
         coins = np.ones(len(cw), dtype=bool)
     gp = cw[coins]
     # Distinct codewords differ, so distance >= 1 leaves out only v itself.
     gprime = tuple(gp.tolist())
     g = tuple(gp[~_near_any(gp, gp, 1, params.rg)].tolist())
-    h_at = np.flatnonzero(~_near_any(cw, gp, 0, params.rh))
-    pairs = _pair_positions(tape, d, cw, pq_words)
+    in_h = ~_near_code(ctx, gp, params.rh)
+    h_at = np.flatnonzero(in_h)
+    pairs = np.full((len(cw), 2), -1, dtype=np.int64)
+    _draw_pairs(ctx, tape, pairs, in_h)
     r6 = {v: _draw_r6(ctx, tape, v, params.cube_dim) for v in g}
 
     active = h_at
     if params.conflict_check:
-        active = h_at[~_vetoed(ctx, cw, pairs, h_at)]
+        has, wi = _conflict_partners(ctx, pairs, h_at)
+        todo = np.zeros(len(cw), dtype=bool)
+        todo[wi] = True
+        _draw_pairs(ctx, tape, pairs, todo & ~in_h)
+        active = h_at[~_vetoed(ctx, pairs, h_at, has, wi)]
     return SwapPlan(
         ctx, params, tape.seed, gprime, g, tuple(cw[h_at].tolist()), pairs, r6,
         tuple(cw[active].tolist()),
     )
 
 
-def _pair_positions(
-    tape: RandomTape, d: int, cw: np.ndarray, first: np.ndarray
-) -> np.ndarray:
-    """``tape.pair_positions(u, d)`` of every codeword u, as (len(cw), 2)
-    int64 positions, from each codeword's first (p, q) word."""
+def _draw_pairs(ctx: CodeContext, tape: RandomTape, pairs: np.ndarray, mask: np.ndarray) -> None:
+    """Write ``tape.pair_positions(u, d)`` of every codeword u under ``mask``
+    into its row of ``pairs``.
+
+    Only those codewords' first (p, q) words are hashed.  Their bytes are
+    picked out of ``ctx._codeword_bytes`` by ``compress``, in C.
+    """
+    at = np.flatnonzero(mask)
+    if not at.size:
+        return
+    d = ctx.d
+    first = tape._first_words(_TAG_PQ, compress(ctx._codeword_bytes, mask.view(np.uint8).tobytes()))
     n = d * (d - 1)
     i, j = np.divmod((first % np.uint64(n)).astype(np.int64), d - 1)
     j += j >= i
     # A first word at or above the limit was rejected; redraw exactly.
     for k in np.flatnonzero(first >= np.uint64(_uniform_limit(n))).tolist():
-        i[k], j[k] = tape.pair_positions(int(cw[k]), d)
-    return np.stack((i, j), axis=1)
+        i[k], j[k] = tape.pair_positions(int(ctx._codeword_array[at[k]]), d)
+    pairs[at, 0], pairs[at, 1] = i, j
 
 
-def _vetoed(ctx: CodeContext, cw: np.ndarray, pairs: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The conflict rule for the squares of the codewords ``cw[at]``.
+def _conflict_partners(ctx: CodeContext, pairs: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Array form of ``_conflict_partner`` for the squares of the codewords
+    ``cw[at]``: the positions in ``at`` of the squares that have a partner,
+    and each partner's row in the code array.
 
-    Array form of ``_conflict_partner`` and ``_squares_conflict``: u's far
-    corner u+p+q has syndrome p^q, so its codeword neighbour w, when there
-    is one, lies across the direction labelled p^q and is found in the
-    sorted code array.
+    u's far corner u+p+q has syndrome p^q, so its codeword neighbour w,
+    when there is one, lies across the direction labelled p^q and is found
+    in the sorted code array.
     """
+    cw = ctx._codeword_array
     dirs = np.array(ctx.space.directions)
     pos_of = np.full(1 << ctx.k, -1)
     pos_of[dirs] = np.arange(ctx.d)
     u, (p, q) = cw[at].astype(np.int64), pairs[at].T
     s = pos_of[dirs[p] ^ dirs[q]]
     has = np.flatnonzero(s >= 0)
-    u, p, q, s = u[has], p[has], q[has], s[has]
-    w = u ^ (1 << p) ^ (1 << q) ^ (1 << s)
-    wi = np.searchsorted(cw, w)
-    far_w = w ^ (1 << pairs[wi, 0]) ^ (1 << pairs[wi, 1])
+    w = u[has] ^ (1 << p[has]) ^ (1 << q[has]) ^ (1 << s[has])
+    return has, np.searchsorted(cw, w)
+
+
+def _vetoed(
+    ctx: CodeContext, pairs: np.ndarray, at: np.ndarray, has: np.ndarray, wi: np.ndarray
+) -> np.ndarray:
+    """The conflict rule (``_squares_conflict``) for the squares of the
+    codewords ``cw[at]``, given their partners from ``_conflict_partners``."""
+    cw = ctx._codeword_array
+    u = cw[at[has]].astype(np.int64)
+    far_w = cw[wi].astype(np.int64) ^ (1 << pairs[wi, 0]) ^ (1 << pairs[wi, 1])
     vetoed = np.zeros(len(at), dtype=bool)
     vetoed[has] = np.bitwise_count(far_w ^ u) == 1
     return vetoed
@@ -445,15 +510,20 @@ class Factorisation:
             )
         return self._axes
 
-    def _axis_row(self, x: int) -> np.ndarray:
-        i = self.ctx.space.index.get(x)
+    def _position(self, x: int) -> int:
+        """The direction position of the factor labelled x.
+
+        Refused unless x is an int label of X, as in a file: a bool or a
+        float would find the int label it equals.
+        """
+        i = self.ctx.space.index.get(x) if type(x) is int else None
         if i is None:
-            raise ValueError(f"direction {x} not in X")
-        return self.axes[i]
+            raise ValueError(f"unknown factor {x}")
+        return i
 
     def table(self, x: int) -> np.ndarray:
         """Factor x's partner of every vertex, derived from its row of axes."""
-        shift = np.left_shift(1, self._axis_row(x), dtype=np.uint32)
+        shift = np.left_shift(1, self.axes[self._position(x)], dtype=np.uint32)
         return np.bitwise_xor(shift, self.ctx._vertex_array, out=shift)
 
     @property
@@ -481,8 +551,9 @@ class Factorisation:
         """The vertex matched to u by factor x."""
         if u < 0 or u >> self.d:
             raise ValueError(f"vertex {u} does not fit in d={self.d} bits")
+        i = self._position(x)
         if self.mode == "explicit":
-            return u ^ 1 << int(self._axis_row(x)[u])
+            return u ^ 1 << int(self.axes[i, u])
         return self._implicit_partner(u, x)
 
     def untouched(self, e: Edge) -> bool:
@@ -650,11 +721,8 @@ def _square_claims(ctx: CodeContext, plan: SwapPlan) -> tuple[np.ndarray, ...]:
     factor p (axis q) and then in factor q (axis p).  Its (p, q) positions
     are u's row of ``plan.pairs``.
     """
-    cw = ctx._codeword_array
-    u = np.array(plan.active_squares, dtype=np.int64)
-    at = np.searchsorted(cw, u)
-    if not np.array_equal(cw.take(at, mode="clip"), u):
-        raise ValueError("every active square must be at a codeword")
+    at = plan._active_at
+    u = ctx._codeword_array[at].astype(np.int64)
     pos = plan.pairs[at]
     bp, bq = 1 << pos[:, :1], 1 << pos[:, 1:]
     corners = u[:, None] ^ np.hstack([np.zeros_like(bp), bp, bq, bp | bq])
@@ -842,6 +910,7 @@ def plan_summary(plan: SwapPlan) -> dict:
         "g": len(plan.g),
         "h": len(plan.h),
         "active_squares": len(plan.active_squares),
+        "pairs_drawn": int(np.count_nonzero(plan.pairs[:, 0] >= 0)),
         "touched_edges": 4 * len(plan.active_squares) + per_cube * len(plan.g),
     }
 

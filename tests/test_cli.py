@@ -50,8 +50,12 @@ def test_construct_writes_summary_and_file(tmp_path, capsys):
     assert rc == 0
     assert rep["operation"] == "construct"
     assert rep["d"] == 7 and rep["seed"] == 3 and rep["mode"] == "explicit"
-    assert {"gprime", "g", "h", "active_squares", "touched_edges"} <= set(rep)
+    assert {"gprime", "g", "h", "active_squares", "pairs_drawn", "touched_edges"} <= set(rep)
     assert set(rep["timings"]) == {"sample_plan", "apply", "save"}
+    # H and the conflict partners of its squares draw (p, q), and no other codeword.
+    scaled = ["--pg", "0.05", "--rg", "6", "--rh", "4", "--cube-dim", "6"]
+    rc, swap = run_json(capsys, "construct", "--d", "10", "--seed", "13", *scaled)
+    assert rc == 0 and 0 < swap["h"] < swap["pairs_drawn"] < 64
     fac = load_factorisation(str(path))
     assert fac.d == 7
 
@@ -229,7 +233,7 @@ def test_construct_implicit_keeps_one_construct_timing(monkeypatch, capsys):
     assert rc == 0
     # the plan drawn only for the report's counts is timed as sample_plan
     assert set(rep["timings"]) == {"construct", "sample_plan"}
-    assert {"gprime", "g", "h", "active_squares", "touched_edges"} <= set(rep)
+    assert {"gprime", "g", "h", "active_squares", "pairs_drawn", "touched_edges"} <= set(rep)
     assert rep["baseline_only"] is (rep["touched_edges"] == 0)
     # past the explicit cap no plan is drawn, so there are no counts
     monkeypatch.setenv("CUBEFACTORS_MAX_EXPLICIT_D", "7")

@@ -131,6 +131,22 @@ def test_partner_argument_validation():
         fac.partner(0, 9)
 
 
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+@pytest.mark.parametrize("label", [True, 1.0, np.int64(1), "1", 9, None])
+def test_a_label_that_is_not_an_int_of_x_is_refused(mode, label):
+    # As in a file, a bool or a float would otherwise find the label 1.
+    if mode == "explicit":
+        fac = directional(CTX7)
+    else:
+        fac = implicit_factorisation(CTX7, ConstructionParams(), RandomTape(0))
+    with pytest.raises(ValueError, match=f"^unknown factor {label}$"):
+        fac.partner(0, label)
+    if mode == "explicit":
+        with pytest.raises(ValueError, match=f"^unknown factor {label}$"):
+            fac.table(label)
+    assert fac.partner(0, 1) == 1
+
+
 def test_axis_array_derives_tables_and_implicit_has_none():
     fac = build_explicit(CTX10, SCALED, RandomTape(13))
     assert fac.axes.shape == (10, 1 << 10) and fac.axes.dtype == np.uint8
@@ -225,7 +241,8 @@ def test_plan_membership_invariants():
         assert set(plan.g) <= set(plan.gprime) <= cw
         assert set(plan.h) <= cw
         assert set(plan.active_squares) <= set(plan.h)
-        assert set(plan.pq) == cw
+        partners = {_conflict_partner(CTX10, u, *plan.pq[u]) for u in plan.h} - {None}
+        assert set(plan.pq) == set(plan.h) | partners <= cw
         assert set(plan.r6) == set(plan.g)
         for v in plan.g:
             assert all(
@@ -243,18 +260,40 @@ def test_plan_membership_invariants():
             assert len(r) == 6 and len(set(r)) == 6
 
 
+# How the H filter runs for seeds 0 and 13: by marking each G' point's
+# low-weight codeword offsets, or by comparing every codeword with the G'
+# points in _near_any.
+H_FILTERS = {
+    (10, SCALED): ("compare", "mark"),
+    (12, ConstructionParams()): ("compare", "compare"),
+    (12, ConstructionParams(pg=0.1, rg=3, rh=0)): ("mark", "mark"),
+    (10, ConstructionParams(pg=0.0)): ("mark", "mark"),
+    (10, ConstructionParams(pg=1.0, rg=3, rh=2)): ("mark", "mark"),
+    (10, ConstructionParams(pg=1.0)): ("compare", "compare"),
+}
+
+
 @pytest.mark.parametrize("block", [None, 7])
-@pytest.mark.parametrize(
-    "d, params",
-    [(10, SCALED), (12, ConstructionParams()), (12, ConstructionParams(pg=0.1, rg=3, rh=0))],
-)
+@pytest.mark.parametrize("d, params", list(H_FILTERS))
 def test_plan_filters_match_brute_force(monkeypatch, block, d, params):
+    h_filters = H_FILTERS[d, params]
     if block is not None:
         monkeypatch.setattr(construct_mod, "_BLOCK_ENTRIES", block)
+    compared = []
+    real_near_any = construct_mod._near_any
+
+    def near_any(words, centres, lo, hi):
+        # The G exclusion starts at distance 1, the H filter at 0.
+        compared.append(lo == 0)
+        return real_near_any(words, centres, lo, hi)
+
+    monkeypatch.setattr(construct_mod, "_near_any", near_any)
     ctx = build_context(d)
     cw = sorted(enumerate_code(ctx))
-    for seed in (0, 13):
+    for seed, h_filter in zip((0, 13), h_filters):
+        compared.clear()
         plan = sample_plan(ctx, params, RandomTape(seed))
+        assert ("compare" if any(compared) else "mark") == h_filter
         thr = params.coin_threshold(d)
         gprime = [u for u in cw if RandomTape(seed).coin(u, thr)]
         assert plan.gprime == tuple(gprime)
@@ -304,7 +343,13 @@ def test_conflict_check_off_keeps_all_h():
 
 
 def _oracle_plan(ctx, params, tape):
-    """Per-vertex reference for ``sample_plan``: one tape call per draw and per conflict check."""
+    """Per-vertex reference for ``sample_plan``: one tape call per draw and
+    per conflict check.
+
+    Every codeword draws its coin and its (p, q) pair, and H is found by
+    comparing every codeword with every G' point.  The plan keeps the pairs
+    of H and of its squares' conflict partners, the draws a plan holds.
+    """
     cw = ctx._codeword_array
     words = cw.tolist()
     thr = params.coin_threshold(ctx.d)
@@ -312,19 +357,27 @@ def _oracle_plan(ctx, params, tape):
     gp = cw[coins]
     g = tuple(gp[~construct_mod._near_any(gp, gp, 1, params.rg)].tolist())
     h = tuple(cw[~construct_mod._near_any(cw, gp, 0, params.rh)].tolist())
-    pairs = np.array([tape.pair_positions(u, ctx.d) for u in words]).reshape(-1, 2)
-    pq = {u: construct_mod._draw_pq(ctx, tape, u) for u in words}
+    every = {u: tape.pair_positions(u, ctx.d) for u in words}
+    dirs = ctx.space.directions
+    pq_of = {u: (dirs[i], dirs[j]) for u, (i, j) in every.items()}
     r6 = {v: construct_mod._draw_r6(ctx, tape, v, params.cube_dim) for v in g}
+    kept = set(h)
     active = []
     for u in h:
-        p, q = pq[u]
+        p, q = pq_of[u]
         if params.conflict_check:
             w = _conflict_partner(ctx, u, p, q)
-            if w is not None and _squares_conflict(ctx, u, w, *pq[w]):
-                continue
+            if w is not None:
+                kept.add(w)
+                if _squares_conflict(ctx, u, w, *pq_of[w]):
+                    continue
         active.append(u)
+    pairs = np.full((len(words), 2), -1)
+    for at, u in enumerate(words):
+        if u in kept:
+            pairs[at] = every[u]
     plan = SwapPlan(ctx, params, tape.seed, tuple(gp.tolist()), g, h, pairs, r6, tuple(active))
-    assert plan.pq == pq
+    assert plan.pq == {u: pq_of[u] for u in sorted(kept)}
     return plan
 
 
@@ -373,13 +426,19 @@ def _oracle_partners(ctx, plan):
 _PLAN_FIELDS = ("ctx", "params", "seed", "gprime", "g", "h", "pq", "r6", "active_squares")
 
 
-def _assert_bulk_matches_oracle(ctx, params, seed):
-    """Returns the build's plan, or None when the oracle refuses the seed."""
+def _assert_plan_matches_oracle(ctx, params, seed):
+    """Returns the bulk plan and the oracle's, after checking that they agree."""
     plan = sample_plan(ctx, params, RandomTape(seed))
     ref = _oracle_plan(ctx, params, RandomTape(seed))
     for field in _PLAN_FIELDS:
         assert getattr(plan, field) == getattr(ref, field), field
     assert np.array_equal(plan.pairs, ref.pairs)
+    return plan, ref
+
+
+def _assert_bulk_matches_oracle(ctx, params, seed):
+    """Returns the build's plan, or None when the oracle refuses the seed."""
+    plan, ref = _assert_plan_matches_oracle(ctx, params, seed)
     try:
         want = _oracle_partners(ctx, ref)
     except OverlapError as err:
@@ -401,11 +460,43 @@ BULK_PARAMS = {
 
 
 @pytest.mark.parametrize("name", list(BULK_PARAMS))
-@pytest.mark.parametrize("d", range(10, 17))
+@pytest.mark.parametrize("d", range(8, 19))
 def test_bulk_build_matches_the_loops(d, name):
     ctx = build_context(d)
-    for seed in range(4):
+    for seed in range(3):
         _assert_bulk_matches_oracle(ctx, BULK_PARAMS[name], seed)
+
+
+@pytest.mark.parametrize("d", [20, 22])
+def test_large_swapping_plans_match_the_oracle(d):
+    # The plan alone: an oracle of the whole axis array would hold d rows
+    # of 2^d partners, twice.
+    plan, _ = _assert_plan_matches_oracle(build_context(d), BULK_PARAMS["swapping"], 1)
+    assert plan.active_squares
+
+
+def test_default_plans_hash_no_pair_word(monkeypatch):
+    # With the default parameters H is empty, so no (p, q) word is hashed,
+    # by the bulk pass or by a single draw.
+    hashed = []
+    real_first_words = RandomTape._first_words
+
+    def first_words(tape, tag, vertex_bytes):
+        words = real_first_words(tape, tag, vertex_bytes)
+        hashed.extend([tag] * len(words))
+        return words
+
+    monkeypatch.setattr(RandomTape, "_first_words", first_words)
+    for d in range(8, 19):
+        ctx = build_context(d)
+        for seed in range(3):
+            hashed.clear()
+            tape = RandomTape(seed)
+            plan = sample_plan(ctx, ConstructionParams(), tape)
+            assert plan.h == () and plan.pq == {}
+            assert hashed == [construct_mod._TAG_GPRIME] * code_size(ctx)
+            assert construct_mod._TAG_PQ not in {tag for tag, _ in tape._heads}
+            assert plan_summary(plan)["pairs_drawn"] == 0
 
 
 def test_bulk_build_comparison_covers_every_outcome():
@@ -429,12 +520,12 @@ def test_rejected_pair_draws_fall_back_to_the_exact_draw(monkeypatch):
     monkeypatch.setattr(construct_mod, "_uniform_limit", lambda n: real(n) // 2)
     ctx, tape = CTX10, RandomTape(13)
     n = ctx.d * (ctx.d - 1)
-    words = ctx._codeword_array.tolist()
-    first = [tape._word(construct_mod._TAG_PQ, u, 0) for u in words]
-    assert any(w >= real(n) // 2 for w in first)
     plan = sample_plan(ctx, SCALED, tape)
+    drawn = list(plan.pq)
+    first = [tape._word(construct_mod._TAG_PQ, u, 0) for u in drawn]
+    assert any(w >= real(n) // 2 for w in first)
     dirs = ctx.space.directions
-    for u in words:
+    for u in drawn:
         i, j = tape.pair_positions(u, ctx.d)
         assert plan.pq[u] == (dirs[i], dirs[j])
     assert plan.pq == _oracle_plan(ctx, SCALED, tape).pq
@@ -454,15 +545,18 @@ def test_tape_words_match_a_freshly_keyed_hash():
                 assert tape._word(tag, vertex, counter) == fresh
                 assert tape._word(tag, vertex, counter) == fresh
     assert set(tape._heads) == {(tag, counter) for tag in range(4) for counter in range(10)}
+    # sample_plan's passes: the first word of one tag for many vertices.
     vertices = [0, 1, 255, 256, 65535, 65536, 2**22 - 1]
     vbytes = [construct_mod._vertex_bytes(v) for v in vertices]
-    assert tape._first_words((1,), vbytes).tolist() == [[tape._word(1, v, 0) for v in vertices]]
-    # sample_plan's pass: the coin and (p, q) tags of each vertex together.
-    tags = (construct_mod._TAG_GPRIME, construct_mod._TAG_PQ)
-    batch = tape._first_words(tags, vbytes)
-    assert batch.dtype == np.uint64 and batch.shape == (2, len(vertices))
-    for tag, row in zip(tags, batch.tolist()):
-        assert row == [tape._word(tag, v, 0) for v in vertices]
+    for tag in range(4):
+        batch = tape._first_words(tag, iter(vbytes))
+        assert batch.dtype == np.uint64 and batch.shape == (len(vertices),)
+        fresh = [
+            int.from_bytes(blake2b(bytes([tag]) + bytes(4) + vb, key=key, digest_size=8).digest(), "big")
+            for vb in vbytes
+        ]
+        assert batch.tolist() == fresh
+    assert tape._first_words(0, []).shape == (0,)
     label = b"fac:3:0"
     assert tape.derive_seed(label.decode()) == int.from_bytes(
         blake2b(bytes([3]) + label, key=key, digest_size=8).digest(), "big"
@@ -534,9 +628,8 @@ def test_overlap_error_names_the_first_clash_in_claim_order():
 
 
 def test_active_square_off_the_code_is_refused():
-    plan = _square_plan({}, (1,))
     with pytest.raises(ValueError, match="codeword"):
-        apply_explicit(CTX7, plan)
+        _square_plan({}, (1,))
 
 
 def test_plan_pairs_are_read_only_and_sized_to_the_code():
@@ -548,6 +641,27 @@ def test_plan_pairs_are_read_only_and_sized_to_the_code():
         plan.pq[0] = (1, 2)
     with pytest.raises(ValueError, match="one row"):
         SwapPlan(CTX10, SCALED, 0, (), (), (), hand_pairs(CTX7, {}), {}, ())
+    undrawn = np.flatnonzero(plan.pairs[:, 0] < 0)
+    assert undrawn.size and len(plan.pq) == code_size(CTX10) - undrawn.size
+    assert plan_summary(plan)["pairs_drawn"] == len(plan.pq)
+
+
+def test_plan_refuses_an_undrawn_row_it_needs():
+    # An active square needs its own (p, q) row and, with the conflict
+    # check on, its conflict partner's.  Square 0 with (1, 2) has the
+    # partner 7, whose row is the next one.
+    pairs = hand_pairs(CTX7, {0: (1, 2)})
+    assert _conflict_partner(CTX7, 0, 1, 2) == 7 == CTX7._codeword_array[1]
+    for row, message in ((0, "active square needs"), (1, "conflict partner needs")):
+        cut = pairs.copy()
+        cut[row] = -1
+        with pytest.raises(ValueError, match=message):
+            SwapPlan(CTX7, ConstructionParams(), 0, (), (), (0,), cut, {}, (0,))
+    unchecked = ConstructionParams(conflict_check=False)
+    cut = pairs.copy()
+    cut[1] = -1
+    plan = SwapPlan(CTX7, unchecked, 0, (), (), (0,), cut, {}, (0,))
+    assert plan.pq[0] == (1, 2) and 7 not in plan.pq
 
 
 # -- full construction ---------------------------------------------------------------
