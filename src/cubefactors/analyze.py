@@ -89,7 +89,7 @@ __all__ = [
     "connectivity_profile",
 ]
 
-RMIN_MAX_D = 18
+RMIN_MAX_D = 20
 
 
 def _dirs(ctx: CodeContext, spec: Iterable[int]) -> tuple[int, ...]:
@@ -551,9 +551,9 @@ def rmin(fac: Factorisation) -> RResult:
     """
     if fac.d > RMIN_MAX_D:
         raise ValueError(
-            f"rmin is guarded to d <= {RMIN_MAX_D} (got d={fac.d}); at d = 18 the "
-            "exact search took 13-23 s on a 2-core machine (swapping setting, seeds "
-            "0-2), and larger d is not yet timed"
+            f"rmin is guarded to d <= {RMIN_MAX_D} (got d={fac.d}); in the swapping "
+            "setting one exact search took about 52 s at d = 19 and 240-254 s at "
+            "d = 20, one run each on a 2-core machine, and larger d is not timed"
         )
     best: tuple[int, ...] = ()
     checked = 0

@@ -29,12 +29,11 @@ import json
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, partial
+from functools import partial
 from hashlib import blake2b
 from itertools import compress
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +44,7 @@ from .cube import (
     Edge,
     _binary_values,
     _text_rows,
-    _xor_table,
     check_explicit,
-    direction_mask,
     explicit_cap,
     vertex_text,
 )
@@ -208,83 +205,74 @@ class RandomTape:
 
 @dataclass(frozen=True, eq=False)
 class SwapPlan:
-    """Sampled swap sites: membership sets, direction draws, surviving squares.
+    """Sampled swap sites, held as read-only arrays.
 
-    ``pairs`` has one row per codeword, in the order of ``ctx._codeword_array``,
-    and is made read-only here.  A drawn row holds the codeword's (p, q) draw
-    as two direction positions; a row of -1s is a codeword whose draw was
-    never made.  Every active square must have a drawn row, and so must the
-    conflict partner of each when ``params.conflict_check`` is on: those are
-    the draws that ``apply_explicit`` writes and that decided the squares.
+    ``gprime``, ``g`` and ``h`` are the sorted uint32 codewords of G', G and
+    H.  ``squares`` holds one (u, p, q) row per active square, in increasing
+    u, where p and q are the direction positions of u's draw.  ``cubes``
+    holds the cube_dim direction positions drawn at each point of ``g``, row
+    for row.  ``pairs_drawn`` counts the codewords whose (p, q) pair was
+    drawn to decide the squares.  A square's p and q must be two distinct
+    positions below d at a codeword, and a cube's row cube_dim distinct
+    positions below d; the arrays are copied and made read-only here.
     """
 
     ctx: CodeContext
     params: ConstructionParams
     seed: int
-    gprime: tuple[int, ...]
-    g: tuple[int, ...]
-    h: tuple[int, ...]
-    pairs: np.ndarray
-    r6: dict[int, tuple[int, ...]]
-    active_squares: tuple[int, ...]
+    gprime: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    squares: np.ndarray
+    cubes: np.ndarray
+    pairs_drawn: int
 
     def __post_init__(self) -> None:
-        if self.pairs.shape != (len(self.ctx._codeword_array), 2):
-            raise ValueError("pairs must hold one row of two positions per codeword")
-        self.pairs.flags.writeable = False
-        at = self._active_at
-        if (self.pairs[at, 0] < 0).any():
-            raise ValueError("every active square needs a drawn (p, q) row")
-        if self.params.conflict_check:
-            _, wi = _conflict_partners(self.ctx, self.pairs, at)
-            if (self.pairs[wi, 0] < 0).any():
-                raise ValueError("every active square's conflict partner needs a drawn (p, q) row")
-
-    @cached_property
-    def _active_at(self) -> np.ndarray:
-        """The row of each active square in ``pairs``."""
+        rows = {"gprime": (), "g": (), "h": (), "squares": (3,), "cubes": (self.params.cube_dim,)}
+        for name, row in rows.items():
+            value = getattr(self, name)
+            shape = (len(self.g) if name == "cubes" else len(value), *row)
+            try:
+                got = np.array(value, np.int64 if row else np.uint32).reshape(shape)
+            except ValueError:
+                raise ValueError(f"{name} must have shape {shape}") from None
+            got.flags.writeable = False
+            object.__setattr__(self, name, got)
+        space, d = self.ctx.space, self.ctx.d
         cw = self.ctx._codeword_array
-        u = np.array(self.active_squares, dtype=np.int64)
-        at = np.searchsorted(cw, u)
-        if not np.array_equal(cw.take(at, mode="clip"), u):
-            raise ValueError("every active square must be at a codeword")
-        return at
+        u = self.squares[:, 0]
+        off = cw.take(np.searchsorted(cw, u.astype(np.uint32)), mode="clip") != u
+        if off.any():
+            raise ValueError(f"square at {vertex_text(space, int(u[off][0]))} is not at a codeword")
+        for what, sites, pos in (("square", u, self.squares[:, 1:]), ("cube", self.g, self.cubes)):
+            # With a position out of range sent to bit d, a row's bits add up
+            # without a carry to a sum below 2^d exactly when they are
+            # distinct positions below d.
+            m = pos.shape[1]
+            bits = np.left_shift(1, np.where((pos < 0) | (pos > d), d, pos))
+            total = bits @ np.ones(m, np.int64)
+            bad = np.flatnonzero((np.bitwise_count(total) != m) | (total >> d != 0))
+            if bad.size:
+                k = bad[0]
+                raise ValueError(
+                    f"{what} at {vertex_text(space, int(sites[k]))} draws positions "
+                    f"{tuple(pos[k].tolist())}, not {m} distinct positions below d={d}"
+                )
 
-    @cached_property
-    def pq(self) -> Mapping[int, tuple[int, int]]:
-        """Read-only map from each drawn codeword to its (p, q) draw as
-        direction labels, derived from ``pairs`` on first use."""
-        drawn = np.flatnonzero(self.pairs[:, 0] >= 0)
-        labels = np.array(self.ctx.space.directions)[self.pairs[drawn]].tolist()
-        words = self.ctx._codeword_array[drawn].tolist()
-        return MappingProxyType(dict(zip(words, map(tuple, labels))))
 
-
-def _draw_pq(ctx: CodeContext, tape: RandomTape, u: int) -> tuple[int, int]:
-    i, j = tape.pair_positions(u, ctx.d)
+def _conflict_partner(ctx: CodeContext, u: int, i: int, j: int) -> Optional[int]:
+    """Codeword adjacent to the far corner of u's square across the
+    positions i and j, if one exists."""
     dirs = ctx.space.directions
-    return dirs[i], dirs[j]
-
-
-def _draw_r6(ctx: CodeContext, tape: RandomTape, v: int, m: int) -> tuple[int, ...]:
-    dirs = ctx.space.directions
-    return tuple(dirs[i] for i in tape.tuple_positions(v, ctx.d, m))
-
-
-def _conflict_partner(ctx: CodeContext, u: int, p: int, q: int) -> Optional[int]:
-    """Codeword adjacent to the far corner u+p+q, if one exists."""
-    s = p ^ q
-    i = ctx.space.index.get(s)
-    if i is None:
+    s = ctx.space.index.get(dirs[i] ^ dirs[j])
+    if s is None:
         return None
-    return u ^ ctx.space.bit_of(p) ^ ctx.space.bit_of(q) ^ (1 << i)
+    return u ^ 1 << i ^ 1 << j ^ 1 << s
 
 
-def _squares_conflict(
-    ctx: CodeContext, u: int, w: int, pw: int, qw: int
-) -> bool:
-    far_w = w ^ ctx.space.bit_of(pw) ^ ctx.space.bit_of(qw)
-    return (far_w ^ u).bit_count() == 1
+def _squares_conflict(u: int, w: int, i: int, j: int) -> bool:
+    """The far corner of w's square across the positions i and j is adjacent to u."""
+    return (w ^ 1 << i ^ 1 << j ^ u).bit_count() == 1
 
 
 def _check_construction_dims(ctx: CodeContext, params: ConstructionParams) -> None:
@@ -338,12 +326,14 @@ def sample_plan(ctx: CodeContext, params: ConstructionParams, tape: RandomTape) 
     """Draw all swap sites for an explicit build, in bulk over the code array.
 
     The draws are the implicit queries' per-codeword draws.  One pass of
-    keyed hashes over the code gives every coin; (p, q) words are then
-    hashed only for the codewords of H and, with the conflict check, for
-    the conflict partners of their squares, which the conflict rule reads.
-    Every other row of ``pairs`` is left undrawn, so with the default
+    keyed hashes over the code gives every coin.  The (p, q) draws go into
+    a local (|C|, 2) array of direction positions, a row of -1s for a
+    codeword with no draw: (p, q) words are hashed only for the codewords
+    of H and, with the conflict check, for the conflict partners of their
+    squares, which the conflict rule reads.  So with the default
     parameters, where H is empty, no (p, q) word is hashed at all.  The
-    conflict rule runs as array operations over H.
+    conflict rule runs as array operations over H, and the plan keeps the
+    rows of the squares that survive it.
     """
     check_explicit(ctx.d)
     _check_construction_dims(ctx, params)
@@ -357,13 +347,12 @@ def sample_plan(ctx: CodeContext, params: ConstructionParams, tape: RandomTape) 
         coins = np.ones(len(cw), dtype=bool)
     gp = cw[coins]
     # Distinct codewords differ, so distance >= 1 leaves out only v itself.
-    gprime = tuple(gp.tolist())
-    g = tuple(gp[~_near_any(gp, gp, 1, params.rg)].tolist())
+    g = gp[~_near_any(gp, gp, 1, params.rg)]
     in_h = ~_near_code(ctx, gp, params.rh)
     h_at = np.flatnonzero(in_h)
     pairs = np.full((len(cw), 2), -1, dtype=np.int64)
     _draw_pairs(ctx, tape, pairs, in_h)
-    r6 = {v: _draw_r6(ctx, tape, v, params.cube_dim) for v in g}
+    cubes = [tape.tuple_positions(v, d, params.cube_dim) for v in g.tolist()]
 
     active = h_at
     if params.conflict_check:
@@ -372,9 +361,10 @@ def sample_plan(ctx: CodeContext, params: ConstructionParams, tape: RandomTape) 
         todo[wi] = True
         _draw_pairs(ctx, tape, pairs, todo & ~in_h)
         active = h_at[~_vetoed(ctx, pairs, h_at, has, wi)]
+    squares = np.column_stack([cw[active].astype(np.int64), pairs[active]])
     return SwapPlan(
-        ctx, params, tape.seed, gprime, g, tuple(cw[h_at].tolist()), pairs, r6,
-        tuple(cw[active].tolist()),
+        ctx, params, tape.seed, gp, g, cw[h_at], squares, cubes,
+        int(np.count_nonzero(pairs[:, 0] >= 0)),
     )
 
 
@@ -480,8 +470,8 @@ class Factorisation:
         # it is dropped, axis array and all.
         thr = params.coin_threshold(ctx.d) if mode == "implicit" else None
         self._coin = coin = _Memo(lambda w: tape.coin(w, thr))
-        self._pq = pq = _Memo(lambda w: _draw_pq(ctx, tape, w))
-        self._r6 = _Memo(lambda v: _draw_r6(ctx, tape, v, params.cube_dim))
+        self._pq = pq = _Memo(lambda w: tape.pair_positions(w, ctx.d))
+        self._r6 = _Memo(lambda v: tape.tuple_positions(v, ctx.d, params.cube_dim))
         self._in_g = _Memo(partial(_isolated, ctx, params, coin))
         self._active = _Memo(partial(_square_survives, ctx, params, coin, pq))
         # What ``cached`` keeps, by the function that made it.
@@ -554,7 +544,7 @@ class Factorisation:
         i = self._position(x)
         if self.mode == "explicit":
             return u ^ 1 << int(self.axes[i, u])
-        return self._implicit_partner(u, x)
+        return self._implicit_partner(u, i)
 
     def untouched(self, e: Edge) -> bool:
         """True when edge e still sits in the factor of its own direction."""
@@ -582,40 +572,40 @@ class Factorisation:
     # and tests the geometry of its directions before the site's membership,
     # which needs a whole ball of coins.
 
-    def _implicit_partner(self, u: int, x: int) -> int:
+    def _implicit_partner(self, u: int, i: int) -> int:
+        """The partner of u in the factor at direction position i."""
         ctx = self.ctx
-        bit_of = ctx.space.bit_of
-        bx = bit_of(x)
+        bx = 1 << i
         claims: list[int] = []
 
-        # A swap claims (u, x) only if its directions span both x and the
+        # A swap claims (u, i) only if its directions span both i and the
         # offset from its site to u: at most 2 of them for a square, m for
-        # a cube.  A site whose (u ^ site) | bit(x) has more bits is skipped
+        # a cube.  A site whose (u ^ site) | bit(i) has more bits is skipped
         # before any of its draws.
         for w in codewords_near(ctx, u, 2):
             if ((u ^ w) | bx).bit_count() > 2:
                 continue
             p, q = self._pq[w]
-            if x != p and x != q:
+            if i != p and i != q:
                 continue
-            if (u ^ w) & ~(bit_of(p) | bit_of(q)):
+            if (u ^ w) & ~(1 << p | 1 << q):
                 continue
             if self._active[w]:
-                claims.append(u ^ bit_of(q if x == p else p))
+                claims.append(u ^ 1 << (q if i == p else p))
 
         m = self.params.cube_dim
         for v in codewords_near(ctx, u, m):
             if ((u ^ v) | bx).bit_count() > m or not self._coin[v]:
                 continue
             r = self._r6[v]
-            if x not in r or (u ^ v) & ~direction_mask(ctx.space, r):
+            if i not in r or (u ^ v) & ~sum(1 << j for j in r):
                 continue
             if self._in_g[v]:
-                claims.append(u ^ bit_of(r[r.index(x) - 1]))
+                claims.append(u ^ 1 << r[r.index(i) - 1])
 
         if len(claims) > 1:
             raise OverlapError("overlapping swap regions at queried edge")
-        return claims[0] if claims else u ^ bit_of(x)
+        return claims[0] if claims else u ^ bx
 
 
 def _isolated(ctx: CodeContext, params: ConstructionParams, coin: "_Memo", v: int) -> bool:
@@ -634,7 +624,7 @@ def _square_survives(
     if not params.conflict_check:
         return True
     w2 = _conflict_partner(ctx, w, *pq[w])
-    return w2 is None or not _squares_conflict(ctx, w, w2, *pq[w2])
+    return w2 is None or not _squares_conflict(w, w2, *pq[w2])
 
 
 def _moved_vertices(fac: Factorisation) -> np.ndarray:
@@ -683,8 +673,10 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
     """
     check_explicit(ctx.d)
     d = ctx.d
-    claims = [_square_claims(ctx, plan)]
-    claims += [_cube_claims(ctx, v, plan.r6[v]) for v in plan.g]
+    claims = [_square_claims(plan.squares)]
+    # With the default parameters G is nearly always empty.
+    if len(plan.g):
+        claims.append(_cube_claims(plan.g, plan.cubes))
     vertex, dir_pos, axis = (np.concatenate(col) for col in zip(*claims))
 
     # The flat index of each claimed slot in the (d, 2^d) axis array.
@@ -694,8 +686,9 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
         # Some slot is claimed twice.  A stable sort keeps each slot's claims
         # in claim order, and site numbers grow along it, so a slot's first
         # claim by a second site is where its site number changes.
-        per_site = [8] * len(plan.active_squares) + [len(c[0]) for c in claims[1:]]
-        sites = np.repeat(np.arange(len(per_site)), per_site)
+        m = plan.params.cube_dim
+        n_sites = (len(plan.squares), len(plan.g))
+        sites = np.repeat(np.arange(sum(n_sites)), np.repeat([8, m << m], n_sites))
         order = np.argsort(slot, kind="stable")
         k, s = slot[order], sites[order]
         clash = (k[1:] == k[:-1]) & (s[1:] != s[:-1])
@@ -714,35 +707,40 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
     )
 
 
-def _square_claims(ctx: CodeContext, plan: SwapPlan) -> tuple[np.ndarray, ...]:
-    """(vertex, dir_pos, axis) of the active squares' claims, 8 per square.
+def _square_claims(squares: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(vertex, dir_pos, axis) of the claims of the (u, p, q) rows of
+    ``SwapPlan.squares``, 8 per square.
 
     Square u claims, corner by corner for u, u+p, u+q, u+p+q, its slot in
-    factor p (axis q) and then in factor q (axis p).  Its (p, q) positions
-    are u's row of ``plan.pairs``.
+    factor p (axis q) and then in factor q (axis p).
     """
-    at = plan._active_at
-    u = ctx._codeword_array[at].astype(np.int64)
-    pos = plan.pairs[at]
+    u, pos = squares[:, 0], squares[:, 1:]
     bp, bq = 1 << pos[:, :1], 1 << pos[:, 1:]
     corners = u[:, None] ^ np.hstack([np.zeros_like(bp), bp, bq, bp | bq])
     axis = np.tile(pos[:, ::-1], 4)
     return np.repeat(corners, 2, axis=1).ravel(), np.tile(pos, 4).ravel(), axis.ravel()
 
 
-def _cube_claims(ctx: CodeContext, v: int, r: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """(vertex, dir_pos, axis) of one cube swap's 2^m * m claims.
+def _cube_claims(g: np.ndarray, cubes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(vertex, dir_pos, axis) of the claims of every cube swap, 2^m * m per
+    point v of ``g``, cube after cube.
 
-    For each vertex w of the small cube, in the order of the subsets of r as
-    binary numbers, w's slot in factor r_j gets the axis r_(j-1).
+    ``cubes`` holds each cube's direction positions r_1..r_m.  For each
+    vertex w of v's small cube, in the order of the subsets of r as binary
+    numbers, w's slot in factor r_j gets the axis r_(j-1).
     """
-    pos = np.array([ctx.space.index[x] for x in r], dtype=np.int64)
-    w = (_xor_table([1 << p for p in pos.tolist()]) ^ v)[:, None]
-    shape = (w.size, len(r))
+    n, m = cubes.shape
+    # The small cubes' vertices by doubling, as in ``_xor_table``: the
+    # vertices of subsets with top bit j are those below 2^j across r_j.
+    w = np.empty((n, 1 << m), np.int64)
+    w[:, 0] = g
+    for j in range(m):
+        np.bitwise_xor(w[:, :1 << j], 1 << cubes[:, j:j + 1], out=w[:, 1 << j:2 << j])
+    shape = (n, 1 << m, m)
     return (
-        np.broadcast_to(w, shape).ravel(),
-        np.broadcast_to(pos, shape).ravel(),
-        np.broadcast_to(np.roll(pos, 1), shape).ravel(),
+        np.broadcast_to(w[:, :, None], shape).ravel(),
+        np.broadcast_to(cubes[:, None, :], shape).ravel(),
+        np.broadcast_to(cubes[:, None, np.arange(-1, m - 1)], shape).ravel(),
     )
 
 
@@ -909,9 +907,9 @@ def plan_summary(plan: SwapPlan) -> dict:
         "gprime": len(plan.gprime),
         "g": len(plan.g),
         "h": len(plan.h),
-        "active_squares": len(plan.active_squares),
-        "pairs_drawn": int(np.count_nonzero(plan.pairs[:, 0] >= 0)),
-        "touched_edges": 4 * len(plan.active_squares) + per_cube * len(plan.g),
+        "active_squares": len(plan.squares),
+        "pairs_drawn": plan.pairs_drawn,
+        "touched_edges": 4 * len(plan.squares) + per_cube * len(plan.g),
     }
 
 

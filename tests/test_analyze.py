@@ -59,7 +59,7 @@ from cubefactors.analyze import (
     untouched_path_histogram,
     validate,
 )
-from factor_files import count_label_misses, hand_pairs
+from factor_files import count_label_misses
 
 CTX7 = build_context(7)
 FAC7 = directional(CTX7)
@@ -68,7 +68,10 @@ SWAPPING = ConstructionParams(pg=0.005, rg=6, rh=3, cube_dim=4)
 
 
 def _crafted_square(ctx, u, p, q):
-    plan = SwapPlan(ctx, ConstructionParams(), 0, (), (), (u,), hand_pairs(ctx, {u: (p, q)}), {}, (u,))
+    """The directional factorisation with the one square at u across the
+    directions labelled p and q swapped."""
+    row = (u, ctx.space.index[p], ctx.space.index[q])
+    plan = SwapPlan(ctx, ConstructionParams(), 0, (), (), (u,), [row], (), 1)
     return apply_explicit(ctx, plan)
 
 
@@ -799,8 +802,8 @@ def test_r_of_greedy_frozen():
 
 def test_r_of_dimension_guard():
     assert rmin(directional(build_context(18))).r == 18
-    fac = directional(build_context(19))
-    with pytest.raises(ValueError, match="guarded to d <= 18"):
+    fac = directional(build_context(21))
+    with pytest.raises(ValueError, match="guarded to d <= 20"):
         rmin(fac)
 
 

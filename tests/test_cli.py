@@ -867,10 +867,10 @@ def test_rmin_out_is_the_same_twice_and_reports_the_witness(tmp_path, capsys):
 
 
 def test_rmin_guard(capsys):
-    rc = cli.main(["rmin", "--d", "19"])
+    rc = cli.main(["rmin", "--d", "21"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "guarded to d <= 18" in err
+    assert "guarded to d <= 20" in err
 
 
 # -- experiment ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import filecmp
 import gc
 import json
+import re
 import weakref
 from hashlib import blake2b
 
@@ -31,7 +32,7 @@ from cubefactors.construct import (
 )
 from cubefactors.cube import edge_at, hamming_distance, vertex_text
 from cubefactors.analyze import union_components, validate
-from factor_files import _per_edge_save, hand_pairs, partner_rows
+from factor_files import _per_edge_save, partner_rows
 
 CTX7 = build_context(7)
 CTX10 = build_context(10)
@@ -216,17 +217,18 @@ def test_factor_of_directional():
 
 def test_plan_pg_zero():
     plan = sample_plan(CTX7, ConstructionParams(pg=0.0), RandomTape(3))
-    assert plan.gprime == ()
-    assert plan.g == ()
-    assert plan.h == tuple(sorted(enumerate_code(CTX7)))
-    assert set(plan.pq) == set(plan.h)
+    assert plan.gprime.size == 0
+    assert plan.g.size == 0 and plan.cubes.shape == (0, 6)
+    assert plan.h.tolist() == sorted(enumerate_code(CTX7))
+    # Every conflict partner is a codeword, and so in H.
+    assert plan.pairs_drawn == len(plan.h)
 
 
 def test_plan_pg_one_dense_code():
     plan = sample_plan(CTX7, ConstructionParams(pg=1.0, rg=14, rh=10), RandomTape(3))
     assert len(plan.gprime) == code_size(CTX7)
-    assert plan.g == ()
-    assert plan.h == ()
+    assert plan.g.size == 0
+    assert plan.h.size == 0 and plan.squares.shape == (0, 3)
     fac = apply_explicit(CTX7, plan)
     base = directional(CTX7)
     assert all(
@@ -236,28 +238,36 @@ def test_plan_pg_one_dense_code():
 
 def test_plan_membership_invariants():
     for seed in (0, 13, 49):
-        plan = sample_plan(CTX10, SCALED, RandomTape(seed))
+        tape = RandomTape(seed)
+        plan = sample_plan(CTX10, SCALED, tape)
         cw = set(enumerate_code(CTX10))
-        assert set(plan.g) <= set(plan.gprime) <= cw
-        assert set(plan.h) <= cw
-        assert set(plan.active_squares) <= set(plan.h)
-        partners = {_conflict_partner(CTX10, u, *plan.pq[u]) for u in plan.h} - {None}
-        assert set(plan.pq) == set(plan.h) | partners <= cw
-        assert set(plan.r6) == set(plan.g)
-        for v in plan.g:
+        gprime, g, h = plan.gprime.tolist(), plan.g.tolist(), plan.h.tolist()
+        assert set(g) <= set(gprime) <= cw
+        assert set(h) <= cw
+        assert gprime == sorted(gprime) and g == sorted(g) and h == sorted(h)
+        squares = plan.squares.tolist()
+        assert [u for u, _, _ in squares] == sorted({u for u, _, _ in squares})
+        assert {u for u, _, _ in squares} <= set(h)
+        for u, p, q in squares:
+            assert (p, q) == tape.pair_positions(u, CTX10.d)
+        pq = {u: tape.pair_positions(u, CTX10.d) for u in h}
+        partners = {_conflict_partner(CTX10, u, *pq[u]) for u in h} - {None}
+        assert set(h) | partners <= cw
+        assert plan.pairs_drawn == len(set(h) | partners)
+        assert plan.cubes.shape == (len(g), 6)
+        for v, r in zip(g, plan.cubes.tolist()):
+            assert tuple(r) == tape.tuple_positions(v, CTX10.d, 6)
+            assert len(set(r)) == 6 and set(r) <= set(range(CTX10.d))
+        for v in g:
             assert all(
                 hamming_distance(v, w) > SCALED.rg
-                for w in plan.gprime
+                for w in gprime
                 if w != v
             )
-        for u in plan.h:
+        for u in h:
             assert all(
-                hamming_distance(u, w) > SCALED.rh for w in plan.gprime
+                hamming_distance(u, w) > SCALED.rh for w in gprime
             )
-        for u, (p, q) in plan.pq.items():
-            assert p != q and {p, q} <= set(CTX10.space.directions)
-        for v, r in plan.r6.items():
-            assert len(r) == 6 and len(set(r)) == 6
 
 
 # How the H filter runs for seeds 0 and 13: by marking each G' point's
@@ -296,47 +306,52 @@ def test_plan_filters_match_brute_force(monkeypatch, block, d, params):
         assert ("compare" if any(compared) else "mark") == h_filter
         thr = params.coin_threshold(d)
         gprime = [u for u in cw if RandomTape(seed).coin(u, thr)]
-        assert plan.gprime == tuple(gprime)
-        assert plan.g == tuple(
+        assert plan.gprime.tolist() == gprime
+        assert plan.g.tolist() == [
             v
             for v in gprime
             if all(hamming_distance(v, w) > params.rg for w in gprime if w != v)
-        )
-        assert plan.h == tuple(
+        ]
+        assert plan.h.tolist() == [
             u for u in cw if all(hamming_distance(u, w) > params.rh for w in gprime)
-        )
+        ]
 
 
 def test_conflict_partner_geometry():
-    assert _conflict_partner(CTX7, 0, 1, 2) == 0b0000111
+    # At d = 7 the direction labelled x sits at position x - 1: the square
+    # at 0 across 1 and 2 has its far corner 3 next to the codeword 7.
+    assert _conflict_partner(CTX7, 0, 0, 1) == 0b0000111
     ctx4 = build_context(4)
     # p^q = 3 is inactive at d=4, so the far corner has no codeword neighbour
-    assert _conflict_partner(ctx4, 0, 1, 2) is None
+    assert ctx4.space.directions[:2] == (1, 2)
+    assert _conflict_partner(ctx4, 0, 0, 1) is None
 
 
 def test_squares_conflict_predicate():
     w = 0b0000111
-    assert _squares_conflict(CTX7, 0, w, 2, 3)
-    assert _squares_conflict(CTX7, 0, w, 1, 3)
-    assert not _squares_conflict(CTX7, 0, w, 1, 5)
+    assert _squares_conflict(0, w, 1, 2)
+    assert _squares_conflict(0, w, 0, 2)
+    assert not _squares_conflict(0, w, 0, 4)
 
 
 def test_conflict_rule_vetoes_symmetric_pairs():
-    plan = sample_plan(CTX10, SCALED, RandomTape(13))
-    vetoed = set(plan.h) - set(plan.active_squares)
+    tape = RandomTape(13)
+    plan = sample_plan(CTX10, SCALED, tape)
+    h = set(plan.h.tolist())
+    vetoed = h - set(plan.squares[:, 0].tolist())
     assert vetoed, "seed chosen so that the conflict rule fires"
     for u in vetoed:
-        w = _conflict_partner(CTX10, u, *plan.pq[u])
+        w = _conflict_partner(CTX10, u, *tape.pair_positions(u, CTX10.d))
         assert w is not None
-        assert _squares_conflict(CTX10, u, w, *plan.pq[w])
-        if w in plan.h:
+        assert _squares_conflict(u, w, *tape.pair_positions(w, CTX10.d))
+        if w in h:
             assert w in vetoed
 
 
 def test_conflict_check_off_keeps_all_h():
     params = ConstructionParams(pg=0.05, rg=6, rh=4, cube_dim=6, conflict_check=False)
     plan = sample_plan(CTX10, params, RandomTape(13))
-    assert plan.active_squares == plan.h
+    assert np.array_equal(plan.squares[:, 0], plan.h)
 
 
 # -- bulk build against the per-vertex and per-slot loops ---------------------------
@@ -347,44 +362,34 @@ def _oracle_plan(ctx, params, tape):
     per conflict check.
 
     Every codeword draws its coin and its (p, q) pair, and H is found by
-    comparing every codeword with every G' point.  The plan keeps the pairs
-    of H and of its squares' conflict partners, the draws a plan holds.
+    comparing every codeword with every G' point.  The plan counts the pairs
+    of H and of its squares' conflict partners, the draws a plan reads.
     """
     cw = ctx._codeword_array
     words = cw.tolist()
     thr = params.coin_threshold(ctx.d)
     coins = np.fromiter((tape.coin(u, thr) for u in words), bool, count=len(words))
     gp = cw[coins]
-    g = tuple(gp[~construct_mod._near_any(gp, gp, 1, params.rg)].tolist())
-    h = tuple(cw[~construct_mod._near_any(cw, gp, 0, params.rh)].tolist())
-    every = {u: tape.pair_positions(u, ctx.d) for u in words}
-    dirs = ctx.space.directions
-    pq_of = {u: (dirs[i], dirs[j]) for u, (i, j) in every.items()}
-    r6 = {v: construct_mod._draw_r6(ctx, tape, v, params.cube_dim) for v in g}
-    kept = set(h)
-    active = []
-    for u in h:
-        p, q = pq_of[u]
+    g = gp[~construct_mod._near_any(gp, gp, 1, params.rg)]
+    h = cw[~construct_mod._near_any(cw, gp, 0, params.rh)]
+    pq = {u: tape.pair_positions(u, ctx.d) for u in words}
+    cubes = [tape.tuple_positions(v, ctx.d, params.cube_dim) for v in g.tolist()]
+    kept = set(h.tolist())
+    squares = []
+    for u in h.tolist():
         if params.conflict_check:
-            w = _conflict_partner(ctx, u, p, q)
+            w = _conflict_partner(ctx, u, *pq[u])
             if w is not None:
                 kept.add(w)
-                if _squares_conflict(ctx, u, w, *pq_of[w]):
+                if _squares_conflict(u, w, *pq[w]):
                     continue
-        active.append(u)
-    pairs = np.full((len(words), 2), -1)
-    for at, u in enumerate(words):
-        if u in kept:
-            pairs[at] = every[u]
-    plan = SwapPlan(ctx, params, tape.seed, tuple(gp.tolist()), g, h, pairs, r6, tuple(active))
-    assert plan.pq == {u: pq_of[u] for u in sorted(kept)}
-    return plan
+        squares.append((u, *pq[u]))
+    return SwapPlan(ctx, params, tape.seed, gp, g, h, squares, cubes, len(kept))
 
 
 def _oracle_partners(ctx, plan):
     """Per-slot reference for ``apply_explicit``: each claim is checked and written in turn."""
     d = ctx.d
-    space = ctx.space
     idx = np.arange(1 << d, dtype=np.uint32)
     partners = idx ^ (np.uint32(1) << np.arange(d, dtype=np.uint32))[:, None]
     claims = {}
@@ -400,39 +405,36 @@ def _oracle_partners(ctx, plan):
         partners[dir_pos, vertex] = partner
 
     site = 0
-    for u in plan.active_squares:
-        p, q = plan.pq[u]
-        bp, bq = space.bit_of(p), space.bit_of(q)
-        ip, iq = space.index[p], space.index[q]
+    for u, ip, iq in plan.squares.tolist():
+        bp, bq = 1 << ip, 1 << iq
         for w in (u, u ^ bp, u ^ bq, u ^ bp ^ bq):
             claim(w, ip, site, w ^ bq)
             claim(w, iq, site, w ^ bp)
         site += 1
-    for v in plan.g:
-        r = plan.r6[v]
-        bits = [space.bit_of(x) for x in r]
-        positions = [space.index[x] for x in r]
-        for sel in range(1 << len(r)):
+    for v, positions in zip(plan.g.tolist(), plan.cubes.tolist()):
+        bits = [1 << i for i in positions]
+        for sel in range(1 << len(positions)):
             w = v
             for j, b in enumerate(bits):
                 if sel >> j & 1:
                     w ^= b
-            for j in range(len(r)):
+            for j in range(len(positions)):
                 claim(w, positions[j], site, w ^ bits[j - 1])
         site += 1
     return partners
 
 
-_PLAN_FIELDS = ("ctx", "params", "seed", "gprime", "g", "h", "pq", "r6", "active_squares")
+_PLAN_ARRAYS = ("gprime", "g", "h", "squares", "cubes")
 
 
 def _assert_plan_matches_oracle(ctx, params, seed):
     """Returns the bulk plan and the oracle's, after checking that they agree."""
     plan = sample_plan(ctx, params, RandomTape(seed))
     ref = _oracle_plan(ctx, params, RandomTape(seed))
-    for field in _PLAN_FIELDS:
+    for field in ("ctx", "params", "seed", "pairs_drawn"):
         assert getattr(plan, field) == getattr(ref, field), field
-    assert np.array_equal(plan.pairs, ref.pairs)
+    for field in _PLAN_ARRAYS:
+        assert np.array_equal(getattr(plan, field), getattr(ref, field)), field
     return plan, ref
 
 
@@ -472,7 +474,7 @@ def test_large_swapping_plans_match_the_oracle(d):
     # The plan alone: an oracle of the whole axis array would hold d rows
     # of 2^d partners, twice.
     plan, _ = _assert_plan_matches_oracle(build_context(d), BULK_PARAMS["swapping"], 1)
-    assert plan.active_squares
+    assert len(plan.squares)
 
 
 def test_default_plans_hash_no_pair_word(monkeypatch):
@@ -493,7 +495,7 @@ def test_default_plans_hash_no_pair_word(monkeypatch):
             hashed.clear()
             tape = RandomTape(seed)
             plan = sample_plan(ctx, ConstructionParams(), tape)
-            assert plan.h == () and plan.pq == {}
+            assert plan.h.size == 0 and plan.squares.size == 0
             assert hashed == [construct_mod._TAG_GPRIME] * code_size(ctx)
             assert construct_mod._TAG_PQ not in {tag for tag, _ in tape._heads}
             assert plan_summary(plan)["pairs_drawn"] == 0
@@ -508,8 +510,8 @@ def test_bulk_build_comparison_covers_every_outcome():
     }
     for name, got in plans.items():
         built = [p for p in got if p is not None]
-        assert bool(built) and any(p.active_squares for p in built) == (name != "defaults")
-    assert any(p is not None and p.g for p in plans["cubes"])
+        assert bool(built) and any(len(p.squares) for p in built) == (name != "defaults")
+    assert any(p is not None and p.g.size for p in plans["cubes"])
     assert None in plans["cubes"] and None in plans["no-conflict-check"]
 
 
@@ -520,15 +522,17 @@ def test_rejected_pair_draws_fall_back_to_the_exact_draw(monkeypatch):
     monkeypatch.setattr(construct_mod, "_uniform_limit", lambda n: real(n) // 2)
     ctx, tape = CTX10, RandomTape(13)
     n = ctx.d * (ctx.d - 1)
-    plan = sample_plan(ctx, SCALED, tape)
-    drawn = list(plan.pq)
-    first = [tape._word(construct_mod._TAG_PQ, u, 0) for u in drawn]
+    cw = ctx._codeword_array
+    mask = np.arange(len(cw)) % 3 == 0
+    pairs = np.full((len(cw), 2), -1)
+    construct_mod._draw_pairs(ctx, tape, pairs, mask)
+    first = [tape._word(construct_mod._TAG_PQ, u, 0) for u in cw[mask].tolist()]
     assert any(w >= real(n) // 2 for w in first)
-    dirs = ctx.space.directions
-    for u in drawn:
-        i, j = tape.pair_positions(u, ctx.d)
-        assert plan.pq[u] == (dirs[i], dirs[j])
-    assert plan.pq == _oracle_plan(ctx, SCALED, tape).pq
+    for u, row, drawn in zip(cw.tolist(), pairs.tolist(), mask.tolist()):
+        assert row == (list(tape.pair_positions(u, ctx.d)) if drawn else [-1, -1])
+    # The plan's squares keep the redrawn pairs, as the per-vertex draws do.
+    plan, _ = _assert_plan_matches_oracle(ctx, SCALED, 13)
+    assert len(plan.squares)
 
 
 def test_tape_words_match_a_freshly_keyed_hash():
@@ -566,15 +570,25 @@ def test_tape_words_match_a_freshly_keyed_hash():
 # -- hand-crafted plans -------------------------------------------------------------
 
 
-def _square_plan(pq_map, active):
+# At d = 7 the direction labelled x sits at position x - 1.
+
+
+def _square_plan(*squares):
+    """A plan of the squares given as (u, p, q) rows of direction positions."""
     return SwapPlan(
-        CTX7, ConstructionParams(), 0, (), (), tuple(sorted(pq_map)), hand_pairs(CTX7, pq_map),
-        {}, active,
+        CTX7, ConstructionParams(), 0, (), (), [u for u, _, _ in squares], squares, (),
+        len(squares),
     )
 
 
+def _cube_plan(v, positions):
+    """A plan of the one cube swap at v across the given direction positions."""
+    params = ConstructionParams(cube_dim=len(positions))
+    return SwapPlan(CTX7, params, 0, (v,), (v,), (), (), [positions], 0)
+
+
 def test_single_square_swap():
-    plan = _square_plan({0: (1, 2)}, (0,))
+    plan = _square_plan((0, 0, 1))
     fac = apply_explicit(CTX7, plan)
     assert validate(fac).ok
     # square corners 0,1,2,3: factors 1 and 2 exchange the four edges
@@ -590,8 +604,7 @@ def test_single_square_swap():
 
 
 def test_single_cube_swap():
-    params = ConstructionParams(cube_dim=3)
-    plan = SwapPlan(CTX7, params, 0, (0,), (0,), (), hand_pairs(CTX7, {}), {0: (1, 2, 3)}, ())
+    plan = _cube_plan(0, (0, 1, 2))
     fac = apply_explicit(CTX7, plan)
     assert validate(fac).ok
     bits = [CTX7.space.bit_of(x) for x in (1, 2, 3)]
@@ -606,7 +619,7 @@ def test_single_cube_swap():
 
 
 def test_overlapping_squares_raise():
-    plan = _square_plan({0: (1, 2), 7: (2, 3)}, (0, 7))
+    plan = _square_plan((0, 0, 1), (7, 1, 2))
     with pytest.raises(OverlapError, match="overlapping swap regions"):
         apply_explicit(CTX7, plan)
 
@@ -615,53 +628,63 @@ def test_overlap_error_names_the_first_clash_in_claim_order():
     # The squares share the slots (121, 2) and (125, 2).  Square 127 claims
     # its corners 127, 123, 125, 121 in that order, so its first clash is at
     # vertex 125, while 121 comes first in the order of the flat slot index.
-    plan = _square_plan({120: (3, 1), 127: (3, 2)}, (120, 127))
+    plan = _square_plan((120, 2, 0), (127, 2, 1))
     with pytest.raises(OverlapError) as want:
         _oracle_partners(CTX7, plan)
     with pytest.raises(OverlapError) as got:
         apply_explicit(CTX7, plan)
     assert str(got.value) == str(want.value)
     assert "(vertex=125, direction index 2)" in str(got.value)
-    vertex, dir_pos, _ = construct_mod._square_claims(CTX7, plan)
+    vertex, dir_pos, _ = construct_mod._square_claims(plan.squares)
     slot = np.sort(dir_pos << CTX7.d | vertex)
     assert slot[1:][slot[1:] == slot[:-1]][0] == 2 << CTX7.d | 121
 
 
 def test_active_square_off_the_code_is_refused():
-    with pytest.raises(ValueError, match="codeword"):
-        _square_plan({}, (1,))
+    with pytest.raises(ValueError, match="^square at 0000001 is not at a codeword$"):
+        _square_plan((1, 0, 1))
 
 
-def test_plan_pairs_are_read_only_and_sized_to_the_code():
+def test_plan_arrays_are_read_only_and_sized_to_the_sites():
     plan = sample_plan(CTX10, SCALED, RandomTape(13))
-    assert plan.pairs.shape == (code_size(CTX10), 2)
-    with pytest.raises(ValueError):
-        plan.pairs[0, 0] = 1
-    with pytest.raises(TypeError):
-        plan.pq[0] = (1, 2)
-    with pytest.raises(ValueError, match="one row"):
-        SwapPlan(CTX10, SCALED, 0, (), (), (), hand_pairs(CTX7, {}), {}, ())
-    undrawn = np.flatnonzero(plan.pairs[:, 0] < 0)
-    assert undrawn.size and len(plan.pq) == code_size(CTX10) - undrawn.size
-    assert plan_summary(plan)["pairs_drawn"] == len(plan.pq)
+    assert plan.squares.shape[1] == 3 and plan.cubes.shape == (len(plan.g), SCALED.cube_dim)
+    assert plan.squares.dtype == plan.cubes.dtype == np.int64
+    for name in ("gprime", "g", "h", "squares", "cubes"):
+        array = getattr(plan, name)
+        assert array.dtype == np.int64 or array.dtype == np.uint32
+        with pytest.raises(ValueError):
+            array[:1] = 0
+    assert len(plan.h) < plan.pairs_drawn < code_size(CTX10)
+    assert plan_summary(plan)["pairs_drawn"] == plan.pairs_drawn
+    # The arrays are the plan's own: a hand-built plan does not share the
+    # rows it was given.
+    rows = np.array([[0, 0, 1]])
+    hand = _square_plan(*rows)
+    rows[0, 1] = 3
+    assert hand.squares.tolist() == [[0, 0, 1]]
+    with pytest.raises(ValueError, match=r"^squares must have shape \(1, 3\)$"):
+        SwapPlan(CTX7, ConstructionParams(), 0, (), (), (0,), [(0, 1)], (), 1)
+    with pytest.raises(ValueError, match=r"^cubes must have shape \(1, 6\)$"):
+        SwapPlan(CTX7, ConstructionParams(), 0, (0,), (0,), (), (), (), 0)
 
 
-def test_plan_refuses_an_undrawn_row_it_needs():
-    # An active square needs its own (p, q) row and, with the conflict
-    # check on, its conflict partner's.  Square 0 with (1, 2) has the
-    # partner 7, whose row is the next one.
-    pairs = hand_pairs(CTX7, {0: (1, 2)})
-    assert _conflict_partner(CTX7, 0, 1, 2) == 7 == CTX7._codeword_array[1]
-    for row, message in ((0, "active square needs"), (1, "conflict partner needs")):
-        cut = pairs.copy()
-        cut[row] = -1
-        with pytest.raises(ValueError, match=message):
-            SwapPlan(CTX7, ConstructionParams(), 0, (), (), (0,), cut, {}, (0,))
-    unchecked = ConstructionParams(conflict_check=False)
-    cut = pairs.copy()
-    cut[1] = -1
-    plan = SwapPlan(CTX7, unchecked, 0, (), (), (0,), cut, {}, (0,))
-    assert plan.pq[0] == (1, 2) and 7 not in plan.pq
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        # Unrefused, (3, 3) would build a factorisation that passes validate
+        # with no square swapped, (0, 7) would raise a bare IndexError and
+        # the cube (1, 1, 2) would build one that validate rejects.
+        (lambda: _square_plan((0, 3, 3)), "square at 0000000 draws positions (3, 3), not 2"),
+        (lambda: _square_plan((7, 0, 7)), "square at 0000111 draws positions (0, 7), not 2"),
+        (lambda: _square_plan((7, -1, 2)), "square at 0000111 draws positions (-1, 2), not 2"),
+        (lambda: _cube_plan(0, (1, 1, 2)), "cube at 0000000 draws positions (1, 1, 2), not 3"),
+        (lambda: _cube_plan(127, (6, 0, 7)), "cube at 1111111 draws positions (6, 0, 7), not 3"),
+    ],
+    ids=["square-repeat", "square-past-d", "square-negative", "cube-repeat", "cube-past-d"],
+)
+def test_plan_refuses_malformed_sites(plan, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} distinct positions below d=7$"):
+        plan()
 
 
 # -- full construction ---------------------------------------------------------------
@@ -704,7 +727,7 @@ def test_touched_edges_stay_local():
     plan = fac.plan
     base = directional(CTX10)
     cube_masks = [
-        (v, sum(CTX10.space.bit_of(x) for x in plan.r6[v])) for v in plan.g
+        (v, sum(1 << i for i in r)) for v, r in zip(plan.g.tolist(), plan.cubes.tolist())
     ]
     for x in CTX10.space.directions:
         pt, bt = fac.table(x), base.table(x)
@@ -712,7 +735,7 @@ def test_touched_edges_stay_local():
             v = int(pt[u])
             near_square = any(
                 min(hamming_distance(u, w), hamming_distance(v, w)) <= 2
-                for w in plan.active_squares
+                for w in plan.squares[:, 0].tolist()
             )
             in_cube = any(
                 (u ^ c) & ~mask == 0 and (v ^ c) & ~mask == 0
@@ -741,17 +764,16 @@ def test_implicit_matches_explicit_past_d10(d, seed):
     exp = build_explicit(ctx, SWAPPING, RandomTape(seed))
     imp = implicit_factorisation(ctx, SWAPPING, RandomTape(seed))
     assert touched_edge_count(exp) > 0
-    assert bool(exp.plan.g) == (d < 20) and exp.plan.active_squares
+    assert bool(exp.plan.g.size) == (d < 20) and len(exp.plan.squares)
     rng = np.random.default_rng(d)
+    dirs = ctx.space.directions
     slots = set()
     # every slot of the cube swaps, some the square swaps moved, some uniform
-    for v in exp.plan.g:
-        mask = 0
-        for x in exp.plan.r6[v]:
-            mask |= ctx.space.bit_of(x)
+    for v, r in zip(exp.plan.g.tolist(), exp.plan.cubes.tolist()):
+        mask = sum(1 << i for i in r)
         sub = mask
         while True:
-            slots.update((v ^ sub, x) for x in exp.plan.r6[v])
+            slots.update((v ^ sub, dirs[i]) for i in r)
             if sub == 0:
                 break
             sub = (sub - 1) & mask
@@ -780,7 +802,7 @@ def test_implicit_queries_past_the_explicit_cap():
     for u in rng.integers(0, 1 << 23, size=12).tolist():
         # the codeword next to u (if any) and one of its square directions
         w, _ = adjacent_codeword(ctx, u) or (u, None)
-        for x in (imp._pq[w][0], int(rng.choice(ctx.space.directions))):
+        for x in (ctx.space.directions[imp._pq[w][0]], int(rng.choice(ctx.space.directions))):
             v = imp.partner(w, x)
             assert hamming_distance(v, w) == 1
             assert imp.partner(v, x) == w
@@ -811,7 +833,7 @@ def test_implicit_queries_draw_only_the_cubes_that_reach_them(d, seed):
     exp = build_explicit(ctx, SWAPPING, RandomTape(seed))
     imp = implicit_factorisation(ctx, SWAPPING, RandomTape(seed))
     m = SWAPPING.cube_dim
-    assert exp.plan.g
+    assert exp.plan.g.size
     rng = np.random.default_rng(d)
 
     def reaches(v, u, x):
@@ -825,21 +847,21 @@ def test_implicit_queries_draw_only_the_cubes_that_reach_them(d, seed):
     # Slots m steps from each G' point v along other directions than x: v
     # lies within distance m of each, but its cube cannot reach them.
     far = set()
-    for v in exp.plan.gprime:
+    for v in exp.plan.gprime.tolist():
         for _ in range(4):
             pos = rng.choice(d, size=m + 1, replace=False).tolist()
             far.add((v ^ sum(1 << i for i in pos[:m]), ctx.space.directions[pos[m]]))
     ask(far)
-    assert set(exp.plan.gprime) - set(imp._r6)
+    assert set(exp.plan.gprime.tolist()) - set(imp._r6)
     # Then the slots of every cube swap, and slots at random.
     queries = set(far)
-    for v in exp.plan.g:
-        queries.update((v ^ ctx.space.bit_of(x), x) for x in exp.plan.r6[v])
+    for v, r in zip(exp.plan.g.tolist(), exp.plan.cubes.tolist()):
+        queries.update((v ^ 1 << i, ctx.space.directions[i]) for i in r)
     queries.update(
         (int(u), int(rng.choice(ctx.space.directions))) for u in rng.integers(0, 1 << d, size=100)
     )
     ask(queries)
-    assert set(exp.plan.g) <= set(imp._r6)
+    assert set(exp.plan.g.tolist()) <= set(imp._r6)
 
 
 @pytest.mark.parametrize("d", range(12, 19))
@@ -851,7 +873,10 @@ def test_default_parameters_swap_nothing_at_sampled_slots(d):
         # the codeword next to u (if any) along its first square direction,
         # and u along a uniform direction
         w, _ = adjacent_codeword(ctx, u) or (u, None)
-        for v, x in ((w, imp._pq[w][0]), (u, int(rng.choice(ctx.space.directions)))):
+        for v, x in (
+            (w, ctx.space.directions[imp._pq[w][0]]),
+            (u, int(rng.choice(ctx.space.directions))),
+        ):
             assert imp.partner(v, x) == v ^ ctx.space.bit_of(x)
 
 
