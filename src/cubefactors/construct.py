@@ -212,9 +212,9 @@ class SwapPlan:
     u, where p and q are the direction positions of u's draw.  ``cubes``
     holds the cube_dim direction positions drawn at each point of ``g``, row
     for row.  ``pairs_drawn`` counts the codewords whose (p, q) pair was
-    drawn to decide the squares.  A square's p and q must be two distinct
-    positions below d at a codeword, and a cube's row cube_dim distinct
-    positions below d; the arrays are copied and made read-only here.
+    drawn to decide the squares.  Each site must be a codeword, with two (a
+    square) or cube_dim (a cube) distinct positions below d; the arrays are
+    copied and made read-only here.
     """
 
     ctx: CodeContext
@@ -240,11 +240,12 @@ class SwapPlan:
             object.__setattr__(self, name, got)
         space, d = self.ctx.space, self.ctx.d
         cw = self.ctx._codeword_array
-        u = self.squares[:, 0]
-        off = cw.take(np.searchsorted(cw, u.astype(np.uint32)), mode="clip") != u
-        if off.any():
-            raise ValueError(f"square at {vertex_text(space, int(u[off][0]))} is not at a codeword")
-        for what, sites, pos in (("square", u, self.squares[:, 1:]), ("cube", self.g, self.cubes)):
+        sq = self.squares
+        for what, sites, pos in (("square", sq[:, 0], sq[:, 1:]), ("cube", self.g, self.cubes)):
+            off = cw.take(np.searchsorted(cw, sites.astype(np.uint32)), mode="clip") != sites
+            if off.any():
+                site = vertex_text(space, int(sites[off][0]))
+                raise ValueError(f"{what} at {site} is not at a codeword")
             # With a position out of range sent to bit d, a row's bits add up
             # without a carry to a sum below 2^d exactly when they are
             # distinct positions below d.

@@ -645,6 +645,15 @@ def test_active_square_off_the_code_is_refused():
         _square_plan((1, 0, 1))
 
 
+def test_cube_off_the_code_is_refused():
+    # Unrefused, the cube at 128 would write its slots past the cube's 2^7
+    # vertices into other factors' rows, a factorisation validate rejects.
+    with pytest.raises(ValueError, match="^cube at 0000001 is not at a codeword$"):
+        _cube_plan(1, (0, 1, 2))
+    with pytest.raises(ValueError, match="^vertex 128 does not fit in d=7 bits$"):
+        _cube_plan(128, (0, 1, 2))
+
+
 def test_plan_arrays_are_read_only_and_sized_to_the_sites():
     plan = sample_plan(CTX10, SCALED, RandomTape(13))
     assert plan.squares.shape[1] == 3 and plan.cubes.shape == (len(plan.g), SCALED.cube_dim)
