@@ -689,7 +689,7 @@ def apply_explicit(ctx: CodeContext, plan: SwapPlan) -> Factorisation:
         # claim by a second site is where its site number changes.
         m = plan.params.cube_dim
         n_sites = (len(plan.squares), len(plan.g))
-        sites = np.repeat(np.arange(sum(n_sites)), np.repeat([8, m << m], n_sites))
+        sites = np.repeat(np.arange(sum(n_sites)), np.repeat([8, (1 << m) * m], n_sites))
         order = np.argsort(slot, kind="stable")
         k, s = slot[order], sites[order]
         clash = (k[1:] == k[:-1]) & (s[1:] != s[:-1])
